@@ -23,12 +23,12 @@ struct CcResult {
   obs::Snapshot obs;
 };
 
-CcResult run_one(std::uint64_t seed, cc::CcAlgorithm algorithm, bool heavy_medium_loss,
-                 const obs::Options& obs_opts) {
+CcResult run_one(const bench::CommonArgs& args, std::uint64_t seed,
+                 cc::CcAlgorithm algorithm, bool heavy_medium_loss) {
   measure::TestbedConfig config;
+  args.apply(config);
   config.seed = seed;
   config.with_satcom = false;
-  config.obs = obs_opts;
   if (heavy_medium_loss) {
     // A rainy/obstructed installation: medium-loss bursts every ~3 s.
     config.starlink.medium_loss.mean_good = Duration::from_seconds(3.0);
@@ -91,9 +91,8 @@ int main(int argc, char** argv) {
       for (const Row& row : rows) {
         for (int i = 0; i < runs; ++i, ++cell) {
           const std::uint64_t seed = args.seed + static_cast<std::uint64_t>(i) * 13;
-          pool.submit([&cells, cell, seed, algorithm = row.algorithm, heavy,
-                       obs_opts = args.obs()] {
-            cells[cell] = run_one(seed, algorithm, heavy, obs_opts);
+          pool.submit([&cells, &args, cell, seed, algorithm = row.algorithm, heavy] {
+            cells[cell] = run_one(args, seed, algorithm, heavy);
           });
         }
       }

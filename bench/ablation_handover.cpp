@@ -26,13 +26,13 @@ struct FoldResult {
   obs::Snapshot obs;
 };
 
-FoldResult probe_phase_fold(std::uint64_t seed, Duration slot_penalty,
-                            const obs::Options& obs_opts) {
+FoldResult probe_phase_fold(const bench::CommonArgs& args, std::uint64_t seed,
+                            Duration slot_penalty) {
   measure::TestbedConfig config;
+  args.apply(config);
   config.seed = seed;
   config.with_satcom = false;
   config.starlink.slot_penalty_max = slot_penalty;
-  config.obs = obs_opts;
   measure::Testbed bed{config};
 
   FoldResult result;
@@ -105,8 +105,8 @@ int main(int argc, char** argv) {
         const std::uint64_t seed =
             runner::cell_seed(args.seed, static_cast<std::uint64_t>(s));
         const Duration penalty = Duration::from_millis(penalties_ms[p]);
-        pool.submit([&cells, cell, seed, penalty, obs_opts = args.obs()] {
-          cells[cell] = probe_phase_fold(seed, penalty, obs_opts);
+        pool.submit([&cells, &args, cell, seed, penalty] {
+          cells[cell] = probe_phase_fold(args, seed, penalty);
         });
       }
     }
@@ -124,10 +124,10 @@ int main(int argc, char** argv) {
       const FoldResult& from =
           cells[p * static_cast<std::size_t>(args.seeds) + static_cast<std::size_t>(s)];
       for (std::size_t i = 0; i < fold.by_phase.size(); ++i) {
-        fold.by_phase[i].add_all(from.by_phase[i].values());
+        fold.by_phase[i].merge(from.by_phase[i]);
       }
-      fold.slot_medians.add_all(from.slot_medians.values());
-      fold.boundary_steps_ms.add_all(from.boundary_steps_ms.values());
+      fold.slot_medians.merge(from.slot_medians);
+      fold.boundary_steps_ms.merge(from.boundary_steps_ms);
     }
     std::printf("\nslot penalty U(0, %.0f ms):\n  median RTT by second-in-slot:", penalty_ms);
     for (const auto& phase : fold.by_phase) {

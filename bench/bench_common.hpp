@@ -44,6 +44,7 @@
 #include <string>
 
 #include "fleet/fleet.hpp"
+#include "fleet/run_env.hpp"
 #include "obs/recorder.hpp"
 #include "runner/sweep.hpp"
 #include "scenario/scenario.hpp"
@@ -219,6 +220,15 @@ struct CommonArgs {
     if (sample_interval > Duration::zero()) opts.sample_interval = sample_interval;
     return opts;
   }
+
+  /// Sets a campaign Config's (or a TestbedConfig's) run environment from
+  /// the obs flags, --scenario and --fast-forward. The seed stays the
+  /// caller's: benches offset it per campaign.
+  void apply(fleet::RunEnv& env) const {
+    env.obs = obs();
+    env.scenario = scenario;
+    env.fast_forward = fast_forward;
+  }
 };
 
 inline void write_text_file(const std::string& path, const std::string& body) {
@@ -263,15 +273,13 @@ inline void write_obs(const CommonArgs& args, const obs::Snapshot& snap) {
 /// Runs `config` once per seed cell (runner/sweep.hpp) and folds the results
 /// in cell-id order — the drop-in replacement for `Campaign::run(config)`
 /// in every regenerator. With --seeds=1 (the default) the output is exactly
-/// the single-seed campaign, whatever --jobs says. The bench's obs flags and
-/// --scenario timeline are injected into every cell; the merged Result
-/// carries the folded snapshot.
+/// the single-seed campaign, whatever --jobs says. The bench's env flags
+/// (CommonArgs::apply) reach every cell; the merged Result carries the
+/// folded snapshot.
 template <typename Campaign>
 [[nodiscard]] typename Campaign::Result run_sweep(const CommonArgs& args,
                                                   typename Campaign::Config config) {
-  config.obs = args.obs();
-  config.scenario = args.scenario;
-  config.fast_forward = args.fast_forward;
+  args.apply(config);
   return runner::run_merged<Campaign>(args.sweep(), config);
 }
 

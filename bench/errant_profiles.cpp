@@ -20,32 +20,28 @@ int main(int argc, char** argv) {
   measure::SpeedtestCampaign::Config down_cfg;
   down_cfg.seed = args.seed;
   down_cfg.tests = args.scaled(8);
-  down_cfg.obs = args.obs();
-  const auto down = measure::SpeedtestCampaign::run(down_cfg);
+  const auto down = bench::run_sweep<measure::SpeedtestCampaign>(args, down_cfg);
 
   measure::SpeedtestCampaign::Config up_cfg;
   up_cfg.seed = args.seed + 1;
   up_cfg.tests = args.scaled(8);
   up_cfg.download = false;
-  up_cfg.obs = args.obs();
-  const auto up = measure::SpeedtestCampaign::run(up_cfg);
+  const auto up = bench::run_sweep<measure::SpeedtestCampaign>(args, up_cfg);
 
   measure::PingCampaign::Config ping_cfg;
   ping_cfg.seed = args.seed + 2;
   ping_cfg.duration = Duration::hours(6);
   ping_cfg.epochs = false;
-  ping_cfg.obs = args.obs();
-  const auto pings = measure::PingCampaign::run(ping_cfg);
+  const auto pings = bench::run_sweep<measure::PingCampaign>(args, ping_cfg);
   stats::Samples eu_rtts;
   for (const auto& anchor : pings.anchors) {
-    if (anchor.european) eu_rtts.add_all(anchor.rtt_ms.values());
+    if (anchor.european) eu_rtts.merge(anchor.rtt_ms);
   }
 
   measure::MessageCampaign::Config msg_cfg;
   msg_cfg.seed = args.seed + 3;
   msg_cfg.sessions = 2;
-  msg_cfg.obs = args.obs();
-  const auto messages = measure::MessageCampaign::run(msg_cfg);
+  const auto messages = bench::run_sweep<measure::MessageCampaign>(args, msg_cfg);
 
   const emu::ErrantProfile starlink = emu::ErrantProfile::fit(
       "starlink", down.mbps, up.mbps, eu_rtts, messages.loss.loss_ratio);

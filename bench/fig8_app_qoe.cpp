@@ -111,6 +111,7 @@ void run_abr(const bench::CommonArgs& args, const fleet::Fleet::Config& fleet,
              int sessions, Duration duration, Duration storm_blip, obs::Snapshot& all_obs) {
   measure::AbrCampaign::Config config;
   config.seed = args.seed;
+  args.apply(config);
   config.sessions = sessions;
   if (duration > Duration::zero()) config.session.watch = duration;
   // Live-edge ladder: short segments and a shallow buffer — the
@@ -136,9 +137,7 @@ void run_abr(const bench::CommonArgs& args, const fleet::Fleet::Config& fleet,
               config.session.segment.to_seconds(), config.session.max_buffer_s);
   for (const Variant& variant : variants(args, horizon, storm_blip)) {
     measure::AbrCampaign::Config cfg = config;
-    cfg.obs = args.obs();
     cfg.scenario = variant.scenario;
-    cfg.fast_forward = args.fast_forward;
     const auto r = runner::run_merged<measure::AbrCampaign>(args.sweep(), cfg);
     obs::merge(all_obs, r.obs);
 
@@ -172,6 +171,7 @@ void run_vc(const bench::CommonArgs& args, const fleet::Fleet::Config& fleet,
             int calls, Duration duration, Duration storm_blip, obs::Snapshot& all_obs) {
   measure::VcCampaign::Config config;
   config.seed = args.seed;
+  args.apply(config);
   config.calls = calls;
   if (duration > Duration::zero()) config.session.duration = duration;
   config.fleet = fleet;
@@ -183,9 +183,7 @@ void run_vc(const bench::CommonArgs& args, const fleet::Fleet::Config& fleet,
               config.session.duration.to_seconds());
   for (const Variant& variant : variants(args, horizon, storm_blip)) {
     measure::VcCampaign::Config cfg = config;
-    cfg.obs = args.obs();
     cfg.scenario = variant.scenario;
-    cfg.fast_forward = args.fast_forward;
     const auto r = runner::run_merged<measure::VcCampaign>(args.sweep(), cfg);
     obs::merge(all_obs, r.obs);
 
@@ -213,6 +211,10 @@ void run_game(const bench::CommonArgs& args, const fleet::Fleet::Config& fleet,
               obs::Snapshot& all_obs) {
   measure::GameCampaign::Config config;
   config.seed = args.seed;
+  args.apply(config);
+  // The stall correlation needs per-packet provenance regardless of the
+  // export flags (cheap at game-tick rates).
+  config.obs.provenance = true;
   config.matches = matches;
   if (duration > Duration::zero()) config.session.duration = duration;
   // Competitive bound: RTT above ~p99 of the clear-sky distribution is felt
@@ -248,12 +250,7 @@ void run_game(const bench::CommonArgs& args, const fleet::Fleet::Config& fleet,
   }
   for (const Variant& variant : vars) {
     measure::GameCampaign::Config cfg = config;
-    cfg.obs = args.obs();
-    // The stall correlation needs per-packet provenance regardless of the
-    // export flags (cheap at game-tick rates).
-    cfg.obs.provenance = true;
     cfg.scenario = variant.scenario;
-    cfg.fast_forward = args.fast_forward;
     const auto r = runner::run_merged<measure::GameCampaign>(args.sweep(), cfg);
     obs::merge(all_obs, r.obs);
 

@@ -40,6 +40,11 @@ void print_audit(const char* name, const slp::measure::MiddleboxAudit::Result& r
 int main(int argc, char** argv) {
   using namespace slp;
   const auto args = bench::CommonArgs::parse(argc, argv);
+  if (args.seeds > 1) {
+    std::fprintf(stderr, "error: --seeds=%d: the middlebox audit runs one cell per access "
+                         "(no multi-seed merge)\n", args.seeds);
+    return 2;
+  }
   bench::banner("§3.5", "middleboxes (traceroute, Tracebox) and TD (Wehe)");
 
   obs::Snapshot all_obs;
@@ -47,7 +52,7 @@ int main(int argc, char** argv) {
     measure::MiddleboxAudit::Config config;
     config.seed = args.seed;
     config.access = measure::AccessKind::kStarlink;
-    config.obs = args.obs();
+    args.apply(config);
     const auto result = measure::MiddleboxAudit::run(config);
     obs::merge(all_obs, result.obs);
     print_audit("Starlink (paper: 2 NATs, checksums only, no PEP, no TD)", result);
@@ -56,7 +61,7 @@ int main(int argc, char** argv) {
     measure::MiddleboxAudit::Config config;
     config.seed = args.seed + 1;
     config.access = measure::AccessKind::kSatCom;
-    config.obs = args.obs();
+    args.apply(config);
     const auto result = measure::MiddleboxAudit::run(config);
     obs::merge(all_obs, result.obs);
     print_audit("SatCom control (PEPs are the norm on GEO links)", result);

@@ -1,129 +1,18 @@
 // video_streaming — can Starlink sustain 4K streams?
 //
 // §3.3 of the paper: "Netflix's 4K videos require a download bandwidth of
-// 15 Mbit/s, while Disney+ recommends 25 Mbit/s." This example emulates an
-// ABR video player (segment downloads over HTTP/3, a client buffer, quality
-// switching) over Starlink and counts rebuffering events at each bitrate
-// ladder rung.
+// 15 Mbit/s, while Disney+ recommends 25 Mbit/s." This example plays each
+// bitrate as a qoe::AbrVideoSession (the fig8 ABR model: segment downloads
+// over H3/QUIC into a client playout buffer) whose ladder holds that single
+// rung, over Starlink, and counts rebuffering events per bitrate.
 //
 //   $ ./build/examples/video_streaming [--seed=N] [--minutes=3]
 #include <cstdio>
-#include <deque>
 
 #include "measure/testbed.hpp"
+#include "qoe/abr.hpp"
 #include "quic/quic.hpp"
 #include "util/flags.hpp"
-
-namespace {
-
-using namespace slp;
-using namespace slp::literals;
-
-/// A minimal DASH-like player: 4-second segments fetched sequentially over
-/// one QUIC connection; playback drains the buffer in real time.
-class VideoPlayer {
- public:
-  struct Config {
-    double bitrate_mbps = 15.0;           ///< the ladder rung under test
-    Duration segment = Duration::seconds(4);
-    Duration duration = Duration::minutes(3);
-    Duration startup_buffer = Duration::seconds(8);
-  };
-
-  struct Result {
-    int segments_played = 0;
-    int rebuffer_events = 0;
-    Duration stalled = Duration::zero();
-    Duration startup_delay = Duration::zero();
-  };
-
-  VideoPlayer(measure::Testbed& bed, quic::QuicConnection& server_conn, Config config)
-      : bed_{&bed}, server_conn_{&server_conn}, config_{config}, play_timer_{bed.sim()} {}
-
-  void start() {
-    start_time_ = bed_->sim().now();
-    server_conn_->on_message = [this](std::uint64_t, std::uint64_t, TimePoint) {};
-    request_next();
-  }
-
-  std::function<void(const Result&)> on_complete;
-
-  void on_segment_arrived() {
-    buffered_ += config_.segment;
-    if (!playing_ && buffered_ >= config_.startup_buffer) {
-      playing_ = true;
-      if (result_.startup_delay.is_zero()) {
-        result_.startup_delay = bed_->sim().now() - start_time_;
-      }
-      if (stall_started_.ns() != 0) {
-        result_.stalled += bed_->sim().now() - stall_started_;
-        stall_started_ = TimePoint{};
-      }
-      play_tick();
-    }
-    request_next();
-  }
-
- private:
-  void request_next() {
-    if (bed_->sim().now() - start_time_ >= config_.duration) return;
-    // Fetch ahead at most 4 segments.
-    if (buffered_ >= config_.segment * 4.0) return;
-    if (fetching_) return;
-    fetching_ = true;
-    const auto bytes = static_cast<std::uint64_t>(
-        config_.bitrate_mbps * 1e6 / 8.0 * config_.segment.to_seconds());
-    // The "server" pushes the segment as one message; completion = arrival.
-    const std::uint64_t id = server_conn_->send_message(bytes);
-    (void)id;
-  }
-
-  void play_tick() {
-    play_timer_.arm(config_.segment, [this] {
-      buffered_ -= config_.segment;
-      result_.segments_played++;
-      if (bed_->sim().now() - start_time_ >= config_.duration) {
-        finish();
-        return;
-      }
-      if (buffered_ < config_.segment) {
-        // Buffer empty: rebuffer.
-        playing_ = false;
-        result_.rebuffer_events++;
-        stall_started_ = bed_->sim().now();
-        request_next();
-        return;
-      }
-      play_tick();
-      request_next();
-    });
-  }
-
-  void finish() {
-    if (on_complete) on_complete(result_);
-  }
-
- public:
-  // Wired by the owner: a segment message completed delivery.
-  void notify_delivery() {
-    fetching_ = false;
-    on_segment_arrived();
-  }
-
- private:
-  measure::Testbed* bed_;
-  quic::QuicConnection* server_conn_;
-  Config config_;
-  sim::Timer play_timer_;
-  TimePoint start_time_;
-  Duration buffered_ = Duration::zero();
-  bool playing_ = false;
-  bool fetching_ = false;
-  TimePoint stall_started_;
-  Result result_;
-};
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace slp;
@@ -137,40 +26,34 @@ int main(int argc, char** argv) {
     config.with_satcom = false;
     measure::Testbed bed{config};
 
+    // A DASH-like player pinned to one rung: 4 s segments, playback starts
+    // (and resumes after a stall) at 8 s buffered, at most 16 s fetched ahead.
+    qoe::AbrVideoSession::Config player;
+    player.ladder.rungs_mbps = {mbps};
+    player.segment = Duration::seconds(4);
+    player.startup_buffer_s = 8.0;
+    player.resume_buffer_s = 8.0;
+    player.max_buffer_s = 16.0;
+    player.watch = Duration::minutes(minutes);
+
     quic::QuicStack client_stack{bed.client(measure::AccessKind::kStarlink)};
     quic::QuicStack server_stack{bed.campus_server()};
-    quic::QuicConnection* server_conn = nullptr;
-    server_stack.listen(443, [&](quic::QuicConnection& conn) { server_conn = &conn; });
-    quic::QuicConnection& conn = client_stack.connect(bed.campus_server().addr(), 443);
-
-    std::unique_ptr<VideoPlayer> player;
-    VideoPlayer::Result result;
-    bool done = false;
-    conn.on_established = [&] {
-      VideoPlayer::Config player_config;
-      player_config.bitrate_mbps = mbps;
-      player_config.duration = Duration::minutes(minutes);
-      player = std::make_unique<VideoPlayer>(bed, *server_conn, player_config);
-      conn.on_message = [&](std::uint64_t, std::uint64_t, TimePoint) {
-        player->notify_delivery();
-      };
-      player->on_complete = [&](const VideoPlayer::Result& r) {
-        result = r;
-        done = true;
-      };
-      player->start();
-    };
+    qoe::AbrVideoSession video{client_stack.connect(bed.campus_server().addr(), 443), player};
+    server_stack.listen(443, [&video](quic::QuicConnection& conn) { video.attach_server(conn); });
+    video.start();
+    // Bounded horizon: a QUIC transfer that stalls for good never completes,
+    // and the session has no watchdog of its own.
     bed.sim().run_until(TimePoint::epoch() + Duration::minutes(minutes + 2));
-    if (!done) {
-      std::printf("  %5.0f Mbit/s: stream never reached steady playback (unsustainable)\n",
-                  mbps);
+    if (!video.finished()) {
+      std::printf("  %5.0f Mbit/s: stream never finished playback (unsustainable)\n", mbps);
       continue;
     }
+    const qoe::AbrVideoSession::Metrics& m = video.metrics();
     std::printf("  %5.0f Mbit/s: %3d segments, startup %4.1f s, rebuffers %d, "
                 "stalled %.1f s %s\n",
-                mbps, result.segments_played, result.startup_delay.to_seconds(),
-                result.rebuffer_events, result.stalled.to_seconds(),
-                result.rebuffer_events == 0 ? "-> smooth" : "-> degraded");
+                mbps, m.segments_downloaded, m.startup_delay.to_seconds(), m.rebuffer_events,
+                m.rebuffer_time.to_seconds(),
+                m.rebuffer_events == 0 ? "-> smooth" : "-> degraded");
   }
   std::printf("\nExpected: 15-60 Mbit/s rungs stream cleanly on Starlink; rungs "
               "near/above the downlink share rebuffer.\n");

@@ -66,8 +66,8 @@ void merge(FleetCampaign::Result& into, const FleetCampaign::Result& from) {
   into.cell_util_down.merge(from.cell_util_down);
   into.cell_util_up.merge(from.cell_util_up);
   into.terminal_down_mbps.merge(from.terminal_down_mbps);
-  into.foreground_down_mbps.add_all(from.foreground_down_mbps.values());
-  into.foreground_up_mbps.add_all(from.foreground_up_mbps.values());
+  into.foreground_down_mbps.merge(from.foreground_down_mbps);
+  into.foreground_up_mbps.merge(from.foreground_up_mbps);
   // Fleet shape is config-driven and identical across cells; keep the max so
   // a merge with a disabled-fleet cell stays sensible.
   into.terminals = std::max(into.terminals, from.terminals);

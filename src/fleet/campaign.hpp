@@ -9,25 +9,20 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
 #include "fleet/fleet.hpp"
-#include "obs/recorder.hpp"
-#include "scenario/scenario.hpp"
+#include "fleet/run_env.hpp"
 #include "stats/groupby.hpp"
 #include "stats/quantiles.hpp"
 
 namespace slp::fleet {
 
 struct FleetCampaign {
-  struct Config {
-    std::uint64_t seed = 7;
+  struct Config : RunEnv {
+    Config() { seed = 7; }
     Fleet::Config fleet;  ///< fleet.size <= 0 still runs (pure ambient access)
     leo::StarlinkAccess::Config starlink;
     Duration duration = Duration::hours(1);
-    obs::Options obs;
-    std::shared_ptr<const scenario::Scenario> scenario;
-    bool fast_forward = true;  ///< see Simulator::set_fast_forward
   };
 
   struct Result {

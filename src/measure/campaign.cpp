@@ -41,12 +41,8 @@ void apply_paper_epochs(leo::StarlinkAccess::Config& config) {
 // ===================================================================== pings
 
 PingCampaign::Result PingCampaign::run(const Config& config) {
-  TestbedConfig tb_config;
-  tb_config.seed = config.seed;
+  TestbedConfig tb_config{config};
   tb_config.with_satcom = false;  // the paper pings over Starlink only
-  tb_config.obs = config.obs;
-  tb_config.scenario = config.scenario;
-  tb_config.fast_forward = config.fast_forward;
   tb_config.fleet = config.fleet;
   if (config.epochs) apply_paper_epochs(tb_config.starlink);
   Testbed bed{tb_config};
@@ -122,12 +118,8 @@ PingCampaign::Result PingCampaign::run(const Config& config) {
 // ===================================================================== H3
 
 H3Campaign::Result H3Campaign::run(const Config& config) {
-  TestbedConfig tb_config;
-  tb_config.seed = config.seed;
+  TestbedConfig tb_config{config};
   tb_config.with_satcom = false;
-  tb_config.obs = config.obs;
-  tb_config.scenario = config.scenario;
-  tb_config.fast_forward = config.fast_forward;
   tb_config.fleet = config.fleet;
   if (config.epochs) apply_paper_epochs(tb_config.starlink);
   Testbed bed{tb_config};
@@ -208,12 +200,8 @@ H3Campaign::Result H3Campaign::run(const Config& config) {
 // ================================================================= messages
 
 MessageCampaign::Result MessageCampaign::run(const Config& config) {
-  TestbedConfig tb_config;
-  tb_config.seed = config.seed;
+  TestbedConfig tb_config{config};
   tb_config.with_satcom = false;
-  tb_config.obs = config.obs;
-  tb_config.scenario = config.scenario;
-  tb_config.fast_forward = config.fast_forward;
   tb_config.fleet = config.fleet;
   Testbed bed{tb_config};
 
@@ -288,13 +276,9 @@ MessageCampaign::Result MessageCampaign::run(const Config& config) {
 // ================================================================ speedtest
 
 SpeedtestCampaign::Result SpeedtestCampaign::run(const Config& config) {
-  TestbedConfig tb_config;
-  tb_config.seed = config.seed;
+  TestbedConfig tb_config{config};
   tb_config.with_satcom = config.access == AccessKind::kSatCom;
   tb_config.geo.pep.enabled = config.satcom_pep;
-  tb_config.obs = config.obs;
-  tb_config.scenario = config.scenario;
-  tb_config.fast_forward = config.fast_forward;
   if (config.access == AccessKind::kStarlink) tb_config.fleet = config.fleet;
   Testbed bed{tb_config};
 
@@ -328,13 +312,9 @@ SpeedtestCampaign::Result SpeedtestCampaign::run(const Config& config) {
 // ====================================================================== web
 
 WebCampaign::Result WebCampaign::run(const Config& config) {
-  TestbedConfig tb_config;
-  tb_config.seed = config.seed;
+  TestbedConfig tb_config{config};
   tb_config.with_satcom = config.access == AccessKind::kSatCom;
   tb_config.geo.pep.enabled = config.satcom_pep;
-  tb_config.obs = config.obs;
-  tb_config.scenario = config.scenario;
-  tb_config.fast_forward = config.fast_forward;
   if (config.access == AccessKind::kStarlink) tb_config.fleet = config.fleet;
   Testbed bed{tb_config};
 
@@ -406,12 +386,8 @@ RoadTripCampaign::Result RoadTripCampaign::run(const Config& config) {
     throw std::invalid_argument("road trip: unknown route '" + config.route + "'");
   }
 
-  TestbedConfig tb_config;
-  tb_config.seed = config.seed;
+  TestbedConfig tb_config{config};
   tb_config.with_satcom = false;
-  tb_config.obs = config.obs;
-  tb_config.scenario = config.scenario;
-  tb_config.fast_forward = config.fast_forward;
   tb_config.fleet = config.fleet;
   tb_config.mobility.route = *route;
   tb_config.mobility.speed_scale = config.speed_scale;
@@ -506,19 +482,10 @@ RoadTripCampaign::Result RoadTripCampaign::run(const Config& config) {
 
 // ============================================================ sweep support
 
-namespace {
-
-void append(stats::Samples& into, const stats::Samples& from) {
-  into.reserve(into.size() + from.size());
-  into.add_all(from.values());
-}
-
-}  // namespace
-
 void merge(PingCampaign::Result& into, const PingCampaign::Result& from) {
   assert(into.anchors.size() == from.anchors.size());
   for (std::size_t i = 0; i < into.anchors.size(); ++i) {
-    append(into.anchors[i].rtt_ms, from.anchors[i].rtt_ms);
+    into.anchors[i].rtt_ms.merge(from.anchors[i].rtt_ms);
   }
   into.eu_timeline.merge(from.eu_timeline);
   if (into.eu_components.size() < from.eu_components.size()) {
@@ -538,30 +505,30 @@ void merge(PingCampaign::Result& into, const PingCampaign::Result& from) {
 }
 
 void merge(H3Campaign::Result& into, const H3Campaign::Result& from) {
-  append(into.rtt_ms, from.rtt_ms);
-  append(into.goodput_mbps, from.goodput_mbps);
+  into.rtt_ms.merge(from.rtt_ms);
+  into.goodput_mbps.merge(from.goodput_mbps);
   into.loss = LossAnalyzer::combine({into.loss, from.loss});
   into.transfers_completed += from.transfers_completed;
   obs::merge(into.obs, from.obs);
 }
 
 void merge(MessageCampaign::Result& into, const MessageCampaign::Result& from) {
-  append(into.rtt_ms, from.rtt_ms);
-  append(into.latency_ms, from.latency_ms);
+  into.rtt_ms.merge(from.rtt_ms);
+  into.latency_ms.merge(from.latency_ms);
   into.loss = LossAnalyzer::combine({into.loss, from.loss});
   into.messages_sent += from.messages_sent;
   obs::merge(into.obs, from.obs);
 }
 
 void merge(SpeedtestCampaign::Result& into, const SpeedtestCampaign::Result& from) {
-  append(into.mbps, from.mbps);
+  into.mbps.merge(from.mbps);
   obs::merge(into.obs, from.obs);
 }
 
 void merge(RoadTripCampaign::Result& into, const RoadTripCampaign::Result& from) {
   into.rtt_by_speed.merge(from.rtt_by_speed);
   into.loss_by_speed.merge(from.loss_by_speed);
-  append(into.outage_s, from.outage_s);
+  into.outage_s.merge(from.outage_s);
   for (std::size_t c = 0; c < into.comp_ns.size(); ++c) into.comp_ns[c] += from.comp_ns[c];
   into.probes_sent += from.probes_sent;
   into.probes_lost += from.probes_lost;
@@ -573,9 +540,9 @@ void merge(RoadTripCampaign::Result& into, const RoadTripCampaign::Result& from)
 }
 
 void merge(WebCampaign::Result& into, const WebCampaign::Result& from) {
-  append(into.onload_s, from.onload_s);
-  append(into.speedindex_s, from.speedindex_s);
-  append(into.setup_ms, from.setup_ms);
+  into.onload_s.merge(from.onload_s);
+  into.speedindex_s.merge(from.speedindex_s);
+  into.setup_ms.merge(from.setup_ms);
   const int total = into.visits_completed + from.visits_completed;
   if (total > 0) {
     into.mean_connections = (into.mean_connections * into.visits_completed +
@@ -590,12 +557,8 @@ void merge(WebCampaign::Result& into, const WebCampaign::Result& from) {
 // =============================================================== middleboxes
 
 MiddleboxAudit::Result MiddleboxAudit::run(const Config& config) {
-  TestbedConfig tb_config;
-  tb_config.seed = config.seed;
+  TestbedConfig tb_config{config};
   tb_config.with_satcom = config.access == AccessKind::kSatCom;
-  tb_config.obs = config.obs;
-  tb_config.scenario = config.scenario;
-  tb_config.fast_forward = config.fast_forward;
   Testbed bed{tb_config};
 
   Result result;

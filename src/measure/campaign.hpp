@@ -10,7 +10,8 @@
 //   WebCampaign        -> Figure 6 (onLoad / SpeedIndex ECDFs)
 //   MiddleboxAudit     -> §3.5 (traceroute, Tracebox, Wehe)
 //
-// Every run() builds its own Testbed from a seed, so campaigns are
+// Every Config is a fleet::RunEnv (seed, obs, scenario, fast_forward), and
+// every run() builds its own Testbed from that env, so campaigns are
 // independent and reproducible. Timeline compression: cadences are
 // parameters; the paper's five months are replayed at a configurable pace.
 #pragma once
@@ -43,21 +44,14 @@ void apply_paper_epochs(leo::StarlinkAccess::Config& config);
 // ===================================================================== pings
 
 struct PingCampaign {
-  struct Config {
-    std::uint64_t seed = 1;
+  struct Config : fleet::RunEnv {  // seed 1
     Duration duration = Duration::days(146);  ///< Dec 20 -> mid May
     Duration cadence = Duration::minutes(5);
     int pings_per_round = 3;
     bool epochs = true;
-    obs::Options obs;  ///< per-cell observability (testbed-wide)
-    /// Optional environment/fault timeline (seed-independent; see scenario.hpp).
-    std::shared_ptr<const scenario::Scenario> scenario;
     /// Optional simulated-neighbour fleet (src/fleet/); size 0 keeps the
     /// synthetic cell load, size N > 1 puts real contention under Figure 2.
     fleet::Fleet::Config fleet;
-    /// Analytic fast paths (see TestbedConfig::fast_forward). Same exports
-    /// either way; false runs the packet-level reference.
-    bool fast_forward = true;
   };
 
   struct AnchorResult {
@@ -86,8 +80,8 @@ struct PingCampaign {
 // ===================================================================== H3
 
 struct H3Campaign {
-  struct Config {
-    std::uint64_t seed = 2;
+  struct Config : fleet::RunEnv {
+    Config() { seed = 2; }
     int transfers = 12;
     bool download = true;
     std::uint64_t bytes = 100ull * 1000 * 1000;
@@ -95,12 +89,9 @@ struct H3Campaign {
     bool pacing = false;     ///< quiche default; true for the ablation
     bool epochs = true;      ///< second-session capacity applies
     Duration transfer_timeout = Duration::minutes(5);
-    obs::Options obs;
-    std::shared_ptr<const scenario::Scenario> scenario;
     /// Optional simulated-neighbour fleet (src/fleet/); size 0 keeps the
     /// synthetic cell load, size N > 1 puts real contention under Figure 3.
     fleet::Fleet::Config fleet;
-    bool fast_forward = true;  ///< see TestbedConfig::fast_forward
   };
 
   struct Result {
@@ -117,19 +108,16 @@ struct H3Campaign {
 // ================================================================= messages
 
 struct MessageCampaign {
-  struct Config {
-    std::uint64_t seed = 3;
+  struct Config : fleet::RunEnv {
+    Config() { seed = 3; }
     int sessions = 6;
     bool upload = true;                    ///< client -> server
     Duration session_duration = Duration::minutes(2);
     Duration gap = Duration::seconds(10);
     bool pacing = false;
-    obs::Options obs;
-    std::shared_ptr<const scenario::Scenario> scenario;
     /// Optional simulated-neighbour fleet (src/fleet/); size 0 keeps the
     /// synthetic cell load, size N > 1 puts real contention under Figure 4b.
     fleet::Fleet::Config fleet;
-    bool fast_forward = true;  ///< see TestbedConfig::fast_forward
   };
 
   struct Result {
@@ -146,8 +134,8 @@ struct MessageCampaign {
 // ================================================================ speedtest
 
 struct SpeedtestCampaign {
-  struct Config {
-    std::uint64_t seed = 4;
+  struct Config : fleet::RunEnv {
+    Config() { seed = 4; }
     AccessKind access = AccessKind::kStarlink;
     int tests = 24;
     bool download = true;
@@ -155,11 +143,8 @@ struct SpeedtestCampaign {
     Duration test_duration = Duration::seconds(12);
     Duration gap = Duration::minutes(2);
     bool satcom_pep = true;  ///< PEP ablation switch (SatCom access only)
-    obs::Options obs;
-    std::shared_ptr<const scenario::Scenario> scenario;
     /// Optional simulated-neighbour fleet (Starlink access only).
     fleet::Fleet::Config fleet;
-    bool fast_forward = true;  ///< see TestbedConfig::fast_forward
   };
 
   struct Result {
@@ -173,8 +158,8 @@ struct SpeedtestCampaign {
 // ====================================================================== web
 
 struct WebCampaign {
-  struct Config {
-    std::uint64_t seed = 5;
+  struct Config : fleet::RunEnv {
+    Config() { seed = 5; }
     AccessKind access = AccessKind::kStarlink;
     int catalog_sites = 120;
     int visits = 60;              ///< total page loads
@@ -184,12 +169,9 @@ struct WebCampaign {
     /// Name resolution across the access link (one lookup per origin per
     /// cold cache) — part of every real onLoad.
     bool dns = true;
-    obs::Options obs;
-    std::shared_ptr<const scenario::Scenario> scenario;
     /// Optional simulated-neighbour fleet (Starlink access only); puts real
     /// contention under the Figure 6 page loads.
     fleet::Fleet::Config fleet;
-    bool fast_forward = true;  ///< see TestbedConfig::fast_forward
   };
 
   struct Result {
@@ -213,20 +195,17 @@ struct WebCampaign {
 /// outage durations, and the provenance sums expose how much of the moving
 /// RTT is handover stall.
 struct RoadTripCampaign {
-  struct Config {
-    std::uint64_t seed = 7;
+  struct Config : fleet::RunEnv {
+    Config() { seed = 7; }
     std::string route = "highway";  ///< mobility::routes::lookup name
     double speed_scale = 1.0;       ///< multiplies the route's leg speeds
     Duration cadence = Duration::seconds(1);
     /// Zero = drive the whole route (scaled) plus a 30 s settled tail.
     Duration duration = Duration::zero();
     bool obstructions = true;  ///< false strips the route's masks (ablation)
-    obs::Options obs;
-    std::shared_ptr<const scenario::Scenario> scenario;
     /// Optional simulated-neighbour fleet: makes cell migrations land in
     /// arbiters with real background members.
     fleet::Fleet::Config fleet;
-    bool fast_forward = true;  ///< see TestbedConfig::fast_forward
   };
 
   struct Result {
@@ -268,13 +247,10 @@ void merge(RoadTripCampaign::Result& into, const RoadTripCampaign::Result& from)
 // =============================================================== middleboxes
 
 struct MiddleboxAudit {
-  struct Config {
-    std::uint64_t seed = 6;
+  struct Config : fleet::RunEnv {
+    Config() { seed = 6; }
     AccessKind access = AccessKind::kStarlink;
     int wehe_repetitions = 10;  ///< the paper ran the suite ten times
-    obs::Options obs;
-    std::shared_ptr<const scenario::Scenario> scenario;
-    bool fast_forward = true;  ///< see TestbedConfig::fast_forward
   };
 
   struct Result {

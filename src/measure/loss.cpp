@@ -58,7 +58,7 @@ LossAnalyzer::Report LossAnalyzer::combine(const std::vector<Report>& reports) {
     for (const auto& [len, count] : r.burst_lengths.buckets()) {
       out.burst_lengths.add(len, count);
     }
-    out.event_durations_ms.add_all(r.event_durations_ms.values());
+    out.event_durations_ms.merge(r.event_durations_ms);
   }
   const std::uint64_t total = out.packets_received + out.packets_lost;
   out.loss_ratio = total == 0 ? 0.0 : static_cast<double>(out.packets_lost) / total;

@@ -148,8 +148,8 @@ void merge(MultiVantageCampaign::Result& into, const MultiVantageCampaign::Resul
     into.vantages = from.vantages;
   } else {
     for (std::size_t i = 0; i < into.vantages.size() && i < from.vantages.size(); ++i) {
-      into.vantages[i].rtt_ms.add_all(from.vantages[i].rtt_ms.values());
-      into.vantages[i].down_mbps.add_all(from.vantages[i].down_mbps.values());
+      into.vantages[i].rtt_ms.merge(from.vantages[i].rtt_ms);
+      into.vantages[i].down_mbps.merge(from.vantages[i].down_mbps);
       into.vantages[i].probes_sent += from.vantages[i].probes_sent;
       into.vantages[i].probes_lost += from.vantages[i].probes_lost;
     }

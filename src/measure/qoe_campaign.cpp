@@ -15,28 +15,13 @@ std::uint64_t handover_slot_phase(TimePoint t) {
   return static_cast<std::uint64_t>(ns / Duration::seconds(1).ns());
 }
 
-namespace {
-
-TestbedConfig make_testbed_config(std::uint64_t seed, const obs::Options& obs,
-                                  const std::shared_ptr<const scenario::Scenario>& scenario,
-                                  const fleet::Fleet::Config& fleet, bool fast_forward) {
-  TestbedConfig tb;
-  tb.seed = seed;
-  tb.with_satcom = false;
-  tb.obs = obs;
-  tb.scenario = scenario;
-  tb.fleet = fleet;
-  tb.fast_forward = fast_forward;
-  return tb;
-}
-
-}  // namespace
-
 // ================================================================ ABR video
 
 AbrCampaign::Result AbrCampaign::run(const Config& config) {
-  Testbed bed{make_testbed_config(config.seed, config.obs, config.scenario, config.fleet,
-                                  config.fast_forward)};
+  TestbedConfig tb_config{config};
+  tb_config.with_satcom = false;
+  tb_config.fleet = config.fleet;
+  Testbed bed{tb_config};
 
   Result result;
   quic::QuicStack client_stack{bed.starlink().client()};
@@ -84,8 +69,10 @@ AbrCampaign::Result AbrCampaign::run(const Config& config) {
 // ======================================================== videoconferencing
 
 VcCampaign::Result VcCampaign::run(const Config& config) {
-  Testbed bed{make_testbed_config(config.seed, config.obs, config.scenario, config.fleet,
-                                  config.fast_forward)};
+  TestbedConfig tb_config{config};
+  tb_config.with_satcom = false;
+  tb_config.fleet = config.fleet;
+  Testbed bed{tb_config};
 
   Result result;
   quic::QuicStack client_stack{bed.starlink().client()};
@@ -134,8 +121,10 @@ VcCampaign::Result VcCampaign::run(const Config& config) {
 // ============================================================= game traffic
 
 GameCampaign::Result GameCampaign::run(const Config& config) {
-  Testbed bed{make_testbed_config(config.seed, config.obs, config.scenario, config.fleet,
-                                  config.fast_forward)};
+  TestbedConfig tb_config{config};
+  tb_config.with_satcom = false;
+  tb_config.fleet = config.fleet;
+  Testbed bed{tb_config};
 
   Result result;
   std::vector<std::unique_ptr<qoe::GameSession>> matches;
@@ -189,20 +178,11 @@ GameCampaign::Result GameCampaign::run(const Config& config) {
 
 // ============================================================ sweep support
 
-namespace {
-
-void append(stats::Samples& into, const stats::Samples& from) {
-  into.reserve(into.size() + from.size());
-  into.add_all(from.values());
-}
-
-}  // namespace
-
 void merge(AbrCampaign::Result& into, const AbrCampaign::Result& from) {
-  append(into.startup_s, from.startup_s);
-  append(into.rebuffer_ratio, from.rebuffer_ratio);
-  append(into.mean_rung_mbps, from.mean_rung_mbps);
-  append(into.segment_mbps, from.segment_mbps);
+  into.startup_s.merge(from.startup_s);
+  into.rebuffer_ratio.merge(from.rebuffer_ratio);
+  into.mean_rung_mbps.merge(from.mean_rung_mbps);
+  into.segment_mbps.merge(from.segment_mbps);
   into.rebuffer_by_phase.merge(from.rebuffer_by_phase);
   into.rebuffer_events += from.rebuffer_events;
   into.quality_switches += from.quality_switches;
@@ -212,9 +192,9 @@ void merge(AbrCampaign::Result& into, const AbrCampaign::Result& from) {
 }
 
 void merge(VcCampaign::Result& into, const VcCampaign::Result& from) {
-  append(into.mos, from.mos);
-  append(into.window_loss_pct, from.window_loss_pct);
-  append(into.transit_ms, from.transit_ms);
+  into.mos.merge(from.mos);
+  into.window_loss_pct.merge(from.window_loss_pct);
+  into.transit_ms.merge(from.transit_ms);
   into.mos_by_phase.merge(from.mos_by_phase);
   into.frames_sent += from.frames_sent;
   into.frames_missed += from.frames_missed;
@@ -224,10 +204,10 @@ void merge(VcCampaign::Result& into, const VcCampaign::Result& from) {
 }
 
 void merge(GameCampaign::Result& into, const GameCampaign::Result& from) {
-  append(into.rtt_ms, from.rtt_ms);
+  into.rtt_ms.merge(from.rtt_ms);
   into.spikes_by_phase.merge(from.spikes_by_phase);
-  append(into.spike_stall_ms, from.spike_stall_ms);
-  append(into.stall_ms, from.stall_ms);
+  into.spike_stall_ms.merge(from.spike_stall_ms);
+  into.stall_ms.merge(from.stall_ms);
   into.ticks_high_stall += from.ticks_high_stall;
   into.ticks_low_stall += from.ticks_low_stall;
   into.spikes_high_stall += from.spikes_high_stall;

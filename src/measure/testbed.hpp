@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "fleet/fleet.hpp"
+#include "fleet/run_env.hpp"
 #include "geo/geo_access.hpp"
 #include "leo/access.hpp"
 #include "mobility/mobile_terminal.hpp"
@@ -35,20 +36,16 @@ enum class AccessKind { kStarlink, kSatCom, kWired };
 
 [[nodiscard]] std::string_view to_string(AccessKind kind);
 
-struct TestbedConfig {
-  std::uint64_t seed = 1;
+struct TestbedConfig : fleet::RunEnv {
+  TestbedConfig() = default;
+  /// A campaign's Testbed: the campaign Config's env, everything else default.
+  explicit TestbedConfig(const fleet::RunEnv& env) : fleet::RunEnv{env} {}
+
   leo::StarlinkAccess::Config starlink;
   geo::GeoAccess::Config geo;
   bool with_satcom = true;
   /// Campus <-> internet-core one-way delay (Louvain-la-Neuve to AMS).
   Duration campus_core_delay = Duration::from_millis(2.2);
-  /// Observability: enabled on the Simulator *before* the topology is built
-  /// so every component binds its handles/probes at construction.
-  obs::Options obs;
-  /// Environment/fault timeline replayed onto the Starlink access (null =
-  /// clear sky). Shared across sweep cells: scenarios are seed-independent,
-  /// so every cell schedules the identical timeline.
-  std::shared_ptr<const scenario::Scenario> scenario;
   /// Simulated neighbour terminals sharing the Starlink cells (src/fleet/).
   /// size 0 keeps the synthetic LoadProcess; size 1 attaches only the
   /// foreground terminal (bit-identical to size 0 by construction).
@@ -58,10 +55,6 @@ struct TestbedConfig {
   /// a non-trivial route with speed_scale 0 builds a fully passive one —
   /// both keep exports byte-identical to a static run.
   mobility::MobileTerminal::Config mobility;
-  /// Analytic fast paths (link express serialization, transport scan
-  /// skipping). Exports are identical either way; `false` runs the
-  /// packet-level reference the differential suite compares against.
-  bool fast_forward = true;
 };
 
 class Testbed {

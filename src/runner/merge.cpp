@@ -2,17 +2,14 @@
 
 namespace slp::runner {
 
-void merge(stats::Samples& into, const stats::Samples& from) {
-  into.reserve(into.size() + from.size());
-  into.add_all(from.values());
-}
+void merge(stats::Samples& into, const stats::Samples& from) { into.merge(from); }
 
 stats::Samples merge_samples(std::span<const stats::Samples> shards) {
   stats::Samples out;
   std::size_t total = 0;
   for (const stats::Samples& shard : shards) total += shard.size();
   out.reserve(total);
-  for (const stats::Samples& shard : shards) out.add_all(shard.values());
+  for (const stats::Samples& shard : shards) out.merge(shard);
   return out;
 }
 

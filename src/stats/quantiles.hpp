@@ -37,6 +37,15 @@ class Samples {
     for (const double x : xs) add(x);
   }
 
+  /// Appends `other`'s samples in their insertion order (the cell-id-ordered
+  /// fold of runner::run_merged). Same as add_all(other.values()): every
+  /// value goes through the streaming summary, so mean/min/max match a
+  /// sequential build bit for bit.
+  void merge(const Samples& other) {
+    reserve(size() + other.size());
+    add_all(other.values());
+  }
+
   void reserve(std::size_t n) { values_.reserve(n); }
   void clear();
 

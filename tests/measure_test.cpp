@@ -2,6 +2,7 @@
 
 #include "measure/campaign.hpp"
 #include "measure/loss.hpp"
+#include "measure/qoe_campaign.hpp"
 #include "measure/testbed.hpp"
 
 namespace slp::measure {
@@ -208,6 +209,153 @@ TEST(MiddleboxAuditTest, StarlinkShowsNatsNoPepNoTd) {
   EXPECT_FALSE(result.tracebox.pep_detected);
   EXPECT_FALSE(result.wehe.differentiation_detected);
 }
+
+// ------------------------------------------------- RunEnv -> Testbed mapping
+//
+// Every campaign Config is a fleet::RunEnv; each run() hands that env to its
+// Testbed. One row per Testbed campaign at its smallest runnable size: with
+// metrics on, a scenario and a 3-terminal fleet in the env/Config, the
+// cell's snapshot must show the scenario's injector and (Starlink access only) the
+// fleet. A run() that dropped a field would lose the matching counters.
+
+struct EnvCase {
+  const char* name;
+  bool expect_fleet;  ///< Config::fleet applies (Starlink access)
+  obs::Snapshot (*run)();
+};
+
+std::shared_ptr<const scenario::Scenario> plane_failure() {
+  static const auto scn = std::make_shared<const scenario::Scenario>(
+      scenario::Scenario::load(SLP_SOURCE_DIR "/examples/scenarios/plane_failure.scn"));
+  return scn;
+}
+
+template <typename Campaign>
+obs::Snapshot run_with_env(typename Campaign::Config config) {
+  config.obs.metrics = true;
+  config.scenario = plane_failure();
+  config.fast_forward = false;
+  if constexpr (requires { config.fleet; }) {
+    config.fleet.size = 3;
+    // The sim runs on to the scenario's day-45 end: coarse epochs keep that
+    // cheap (the default 2 s epoch would tick ~2M times).
+    config.fleet.epoch = Duration::hours(1);
+  }
+  return Campaign::run(config).obs;
+}
+
+const EnvCase kEnvCases[] = {
+    {"Ping", true,
+     [] {
+       PingCampaign::Config c;
+       c.duration = c.cadence;
+       c.pings_per_round = 1;
+       c.epochs = false;
+       return run_with_env<PingCampaign>(c);
+     }},
+    {"H3", true,
+     [] {
+       H3Campaign::Config c;
+       c.transfers = 1;
+       c.bytes = 200'000;
+       c.epochs = false;
+       return run_with_env<H3Campaign>(c);
+     }},
+    {"Message", true,
+     [] {
+       MessageCampaign::Config c;
+       c.sessions = 1;
+       c.session_duration = Duration::seconds(2);
+       return run_with_env<MessageCampaign>(c);
+     }},
+    {"SpeedtestStarlink", true,
+     [] {
+       SpeedtestCampaign::Config c;
+       c.tests = 1;
+       c.connections = 1;
+       c.test_duration = Duration::seconds(1);
+       return run_with_env<SpeedtestCampaign>(c);
+     }},
+    {"SpeedtestSatCom", false,
+     [] {
+       SpeedtestCampaign::Config c;
+       c.access = AccessKind::kSatCom;
+       c.tests = 1;
+       c.connections = 1;
+       c.test_duration = Duration::seconds(1);
+       return run_with_env<SpeedtestCampaign>(c);
+     }},
+    {"WebStarlink", true,
+     [] {
+       WebCampaign::Config c;
+       c.visits = 1;
+       c.catalog_sites = 1;
+       return run_with_env<WebCampaign>(c);
+     }},
+    {"WebSatCom", false,
+     [] {
+       WebCampaign::Config c;
+       c.access = AccessKind::kSatCom;
+       c.visits = 1;
+       c.catalog_sites = 1;
+       return run_with_env<WebCampaign>(c);
+     }},
+    {"RoadTrip", true,
+     [] {
+       RoadTripCampaign::Config c;
+       c.duration = Duration::seconds(5);
+       return run_with_env<RoadTripCampaign>(c);
+     }},
+    {"MiddleboxAudit", false,  // no fleet field
+     [] {
+       MiddleboxAudit::Config c;
+       c.wehe_repetitions = 1;
+       return run_with_env<MiddleboxAudit>(c);
+     }},
+    {"Abr", true,
+     [] {
+       AbrCampaign::Config c;
+       c.sessions = 1;
+       c.session.watch = Duration::seconds(8);
+       return run_with_env<AbrCampaign>(c);
+     }},
+    {"Vc", true,
+     [] {
+       VcCampaign::Config c;
+       c.calls = 1;
+       c.session.duration = Duration::seconds(5);
+       return run_with_env<VcCampaign>(c);
+     }},
+    {"Game", true,
+     [] {
+       GameCampaign::Config c;
+       c.matches = 1;
+       c.session.duration = Duration::seconds(5);
+       return run_with_env<GameCampaign>(c);
+     }},
+};
+
+void PrintTo(const EnvCase& c, std::ostream* os) { *os << c.name; }
+
+class RunEnvMapping : public ::testing::TestWithParam<EnvCase> {};
+
+TEST_P(RunEnvMapping, EnvAndFleetReachTheTestbed) {
+  const EnvCase& c = GetParam();
+  const obs::Snapshot snap = c.run();
+  EXPECT_EQ(snap.cells, 1u);
+  const auto applied = snap.counters.find("scenario.events_applied");
+  ASSERT_NE(applied, snap.counters.end());
+  EXPECT_EQ(applied->second, 1u);  // plane_failure's one window opened
+  const auto fleet_counter = snap.counters.lower_bound("fleet.");
+  const bool has_fleet = fleet_counter != snap.counters.end() &&
+                         fleet_counter->first.starts_with("fleet.");
+  EXPECT_EQ(has_fleet, c.expect_fleet);
+}
+
+INSTANTIATE_TEST_SUITE_P(TestbedCampaigns, RunEnvMapping, ::testing::ValuesIn(kEnvCases),
+                         [](const ::testing::TestParamInfo<EnvCase>& info) {
+                           return std::string{info.param.name};
+                         });
 
 }  // namespace
 }  // namespace slp::measure

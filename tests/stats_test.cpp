@@ -111,6 +111,44 @@ TEST(Samples, ClearResetsEverything) {
   EXPECT_DOUBLE_EQ(s.median(), 5.0);
 }
 
+TEST(Samples, MergeEqualsAddAllOfConcatenation) {
+  // Regression guard: a fold that copied values without feeding the
+  // streaming summary would leave count/mean/min/max at the `into` side's.
+  Rng rng{23};
+  std::vector<double> left(37);
+  std::vector<double> right(53);
+  for (double& x : left) x = rng.normal(40.0, 8.0);
+  for (double& x : right) x = rng.normal(55.0, 20.0);
+  std::vector<double> both = left;
+  both.insert(both.end(), right.begin(), right.end());
+
+  Samples merged;
+  merged.add_all(left);
+  EXPECT_DOUBLE_EQ(merged.median(), Samples{left}.median());  // sort cache now warm
+  merged.merge(Samples{right});
+  Samples expected;
+  expected.add_all(both);
+
+  EXPECT_EQ(merged.values(), expected.values());
+  EXPECT_EQ(merged.summary().count(), expected.summary().count());
+  EXPECT_EQ(merged.size(), both.size());
+  EXPECT_EQ(merged.mean(), expected.mean());  // bit-identical, not just close
+  EXPECT_EQ(merged.summary().variance(), expected.summary().variance());
+  EXPECT_EQ(merged.min(), expected.min());
+  EXPECT_EQ(merged.max(), expected.max());
+  for (const double q : {0.0, 0.05, 0.25, 0.5, 0.75, 0.95, 1.0}) {
+    EXPECT_EQ(merged.quantile(q), expected.quantile(q)) << "q=" << q;
+  }
+
+  // Merging an empty set is a no-op; merging into an empty set copies.
+  merged.merge(Samples{});
+  EXPECT_EQ(merged.size(), both.size());
+  Samples empty;
+  empty.merge(expected);
+  EXPECT_EQ(empty.values(), expected.values());
+  EXPECT_EQ(empty.mean(), expected.mean());
+}
+
 TEST(Boxplot, MatchesPaperConventions) {
   Samples s;
   for (int i = 1; i <= 1000; ++i) s.add(i);
