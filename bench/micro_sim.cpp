@@ -1,7 +1,8 @@
 // Microbenchmarks (google-benchmark) for the simulator's hot paths: event
 // queue churn, link packet forwarding, congestion-controller updates, QUIC
-// transfer event rate, and constellation visibility queries. These guard the
-// performance envelope that makes the compressed campaigns tractable.
+// transfer event rate, constellation visibility queries, and the cell-load
+// process's far seek and step. These guard the performance envelope that
+// makes the compressed campaigns tractable.
 #include <benchmark/benchmark.h>
 
 #include <map>
@@ -14,6 +15,7 @@
 #include "leo/places.hpp"
 #include "mobility/obstruction.hpp"
 #include "mobility/routes.hpp"
+#include "phy/load_process.hpp"
 #include "qoe/abr.hpp"
 #include "qoe/vc.hpp"
 #include "quic/quic.hpp"
@@ -353,6 +355,46 @@ void BM_EventQueueCancelChurn(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_EventQueueCancelChurn);
+
+void BM_LoadProcessFarSeek(benchmark::State& state) {
+  // A fresh cell-load process read at the second H3 session's day 140: a
+  // jump-ahead and a coupled window, not 6M replayed AR(1) steps.
+  const phy::LoadProcess::Config cfg = leo::StarlinkAccess::Config{}.downlink_load;
+  const TimePoint day140 = TimePoint::epoch() + Duration::days(140);
+  std::uint64_t seed = 0;
+  for (auto _ : state) {
+    phy::LoadProcess load{cfg, Rng{++seed}};
+    benchmark::DoNotOptimize(load.utilization(day140));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_LoadProcessFarSeek);
+
+void BM_LoadProcessStep(benchmark::State& state) {
+  // Consecutive 2 s steps: the sequential path every packet-level cell takes.
+  phy::LoadProcess load{leo::StarlinkAccess::Config{}.downlink_load, Rng{1}};
+  TimePoint t = TimePoint::epoch();
+  for (auto _ : state) {
+    t = t + Duration::seconds(2);
+    benchmark::DoNotOptimize(load.utilization(t));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_LoadProcessStep);
+
+void BM_LoadProcessGap(benchmark::State& state) {
+  // Reads range(0) 2 s steps apart: 10 and 30 min idle step sequentially,
+  // 40 min is just far enough (4x the first seek window) to seek.
+  phy::LoadProcess load{leo::StarlinkAccess::Config{}.downlink_load, Rng{1}};
+  const Duration gap = Duration::seconds(2 * state.range(0));
+  TimePoint t = TimePoint::epoch();
+  for (auto _ : state) {
+    t = t + gap;
+    benchmark::DoNotOptimize(load.utilization(t));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_LoadProcessGap)->Arg(300)->Arg(900)->Arg(1200);
 
 }  // namespace
 

@@ -1,8 +1,9 @@
 // demand.hpp — per-terminal traffic demand as a pure function of time.
 //
 // 10k terminals sampled every couple of seconds for simulated hours cannot
-// afford per-terminal cached sample vectors (the LoadProcess trick) — that
-// is O(terminals x steps) memory. Instead each terminal's demand is a
+// afford per-terminal sample vectors — that is O(terminals x steps) memory —
+// nor a per-terminal AR(1) stream (LoadProcess), whose far and backward
+// queries cost a jump-ahead each. Instead each terminal's demand is a
 // *stateless* counter-based function: activity and per-session rate are
 // derived by hashing (terminal seed, session index), so any (terminal, t)
 // query is O(1), random-access, and bit-identical regardless of query order,

@@ -31,27 +31,31 @@ WeheServer::WeheServer(sim::Host& host, Config config) : host_{&host}, config_{c
 }
 
 void WeheServer::stream(sim::Ipv4Addr dst, std::uint16_t dst_port, std::uint8_t dscp) {
-  const Duration spacing = config_.trace_rate.transmission_time(config_.packet_bytes);
-  const auto packets = static_cast<int>(config_.trace_duration / spacing);
-  auto timer = std::make_unique<sim::Timer>(host_->sim());
-  sim::Timer* t = timer.get();
-  timers_.push_back(std::move(timer));
+  auto s = std::make_unique<Stream>(host_->sim());
+  s->dst = dst;
+  s->dst_port = dst_port;
+  s->dscp = dscp;
+  s->remaining = static_cast<int>(
+      config_.trace_duration / config_.trace_rate.transmission_time(config_.packet_bytes));
+  Stream& ref = *s;
+  streams_.push_back(std::move(s));
+  send_next(ref);
+}
 
-  auto remaining = std::make_shared<int>(packets);
-  auto tick = std::make_shared<std::function<void()>>();
-  *tick = [this, dst, dst_port, dscp, remaining, t, tick, spacing] {
-    if (--*remaining < 0) return;
-    sim::Packet pkt;
-    pkt.dst = dst;
-    pkt.dst_port = dst_port;
-    pkt.src_port = config_.port;
-    pkt.proto = sim::Protocol::kUdp;
-    pkt.size_bytes = config_.packet_bytes;
-    pkt.dscp = dscp;
-    host_->send(std::move(pkt));
-    if (*remaining > 0) t->arm(spacing, [tick] { (*tick)(); });
-  };
-  (*tick)();
+void WeheServer::send_next(Stream& s) {
+  if (--s.remaining < 0) return;
+  sim::Packet pkt;
+  pkt.dst = s.dst;
+  pkt.dst_port = s.dst_port;
+  pkt.src_port = config_.port;
+  pkt.proto = sim::Protocol::kUdp;
+  pkt.size_bytes = config_.packet_bytes;
+  pkt.dscp = s.dscp;
+  host_->send(std::move(pkt));
+  if (s.remaining > 0) {
+    s.timer.arm(config_.trace_rate.transmission_time(config_.packet_bytes),
+                [this, &s] { send_next(s); });
+  }
 }
 
 // ----------------------------------------------------------- WeheClient

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "sim/host.hpp"
@@ -68,11 +69,23 @@ class WeheServer {
   explicit WeheServer(sim::Host& host) : WeheServer(host, Config{}) {}
 
  private:
+  /// One paced replay; the server owns it, so its timer's callback needs
+  /// only a reference back (no self-owning closure).
+  struct Stream {
+    explicit Stream(sim::Simulator& sim) : timer{sim} {}
+    sim::Timer timer;
+    sim::Ipv4Addr dst = 0;
+    std::uint16_t dst_port = 0;
+    std::uint8_t dscp = 0;
+    int remaining = 0;
+  };
+
   void stream(sim::Ipv4Addr dst, std::uint16_t dst_port, std::uint8_t dscp);
+  void send_next(Stream& s);
 
   sim::Host* host_;
   Config config_;
-  std::vector<std::unique_ptr<sim::Timer>> timers_;
+  std::vector<std::unique_ptr<Stream>> streams_;
 };
 
 /// Client side: runs `repetitions` paired replays and reports.

@@ -1,8 +1,11 @@
 #include "util/rng.hpp"
 
+#include <bit>
 #include <cassert>
 #include <cmath>
+#include <mutex>
 #include <numbers>
+#include <vector>
 
 namespace slp {
 
@@ -18,6 +21,63 @@ std::uint64_t splitmix64(std::uint64_t& state) {
   z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
   return z ^ (z >> 31);
 }
+
+using State = std::array<std::uint64_t, 4>;
+
+/// xoshiro256's state update: next() without the output scrambler.
+void advance(State& s) {
+  const std::uint64_t t = s[1] << 17;
+  s[2] ^= s[0];
+  s[3] ^= s[1];
+  s[1] ^= s[2];
+  s[0] ^= s[3];
+  s[2] ^= t;
+  s[3] = rotl(s[3], 45);
+}
+
+/// A 256x256 GF(2) matrix stored as its column images: col[j] = M e_j.
+using Matrix = std::array<State, 256>;
+
+State multiply(const Matrix& m, const State& v) {
+  State r{};
+  for (int j = 0; j < 256; ++j) {
+    const std::uint64_t mask = 0 - ((v[j >> 6] >> (j & 63)) & 1);
+    for (int w = 0; w < 4; ++w) r[w] ^= m[j][w] & mask;
+  }
+  return r;
+}
+
+/// pow_[k] = T^(2^k), grown on demand up to the highest bit ever jumped.
+class JumpTable {
+ public:
+  State jump(State s, std::uint64_t n) {
+    const std::scoped_lock lock{mu_};
+    while (pow_.size() < static_cast<std::size_t>(std::bit_width(n))) grow();
+    for (std::size_t k = 0; k < pow_.size(); ++k) {
+      if ((n >> k) & 1) s = multiply(pow_[k], s);
+    }
+    return s;
+  }
+
+ private:
+  void grow() {
+    Matrix m;
+    for (int j = 0; j < 256; ++j) {
+      if (pow_.empty()) {
+        State e{};
+        e[j >> 6] = 1ull << (j & 63);
+        advance(e);
+        m[j] = e;
+      } else {
+        m[j] = multiply(pow_.back(), pow_.back()[j]);  // T^(2^(k+1)) = (T^(2^k))^2
+      }
+    }
+    pow_.push_back(m);
+  }
+
+  std::mutex mu_;
+  std::vector<Matrix> pow_;
+};
 
 }  // namespace
 
@@ -44,14 +104,13 @@ Rng Rng::fork(std::string_view label) const {
 
 std::uint64_t Rng::next() {
   const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
+  advance(s_);
   return result;
+}
+
+void Rng::discard(std::uint64_t n) {
+  static JumpTable table;
+  s_ = table.jump(s_, n);
 }
 
 double Rng::uniform() {

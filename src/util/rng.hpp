@@ -31,6 +31,13 @@ class Rng {
   /// Raw 64 uniform bits.
   std::uint64_t next();
 
+  /// Advances the stream exactly as `n` calls of next() would, in
+  /// O(log n): xoshiro256's state update is linear over GF(2), so n steps
+  /// are one product with the transition-matrix powers T^(2^k) for the set
+  /// bits of n. The powers are built lazily, once per process, and shared
+  /// by every thread.
+  void discard(std::uint64_t n);
+
   // UniformRandomBitGenerator interface, so <random> distributions also work.
   static constexpr result_type min() { return 0; }
   static constexpr result_type max() { return ~0ull; }

@@ -1,8 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <numbers>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "leo/access.hpp"
 #include "phy/gilbert_elliott.hpp"
 #include "phy/load_process.hpp"
 #include "phy/outage.hpp"
@@ -340,7 +348,7 @@ TEST(LoadProcess, AvailableFractionComplementsUtilization) {
   EXPECT_DOUBLE_EQ(load.utilization(t) + load.available_fraction(t), 1.0);
 }
 
-TEST(LoadProcess, OverridePinsUtilizationAndResumesBitIdentically) {
+void ExpectOverrideResumesBitIdentically(TimePoint start) {
   LoadProcess::Config cfg;
   LoadProcess plain{cfg, Rng{13}};
   LoadProcess surged{cfg, Rng{13}};
@@ -350,16 +358,23 @@ TEST(LoadProcess, OverridePinsUtilizationAndResumesBitIdentically) {
   surged.set_utilization_override(0.9);
   EXPECT_TRUE(surged.overridden());
   for (int i = 0; i < 360; ++i) {
-    EXPECT_DOUBLE_EQ(
-        surged.utilization(TimePoint::epoch() + Duration::seconds(10) * static_cast<double>(i)),
-        0.9);
+    EXPECT_DOUBLE_EQ(surged.utilization(start + Duration::seconds(10) * static_cast<double>(i)),
+                     0.9);
   }
   surged.clear_override();
   for (int i = 0; i < 2000; ++i) {
-    const TimePoint t = TimePoint::epoch() + Duration::hours(1) +
-                        Duration::seconds(10) * static_cast<double>(i);
+    const TimePoint t = start + Duration::hours(1) + Duration::seconds(10) * static_cast<double>(i);
     EXPECT_DOUBLE_EQ(surged.utilization(t), plain.utilization(t));
   }
+}
+
+TEST(LoadProcess, OverridePinsUtilizationAndResumesBitIdentically) {
+  ExpectOverrideResumesBitIdentically(TimePoint::epoch());
+}
+
+TEST(LoadProcess, OverrideResumesBitIdenticallyAtDay140) {
+  // The second H3 session's start: the first read after the surge seeks.
+  ExpectOverrideResumesBitIdentically(TimePoint::epoch() + Duration::days(140));
 }
 
 TEST(LoadProcess, OverrideClampsToConfiguredBounds) {
@@ -371,6 +386,145 @@ TEST(LoadProcess, OverrideClampsToConfiguredBounds) {
   EXPECT_DOUBLE_EQ(load.utilization(TimePoint::epoch()), 0.8);
   load.set_utilization_override(0.0);
   EXPECT_DOUBLE_EQ(load.utilization(TimePoint::epoch()), 0.1);
+}
+
+/// The pre-seek algorithm, kept as the reference: every AR(1) step from t=0
+/// into a vector grown on demand. The draws do not depend on the mean, diurnal
+/// term or clamps, so one reference serves any config that shares `step`,
+/// `volatility` and `reversion`.
+class ReferenceLoad {
+ public:
+  ReferenceLoad(LoadProcess::Config config, Rng rng) : config_{config}, rng_{rng} {}
+
+  double utilization(const LoadProcess::Config& c, TimePoint t) {
+    const auto idx =
+        static_cast<std::size_t>(std::max<std::int64_t>(0, t.ns() / config_.step.ns()));
+    while (noise_.size() <= idx) {
+      const double prev = noise_.empty() ? 0.0 : noise_.back();
+      const double next =
+          prev * (1.0 - config_.reversion) + rng_.normal(0.0, config_.volatility);
+      noise_.push_back(next);
+    }
+    double u = c.mean_utilization + noise_[idx];
+    if (c.diurnal_amplitude > 0.0) {
+      const double phase =
+          2.0 * std::numbers::pi * t.to_seconds() / c.diurnal_period.to_seconds();
+      u += c.diurnal_amplitude * std::sin(phase);
+    }
+    return std::clamp(u, c.floor, c.ceiling);
+  }
+
+ private:
+  LoadProcess::Config config_;
+  Rng rng_;
+  std::vector<double> noise_;
+};
+
+/// Zero mean and no clamps: utilization() returns the AR(1) deviation itself,
+/// so a comparison sees every bit of it (0.55 + x would round some away).
+LoadProcess::Config Unclamped(LoadProcess::Config c) {
+  c.mean_utilization = 0.0;
+  c.floor = -std::numeric_limits<double>::infinity();
+  c.ceiling = std::numeric_limits<double>::infinity();
+  return c;
+}
+
+/// Step indices exercising every path: small forward steps, far jumps that
+/// seek, re-reads, backward restarts and interleaving; `far` adds the H3
+/// session's day 140 and ping_timeline's day 146.
+std::vector<std::int64_t> QueryIndices(std::uint64_t seed, Duration step, bool far) {
+  const std::int64_t day = Duration::days(1).ns() / step.ns();
+  Rng pick{seed ^ 0x5EEC5EEDull};
+  std::vector<std::int64_t> q = {0, 1, 2, 3, 300, 299, 5000, 5001, 4999, day, 2,
+                                 day + 257, day + 1, 3 * day};
+  if (far) q.insert(q.end(), {140 * day, 140 * day + 1, 146 * day, 140 * day, 146 * day - 7});
+  for (int i = 0; i < 24; ++i) q.push_back(pick.uniform_int(0, 3 * day + 1000));
+  return q;
+}
+
+void ExpectSeekMatchesReference(const LoadProcess::Config& cfg, std::uint64_t seed, bool far) {
+  const Rng rng = Rng{seed}.fork("leo/load-down");
+  ReferenceLoad ref{cfg, rng};
+  const LoadProcess::Config probe_cfg = Unclamped(cfg);
+  LoadProcess load{cfg, rng};
+  LoadProcess probe{probe_cfg, rng};
+  for (const std::int64_t idx : QueryIndices(seed, cfg.step, far)) {
+    // Mid-step times: the index is t / step, whatever the offset.
+    const TimePoint t = TimePoint::epoch() + Duration::nanos(idx * cfg.step.ns() + seed % 97);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(load.utilization(t)),
+              std::bit_cast<std::uint64_t>(ref.utilization(cfg, t)))
+        << "seed=" << seed << " idx=" << idx;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(probe.utilization(t)),
+              std::bit_cast<std::uint64_t>(ref.utilization(probe_cfg, t)))
+        << "seed=" << seed << " idx=" << idx;
+  }
+}
+
+TEST(LoadProcess, SeekMatchesSequentialReference) {
+  // The shipped Starlink pair (also the fleet's foreground ambient pair) and
+  // the default config (a CellArbiter's default ambient pair).
+  const leo::StarlinkAccess::Config starlink;
+  const LoadProcess::Config shipped[] = {starlink.downlink_load, starlink.uplink_load,
+                                         LoadProcess::Config{}};
+  for (const LoadProcess::Config& cfg : shipped) {
+    for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+      // Days 140/146 replay ~6M reference steps per seed; a tenth of the
+      // seeds take them, every seed takes the day-scale seeks.
+      ExpectSeekMatchesReference(cfg, seed, seed % 10 == 0);
+    }
+  }
+}
+
+TEST(LoadProcess, SeekMatchesSequentialReferenceAtEdgeConfigs) {
+  // volatility 0 (both trajectories start at ±0), reversion 0 (no mean
+  // reversion: sequential fallback), reversion 1 (no memory: meets in one
+  // step), reversion above 1 (non-monotone step: sequential fallback).
+  LoadProcess::Config still;
+  still.volatility = 0.0;
+  LoadProcess::Config no_reversion;
+  no_reversion.reversion = 0.0;
+  LoadProcess::Config memoryless;
+  memoryless.reversion = 1.0;
+  LoadProcess::Config overshoot;
+  overshoot.reversion = 1.5;
+  overshoot.volatility = 0.01;
+  for (const LoadProcess::Config& cfg : {still, no_reversion, memoryless, overshoot}) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) ExpectSeekMatchesReference(cfg, seed, true);
+  }
+}
+
+std::string ConstructionError(LoadProcess::Config cfg) {
+  try {
+    LoadProcess load{cfg, Rng{15}};
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(LoadProcess, RejectsNonPositiveStep) {
+  LoadProcess::Config cfg;
+  cfg.step = Duration::seconds(0);
+  EXPECT_NE(ConstructionError(cfg).find("step"), std::string::npos);
+  cfg.step = Duration::seconds(-2);
+  EXPECT_NE(ConstructionError(cfg).find("step"), std::string::npos);
+}
+
+TEST(LoadProcess, RejectsNegativeVolatility) {
+  LoadProcess::Config cfg;
+  cfg.volatility = -0.01;
+  EXPECT_NE(ConstructionError(cfg).find("volatility"), std::string::npos);
+  cfg.volatility = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_NE(ConstructionError(cfg).find("volatility"), std::string::npos);
+}
+
+TEST(LoadProcess, RejectsFloorAboveCeiling) {
+  LoadProcess::Config cfg;
+  cfg.floor = 0.9;
+  cfg.ceiling = 0.5;
+  EXPECT_NE(ConstructionError(cfg).find("floor"), std::string::npos);
+  cfg.floor = cfg.ceiling;  // a pinned process is legal
+  EXPECT_EQ(ConstructionError(cfg), "");
 }
 
 }  // namespace

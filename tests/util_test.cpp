@@ -194,6 +194,33 @@ TEST(Rng, WorksWithStdDistributions) {
   }
 }
 
+TEST(Rng, DiscardEqualsRepeatedNext) {
+  // Zero, single and several set bits, powers of two and their neighbours,
+  // and the 2^24-draw reach of a day-146 load-process seek; seeded and forked.
+  const std::uint64_t ns[] = {0, 1, 2, 1023, 1024, 1025, 1'000'007, 1ull << 24};
+  const Rng streams[] = {Rng{1}, Rng{0xDEADBEEFull}, Rng{42}.fork("leo/load-down")};
+  for (const Rng& start : streams) {
+    for (const std::uint64_t n : ns) {
+      Rng stepped = start;
+      for (std::uint64_t i = 0; i < n; ++i) (void)stepped.next();
+      Rng jumped = start;
+      jumped.discard(n);
+      for (int i = 0; i < 4; ++i) ASSERT_EQ(jumped.next(), stepped.next()) << "n=" << n;
+    }
+  }
+}
+
+TEST(Rng, NormalConsumesExactlyTwoDraws) {
+  // LoadProcess's seek discards 2 draws per AR(1) step; pin that invariant.
+  for (std::uint64_t seed = 0; seed < 100; ++seed) {
+    Rng a{seed};
+    Rng b{seed};
+    for (int i = 0; i < 50; ++i) (void)a.normal(0.0, 0.05);
+    b.discard(100);
+    EXPECT_EQ(a.next(), b.next()) << "seed=" << seed;
+  }
+}
+
 // ---------------------------------------------------------------- Flags
 
 TEST(Flags, ParsesKeyValueAndBareFlags) {
