@@ -59,7 +59,7 @@ CcResult run_one(const bench::CommonArgs& args, std::uint64_t seed,
     result.mbps = delivered * 8.0 / (last - first).to_seconds() / 1e6;
   }
   result.srtt_ms = conn.srtt().to_millis();
-  result.obs = bed.take_obs();
+  result.obs = bed.sim().take_obs();
   return result;
 }
 

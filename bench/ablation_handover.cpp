@@ -81,7 +81,7 @@ FoldResult probe_phase_fold(const bench::CommonArgs& args, std::uint64_t seed,
     }
     current_slot.add(rtt);
   }
-  result.obs = bed.take_obs();
+  result.obs = bed.sim().take_obs();
   return result;
 }
 

@@ -96,7 +96,10 @@ inline void warn_unused(const Flags& flags) {
   }
 }
 
-/// Shared fleet flags (EXPERIMENTS.md "Continental campaigns"):
+/// Shared fleet flags, honoured by every figure bench that takes --fleet
+/// (fig1-fig8 except fig2b, and fleet_scale), all through this one parser
+/// (EXPERIMENTS.md "Continental campaigns"). With only --fleet=N it yields
+/// Fleet::Config{} with size N, so such runs match a hand-set size:
 ///   --fleet=N             simulated neighbour terminals incl. the foreground
 ///                         (0 = synthetic cell load only, the default)
 ///   --continental=0|1     continental-Europe placement preset; also turns

@@ -10,7 +10,8 @@
 // --multivantage=1, which inverts the experiment: instead of one dish
 // pinging 11 anchors, every anchor city hosts a measured dish in one shared
 // fleet (measure::MultiVantageCampaign) and the table reports each city's
-// own access RTT and elastic-share capacity.
+// own access RTT and elastic-share capacity. Both modes honour the common
+// flags, --scenario and --fast-forward included (bench_common.hpp).
 #include <cstdio>
 
 #include "bench_common.hpp"
@@ -30,11 +31,9 @@ int run_multivantage(const slp::bench::CommonArgs& args, const slp::Flags& flags
       "duration", Duration::hours(static_cast<std::int64_t>(24 * args.scale)));
   config.cadence = Duration::minutes(5);
   config.fleet = bench::parse_fleet(flags);
-  config.obs = args.obs();
   bench::warn_unused(flags);
 
-  const auto result =
-      runner::run_merged<measure::MultiVantageCampaign>(args.sweep(), config);
+  const auto result = bench::run_sweep<measure::MultiVantageCampaign>(args, config);
 
   std::printf("fleet: %d terminals, %llu hot cells, %llu supercells "
               "(%llu terminals aggregated)\n\n",

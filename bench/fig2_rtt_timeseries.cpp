@@ -17,12 +17,14 @@ int main(int argc, char** argv) {
   const auto args = bench::CommonArgs::parse(flags);
   // --fleet=N replaces the synthetic shared-cell load under the ping rounds
   // with N simulated terminals contending for real per-cell capacity
-  // (src/fleet/); 0 keeps the paper-calibrated LoadProcess.
-  const int fleet_size = static_cast<int>(flags.get_int("fleet", 0));
+  // (src/fleet/); 0 keeps the paper-calibrated LoadProcess. The other
+  // fleet flags (bench_common.hpp) shape that fleet.
+  const fleet::Fleet::Config fleet_config = bench::parse_fleet(flags);
   bench::warn_unused(flags);
   bench::banner("Figure 2", "RTT to European anchors over the campaign timeline");
-  if (fleet_size > 0) {
-    std::printf("shared-cell load: real contention from a %d-terminal fleet\n", fleet_size);
+  if (fleet_config.enabled()) {
+    std::printf("shared-cell load: real contention from a %d-terminal fleet\n",
+                fleet_config.size);
   }
 
   measure::PingCampaign::Config config;
@@ -32,7 +34,7 @@ int main(int argc, char** argv) {
   // sparser grid over the full timeline — same bins, fewer samples per bin).
   config.cadence = Duration::minutes(static_cast<std::int64_t>(120 / args.scale));
   config.epochs = true;
-  config.fleet.size = fleet_size;
+  config.fleet = fleet_config;
   const auto result = bench::run_sweep<measure::PingCampaign>(args, config);
 
   // One row per ~6-day stride of 6h bins to keep the series readable.

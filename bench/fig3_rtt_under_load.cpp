@@ -31,12 +31,14 @@ int main(int argc, char** argv) {
   const auto args = bench::CommonArgs::parse(flags);
   // --fleet=N replaces the synthetic shared-cell load under the H3 transfers
   // with N simulated terminals contending for real per-cell capacity
-  // (src/fleet/); 0 keeps the paper-calibrated LoadProcess.
-  const int fleet_size = static_cast<int>(flags.get_int("fleet", 0));
+  // (src/fleet/); 0 keeps the paper-calibrated LoadProcess. The other
+  // fleet flags (bench_common.hpp) shape that fleet.
+  const fleet::Fleet::Config fleet_config = bench::parse_fleet(flags);
   bench::warn_unused(flags);
   bench::banner("Figure 3 / §3.1", "RTT under load: H3 bulk and messages, both directions");
-  if (fleet_size > 0) {
-    std::printf("shared-cell load: real contention from a %d-terminal fleet\n", fleet_size);
+  if (fleet_config.enabled()) {
+    std::printf("shared-cell load: real contention from a %d-terminal fleet\n",
+                fleet_config.size);
   }
 
   stats::TextTable table{{"workload", "samples", "median", "p95", "p99", "paper med/p95/p99"}};
@@ -47,7 +49,7 @@ int main(int argc, char** argv) {
     config.seed = args.seed;
     config.download = true;
     config.transfers = args.scaled(6);
-    config.fleet.size = fleet_size;
+    config.fleet = fleet_config;
     const auto down = bench::run_sweep<measure::H3Campaign>(args, config);
     obs::merge(all_obs, down.obs);
     print_row(table, "H3 download", down.rtt_ms, "95 / 175 / 210");
@@ -57,7 +59,7 @@ int main(int argc, char** argv) {
     config.seed = args.seed + 1;
     config.download = false;
     config.transfers = args.scaled(3);
-    config.fleet.size = fleet_size;
+    config.fleet = fleet_config;
     config.bytes = 40ull * 1000 * 1000;  // uploads at ~17 Mbit/s take a while
     const auto up = bench::run_sweep<measure::H3Campaign>(args, config);
     obs::merge(all_obs, up.obs);

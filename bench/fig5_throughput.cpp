@@ -14,13 +14,14 @@ namespace {
 
 slp::stats::Samples speedtest(const slp::bench::CommonArgs& args, std::uint64_t seed,
                               slp::measure::AccessKind access, bool download, int tests,
-                              int fleet_size, slp::obs::Snapshot& all_obs) {
+                              const slp::fleet::Fleet::Config& fleet,
+                              slp::obs::Snapshot& all_obs) {
   slp::measure::SpeedtestCampaign::Config config;
   config.seed = seed;
   config.access = access;
   config.download = download;
   config.tests = tests;
-  config.fleet.size = fleet_size;  // ignored for SatCom (synthetic load stays)
+  config.fleet = fleet;  // ignored for SatCom (synthetic load stays)
   auto result = slp::bench::run_sweep<slp::measure::SpeedtestCampaign>(args, config);
   slp::obs::merge(all_obs, result.obs);
   return std::move(result.mbps);
@@ -34,12 +35,14 @@ int main(int argc, char** argv) {
   const auto args = bench::CommonArgs::parse(flags);
   // --fleet=N replaces the synthetic shared-cell load under the Starlink
   // tests with N simulated terminals contending for real per-cell capacity
-  // (src/fleet/); 0 keeps the paper-calibrated LoadProcess.
-  const int fleet_size = static_cast<int>(flags.get_int("fleet", 0));
+  // (src/fleet/); 0 keeps the paper-calibrated LoadProcess. The other
+  // fleet flags (bench_common.hpp) shape that fleet.
+  const fleet::Fleet::Config fleet_config = bench::parse_fleet(flags);
   bench::warn_unused(flags);
   bench::banner("Figure 5", "throughput distributions (Ookla TCP vs QUIC H3)");
-  if (fleet_size > 0) {
-    std::printf("shared-cell load: real contention from a %d-terminal fleet\n", fleet_size);
+  if (fleet_config.enabled()) {
+    std::printf("shared-cell load: real contention from a %d-terminal fleet\n",
+                fleet_config.size);
   }
 
   const int tests = args.scaled(16);
@@ -49,23 +52,23 @@ int main(int argc, char** argv) {
 
   table.add_row(bench::boxplot_row(
       "starlink ookla down",
-      speedtest(args, args.seed, measure::AccessKind::kStarlink, true, tests, fleet_size,
+      speedtest(args, args.seed, measure::AccessKind::kStarlink, true, tests, fleet_config,
                 all_obs),
       "178 (max 386)"));
   table.add_row(bench::boxplot_row(
       "starlink ookla up",
-      speedtest(args, args.seed + 1, measure::AccessKind::kStarlink, false, tests, fleet_size,
+      speedtest(args, args.seed + 1, measure::AccessKind::kStarlink, false, tests, fleet_config,
                 all_obs),
       "17 (max 64)"));
   table.add_row(bench::boxplot_row(
       "satcom ookla down",
       speedtest(args, args.seed + 2, measure::AccessKind::kSatCom, true,
-                std::max(2, tests / 2), 0, all_obs),
+                std::max(2, tests / 2), {}, all_obs),
       "82"));
   table.add_row(bench::boxplot_row(
       "satcom ookla up",
       speedtest(args, args.seed + 3, measure::AccessKind::kSatCom, false,
-                std::max(2, tests / 2), 0, all_obs),
+                std::max(2, tests / 2), {}, all_obs),
       "4.5"));
 
   {
@@ -73,7 +76,7 @@ int main(int argc, char** argv) {
     config.seed = args.seed + 4;
     config.download = true;
     config.transfers = args.scaled(8);
-    config.fleet.size = fleet_size;
+    config.fleet = fleet_config;
     const auto h3 = bench::run_sweep<measure::H3Campaign>(args, config);
     obs::merge(all_obs, h3.obs);
     table.add_row(bench::boxplot_row("starlink H3 down", h3.goodput_mbps, "100-150"));
@@ -84,7 +87,7 @@ int main(int argc, char** argv) {
     config.download = false;
     config.transfers = args.scaled(4);
     config.bytes = 40ull * 1000 * 1000;
-    config.fleet.size = fleet_size;
+    config.fleet = fleet_config;
     const auto h3 = bench::run_sweep<measure::H3Campaign>(args, config);
     obs::merge(all_obs, h3.obs);
     table.add_row(bench::boxplot_row("starlink H3 up", h3.goodput_mbps, "~17, stable"));

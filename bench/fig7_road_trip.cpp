@@ -16,7 +16,8 @@
 //   --duration=DUR   probe window (default: the whole route + 30 s)
 //   --obstructions=0 strip the route's obstruction masks (ablation)
 //   --fleet=N        simulated neighbour terminals (cell migrations then
-//                    land in arbiters with real background members)
+//                    land in arbiters with real background members), plus
+//                    the other fleet flags of bench_common.hpp
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -94,7 +95,7 @@ int main(int argc, char** argv) {
   const Duration cadence = flags.get_duration("cadence", Duration::seconds(1));
   const Duration duration = flags.get_duration("duration", Duration::zero());
   const bool obstructions = flags.get_bool("obstructions", true);
-  const int fleet_size = static_cast<int>(flags.get_int("fleet", 0));
+  const fleet::Fleet::Config fleet_config = bench::parse_fleet(flags);
   bench::warn_unused(flags);
 
   bench::banner("Figure 7 (extension)", "RTT and loss in motion: the road-trip campaigns");
@@ -116,7 +117,7 @@ int main(int argc, char** argv) {
     config.cadence = cadence;
     config.duration = duration;
     config.obstructions = obstructions;
-    config.fleet.size = fleet_size;
+    config.fleet = fleet_config;
     const auto result = bench::run_sweep<measure::RoadTripCampaign>(args, config);
     obs::merge(all_obs, result.obs);
     report(name, result);

@@ -31,14 +31,6 @@ namespace {
 
 using namespace slp;
 
-bool parse_access(const std::string& label, measure::AccessKind& out) {
-  if (label == "leo" || label == "starlink") out = measure::AccessKind::kStarlink;
-  else if (label == "geo" || label == "satcom") out = measure::AccessKind::kSatCom;
-  else if (label == "wired") out = measure::AccessKind::kWired;
-  else return false;
-  return true;
-}
-
 /// Named demand mixes: fractions over {bulk, speedtest, web, idle}.
 bool apply_mix(const std::string& name, fleet::DemandModel::Config& demand) {
   if (name == "balanced") return true;  // the DemandModel defaults
@@ -103,12 +95,12 @@ int main(int argc, char** argv) {
 
   std::vector<measure::AccessKind> accesses;
   for (const std::string& label : grid_labels) {
-    measure::AccessKind kind{};
-    if (!parse_access(label, kind)) {
+    const auto kind = measure::parse_access(label);
+    if (!kind) {
       std::fprintf(stderr, "unknown access '%s' (want leo|geo|wired)\n", label.c_str());
       return 1;
     }
-    accesses.push_back(kind);
+    accesses.push_back(*kind);
   }
   for (const std::string& mix : mix_labels) {
     fleet::DemandModel::Config probe;

@@ -3,6 +3,7 @@
 // traceroute, wehe) but pointed at the simulation.
 //
 //   starlink_cli ping       [--access=starlink|satcom|wired] [--anchor=N] [--count=N]
+//                           (--access also takes the aliases leo and geo)
 //   starlink_cli speedtest  [--access=...] [--upload] [--connections=N]
 //   starlink_cli h3         [--upload] [--mb=N] [--qlog]
 //   starlink_cli traceroute [--access=...]
@@ -25,14 +26,7 @@ namespace {
 
 using namespace slp;
 
-measure::AccessKind parse_access(const std::string& s) {
-  if (s == "satcom") return measure::AccessKind::kSatCom;
-  if (s == "wired") return measure::AccessKind::kWired;
-  return measure::AccessKind::kStarlink;
-}
-
-int cmd_ping(measure::Testbed& bed, const Flags& flags) {
-  const auto access = parse_access(flags.get("access", "starlink"));
+int cmd_ping(measure::Testbed& bed, measure::AccessKind access, const Flags& flags) {
   const auto anchor_index =
       static_cast<std::size_t>(flags.get_int("anchor", 0)) % bed.anchors().size();
   const auto& anchor = bed.anchor(anchor_index);
@@ -60,8 +54,7 @@ int cmd_ping(measure::Testbed& bed, const Flags& flags) {
   return 0;
 }
 
-int cmd_speedtest(measure::Testbed& bed, const Flags& flags) {
-  const auto access = parse_access(flags.get("access", "starlink"));
+int cmd_speedtest(measure::Testbed& bed, measure::AccessKind access, const Flags& flags) {
   tcp::TcpStack client_stack{bed.client(access)};
   tcp::TcpStack server_stack{bed.ookla_server()};
   apps::SpeedtestServer server{server_stack};
@@ -116,8 +109,7 @@ int cmd_h3(measure::Testbed& bed, const Flags& flags) {
   return 0;
 }
 
-int cmd_traceroute(measure::Testbed& bed, const Flags& flags) {
-  const auto access = parse_access(flags.get("access", "starlink"));
+int cmd_traceroute(measure::Testbed& bed, measure::AccessKind access) {
   mbox::Traceroute::Config config;
   config.target = bed.campus_server().addr();
   mbox::Traceroute traceroute{bed.client(access), config};
@@ -140,8 +132,7 @@ int cmd_traceroute(measure::Testbed& bed, const Flags& flags) {
   return 0;
 }
 
-int cmd_wehe(measure::Testbed& bed, const Flags& flags) {
-  const auto access = parse_access(flags.get("access", "starlink"));
+int cmd_wehe(measure::Testbed& bed, measure::AccessKind access, const Flags& flags) {
   mbox::WeheServer server{bed.campus_server()};
   mbox::WeheClient::Config config;
   config.server = bed.campus_server().addr();
@@ -171,16 +162,23 @@ int main(int argc, char** argv) {
                 "flags (see the file header)\n");
     return 1;
   }
+  const std::string access_name = flags.get("access", "starlink");
+  const auto access = measure::parse_access(access_name);
+  if (!access) {
+    std::fprintf(stderr, "error: --access=%s (want starlink|leo|satcom|geo|wired)\n",
+                 access_name.c_str());
+    return 2;
+  }
   measure::TestbedConfig config;
   config.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
   measure::Testbed bed{config};
 
   const std::string& command = flags.positional()[0];
-  if (command == "ping") return cmd_ping(bed, flags);
-  if (command == "speedtest") return cmd_speedtest(bed, flags);
+  if (command == "ping") return cmd_ping(bed, *access, flags);
+  if (command == "speedtest") return cmd_speedtest(bed, *access, flags);
   if (command == "h3") return cmd_h3(bed, flags);
-  if (command == "traceroute") return cmd_traceroute(bed, flags);
-  if (command == "wehe") return cmd_wehe(bed, flags);
+  if (command == "traceroute") return cmd_traceroute(bed, *access);
+  if (command == "wehe") return cmd_wehe(bed, *access, flags);
   std::fprintf(stderr, "unknown command: %s\n", command.c_str());
   return 1;
 }

@@ -36,14 +36,6 @@ struct GridCell {
   measure::AccessKind kind;
 };
 
-bool parse_access(const std::string& label, measure::AccessKind& out) {
-  if (label == "leo" || label == "starlink") out = measure::AccessKind::kStarlink;
-  else if (label == "geo" || label == "satcom") out = measure::AccessKind::kSatCom;
-  else if (label == "wired") out = measure::AccessKind::kWired;
-  else return false;
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -85,12 +77,12 @@ int main(int argc, char** argv) {
 
   std::vector<GridCell> grid_cells;
   for (const std::string& label : grid_labels) {
-    GridCell cell{label, measure::AccessKind::kStarlink};
-    if (!parse_access(label, cell.kind)) {
+    const auto kind = measure::parse_access(label);
+    if (!kind) {
       std::fprintf(stderr, "unknown access '%s' (want leo|geo|wired)\n", label.c_str());
       return 1;
     }
-    grid_cells.push_back(std::move(cell));
+    grid_cells.push_back(GridCell{label, *kind});
   }
 
   std::printf("sweep: %zu access x %zu load levels, %d seeds/cell, %s direction\n",

@@ -1,37 +1,35 @@
 #include "fleet/campaign.hpp"
 
 #include <algorithm>
-#include <memory>
-
-#include "scenario/injector.hpp"
-#include "sim/network.hpp"
 
 namespace slp::fleet {
 
+namespace {
+
+sim::Simulator& with_env(sim::Simulator& sim, const RunEnv& env) {
+  sim.set_fast_forward(env.fast_forward);
+  if (env.obs.any()) sim.enable_obs(env.obs);
+  return sim;
+}
+
+}  // namespace
+
+FleetCampaign::Cell::Cell(const Config& config)
+    : sim{config.seed},
+      net{with_env(sim, config)},
+      access{net, config.starlink},
+      injector{config.scenario != nullptr && !config.scenario->empty()
+                   ? std::make_unique<scenario::Injector>(sim, config.scenario,
+                                                          scenario::Injector::Hooks{&access})
+                   : nullptr},
+      sentinel{sim.schedule_in(config.duration, [] {})},
+      fleet{config.fleet.enabled() ? std::make_unique<Fleet>(sim, access, config.fleet)
+                                   : nullptr} {}
+
 FleetCampaign::Result FleetCampaign::run(const Config& config) {
-  sim::Simulator sim{config.seed};
-  sim.set_fast_forward(config.fast_forward);
-  if (config.obs.any()) sim.enable_obs(config.obs);
-  sim::Network net{sim};
-  leo::StarlinkAccess access{net, config.starlink};
-
-  std::unique_ptr<scenario::Injector> injector;
-  if (config.scenario != nullptr && !config.scenario->empty()) {
-    injector = std::make_unique<scenario::Injector>(
-        sim, config.scenario, scenario::Injector::Hooks{&access});
-  }
-
-  // Sentinel: the fleet's epoch timer retires itself when nothing else is on
-  // the queue (so packet campaigns using Simulator::run() can drain). This
-  // campaign has no packet workload, so keep one no-op event pending until
-  // the end of the run — it guarantees the fleet ticks for the full duration.
-  // Scheduled before the Fleet so its construction-time epoch sees it too.
-  sim.schedule_in(config.duration, [] {});
-
-  std::unique_ptr<Fleet> fleet;
-  if (config.fleet.enabled()) fleet = std::make_unique<Fleet>(sim, access, config.fleet);
-
-  sim.run_for(config.duration);
+  Cell cell{config};
+  cell.sim.run_for(config.duration);
+  const Fleet* fleet = cell.fleet.get();
 
   Result r;
   if (fleet != nullptr) {
@@ -51,14 +49,7 @@ FleetCampaign::Result FleetCampaign::run(const Config& config) {
     r.handovers = t.handovers;
     r.reallocations = t.reallocations;
   }
-  if (auto* rec = sim.obs()) {
-    if (rec->options().metrics) {
-      rec->registry().counter("sim.events_processed").add(sim.events_processed());
-    }
-    r.obs = rec->take_snapshot();
-  } else {
-    r.obs.cells = 1;
-  }
+  r.obs = cell.sim.take_obs();
   return r;
 }
 

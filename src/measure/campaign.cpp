@@ -111,7 +111,7 @@ PingCampaign::Result PingCampaign::run(const Config& config) {
     });
   }
   bed.sim().run();
-  result.obs = bed.take_obs();
+  result.obs = bed.sim().take_obs();
   return result;
 }
 
@@ -193,7 +193,7 @@ H3Campaign::Result H3Campaign::run(const Config& config) {
   bed.sim().run();
 
   result.loss = analyzer.analyze();
-  result.obs = bed.take_obs();
+  result.obs = bed.sim().take_obs();
   return result;
 }
 
@@ -269,7 +269,7 @@ MessageCampaign::Result MessageCampaign::run(const Config& config) {
   bed.sim().run();
 
   result.loss = analyzer.analyze();
-  result.obs = bed.take_obs();
+  result.obs = bed.sim().take_obs();
   return result;
 }
 
@@ -305,7 +305,7 @@ SpeedtestCampaign::Result SpeedtestCampaign::run(const Config& config) {
   };
   launch(config.tests);
   bed.sim().run();
-  result.obs = bed.take_obs();
+  result.obs = bed.sim().take_obs();
   return result;
 }
 
@@ -374,7 +374,7 @@ WebCampaign::Result WebCampaign::run(const Config& config) {
   if (result.visits_completed > 0) {
     result.mean_connections = total_connections / result.visits_completed;
   }
-  result.obs = bed.take_obs();
+  result.obs = bed.sim().take_obs();
   return result;
 }
 
@@ -476,7 +476,7 @@ RoadTripCampaign::Result RoadTripCampaign::run(const Config& config) {
   result.reroutes = ms.reroutes;
   result.cell_migrations = ms.cell_migrations;
   result.tunnels = ms.tunnels;
-  result.obs = bed.take_obs();
+  result.obs = bed.sim().take_obs();
   return result;
 }
 
@@ -596,7 +596,7 @@ MiddleboxAudit::Result MiddleboxAudit::run(const Config& config) {
   wehe.start();
   bed.sim().run();
 
-  result.obs = bed.take_obs();
+  result.obs = bed.sim().take_obs();
   return result;
 }
 

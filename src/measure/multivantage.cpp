@@ -8,8 +8,6 @@
 #include "leo/constellation.hpp"
 #include "leo/handover.hpp"
 #include "leo/places.hpp"
-#include "sim/network.hpp"
-#include "sim/simulator.hpp"
 
 namespace slp::measure {
 
@@ -31,19 +29,11 @@ std::vector<MultiVantageCampaign::Anchor> MultiVantageCampaign::paper_anchors() 
 }
 
 MultiVantageCampaign::Result MultiVantageCampaign::run(const Config& config) {
-  sim::Simulator sim{config.seed};
-  if (config.obs.any()) sim.enable_obs(config.obs);
-  sim::Network net{sim};
-  leo::StarlinkAccess access{net, config.starlink};
-
-  // Sentinel: keeps the fleet's epoch timer alive through the whole window
-  // (same daemon contract as FleetCampaign), scheduled before the Fleet so
-  // its construction-time epoch sees a non-empty queue.
-  sim.schedule_in(config.duration, [] {});
-
-  fleet::Fleet::Config fleet_config = config.fleet;
-  fleet_config.size = std::max(1, fleet_config.size);
-  fleet::Fleet fleet{sim, access, fleet_config};
+  fleet::FleetCampaign::Config cell_config{config};
+  cell_config.fleet.size = std::max(1, cell_config.fleet.size);
+  fleet::FleetCampaign::Cell cell{cell_config};
+  sim::Simulator& sim = cell.sim;
+  fleet::Fleet& fleet = *cell.fleet;
 
   const std::vector<Anchor> anchors =
       config.anchors.empty() ? paper_anchors() : config.anchors;
@@ -135,11 +125,7 @@ MultiVantageCampaign::Result MultiVantageCampaign::run(const Config& config) {
   result.hot_cells = fleet.cell_count();
   result.supercells = fleet.aggregates().size();
   result.aggregated_terminals = fleet.aggregated_terminal_count();
-  if (auto* rec = sim.obs()) {
-    result.obs = rec->take_snapshot();
-  } else {
-    result.obs.cells = 1;
-  }
+  result.obs = sim.take_obs();
   return result;
 }
 

@@ -16,13 +16,17 @@
 // vantage cell's arbiter; capacity is the nominal cell rate times the
 // vantage's elastic share (Fleet::vantage_available_fraction). That keeps 11
 // vantages over a million-terminal fleet as cheap as one.
+//
+// The universe is a fleet::FleetCampaign::Cell, so the run environment
+// (seed, obs, scenario, fast_forward) reaches it exactly as it reaches a
+// FleetCampaign cell.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "fleet/fleet.hpp"
+#include "fleet/campaign.hpp"
 #include "leo/access.hpp"
 #include "obs/recorder.hpp"
 #include "stats/quantiles.hpp"
@@ -40,18 +44,15 @@ struct MultiVantageCampaign {
   /// The paper's 11 anchors (testbed.cpp order).
   [[nodiscard]] static std::vector<Anchor> paper_anchors();
 
-  struct Config {
-    std::uint64_t seed = 8;
-    Duration duration = Duration::hours(1);
+  /// The shared env, fleet, access and duration are FleetCampaign's. A
+  /// fleet.size < 1 is promoted to 1 (vantages only, ambient cell load);
+  /// continental presets + aggregate_idle scale to millions.
+  struct Config : fleet::FleetCampaign::Config {
+    Config() { seed = 8; }
     Duration cadence = Duration::minutes(5);
     int probes_per_round = 3;
-    /// The shared fleet. size < 1 is promoted to 1 (vantages only, ambient
-    /// cell load); continental presets + aggregate_idle scale to millions.
-    fleet::Fleet::Config fleet;
-    leo::StarlinkAccess::Config starlink;
     /// Empty = paper_anchors().
     std::vector<Anchor> anchors;
-    obs::Options obs;
   };
 
   struct VantageResult {

@@ -62,7 +62,7 @@ AbrCampaign::Result AbrCampaign::run(const Config& config) {
   };
   launch(config.sessions);
   bed.sim().run();
-  result.obs = bed.take_obs();
+  result.obs = bed.sim().take_obs();
   return result;
 }
 
@@ -114,7 +114,7 @@ VcCampaign::Result VcCampaign::run(const Config& config) {
   };
   launch(config.calls);
   bed.sim().run();
-  result.obs = bed.take_obs();
+  result.obs = bed.sim().take_obs();
   return result;
 }
 
@@ -172,7 +172,7 @@ GameCampaign::Result GameCampaign::run(const Config& config) {
   };
   launch(config.matches);
   bed.sim().run();
-  result.obs = bed.take_obs();
+  result.obs = bed.sim().take_obs();
   return result;
 }
 

@@ -1,8 +1,6 @@
 #include "measure/testbed.hpp"
 
 #include <cassert>
-#include <iostream>
-#include <sstream>
 
 #include "leo/places.hpp"
 
@@ -28,33 +26,18 @@ std::string_view to_string(AccessKind kind) {
   return "?";
 }
 
+std::optional<AccessKind> parse_access(std::string_view name) {
+  if (name == "starlink" || name == "leo") return AccessKind::kStarlink;
+  if (name == "satcom" || name == "geo") return AccessKind::kSatCom;
+  if (name == "wired") return AccessKind::kWired;
+  return std::nullopt;
+}
+
 Testbed::Testbed(TestbedConfig config)
     : config_{std::move(config)}, sim_{config_.seed}, net_{sim_} {
   sim_.set_fast_forward(config_.fast_forward);
   if (config_.obs.any()) sim_.enable_obs(config_.obs);
   build_core();
-}
-
-obs::Snapshot Testbed::take_obs() {
-  auto* rec = sim_.obs();
-  if (rec == nullptr) {
-    obs::Snapshot empty;
-    empty.cells = 1;
-    return empty;
-  }
-  if (rec->options().metrics) {
-    rec->registry().counter("sim.events_processed").add(sim_.events_processed());
-  }
-  // Subsystem wall-profile report to stderr, one "wall-profile " prefixed
-  // line each so bench/perf_report.py --profile can scrape it from bench
-  // output without parsing the export files.
-  if (const obs::WallProfile* prof = sim_.wall_profile()) {
-    std::istringstream lines{prof->report()};
-    for (std::string line; std::getline(lines, line);) {
-      if (!line.empty()) std::cerr << "wall-profile " << line << "\n";
-    }
-  }
-  return rec->take_snapshot();
 }
 
 sim::Host& Testbed::attach_to_core(const std::string& name, sim::Ipv4Addr addr,

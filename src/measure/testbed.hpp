@@ -15,7 +15,9 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "fleet/fleet.hpp"
@@ -35,6 +37,9 @@ namespace slp::measure {
 enum class AccessKind { kStarlink, kSatCom, kWired };
 
 [[nodiscard]] std::string_view to_string(AccessKind kind);
+/// Inverse of to_string, plus the aliases `leo` (Starlink) and `geo`
+/// (SatCom); nullopt for anything else.
+[[nodiscard]] std::optional<AccessKind> parse_access(std::string_view name);
 
 struct TestbedConfig : fleet::RunEnv {
   TestbedConfig() = default;
@@ -95,10 +100,6 @@ class Testbed {
 
   /// Runs the simulation for `d` of simulated time.
   void run_for(Duration d) { sim_.run_for(d); }
-
-  /// Freezes this cell's observability data (a valid empty snapshot when obs
-  /// is off, so campaign results merge uniformly across configurations).
-  [[nodiscard]] obs::Snapshot take_obs();
 
  private:
   void build_core();

@@ -13,8 +13,9 @@
 //
 // Campaign is any type with a `Config` (holding a `std::uint64_t seed`), a
 // default-constructible `Result`, and `static Result run(const Config&)` —
-// i.e. every campaign in measure/campaign.hpp. run_merged() additionally
-// needs `merge(Result&, const Result&)` findable by ADL.
+// i.e. every measure:: campaign and fleet::FleetCampaign. run_merged()
+// additionally needs the campaign's `merge(Result&, const Result&)` findable
+// by ADL; those folds are built on stats::Samples::merge and friends.
 #pragma once
 
 #include <cstdint>

@@ -2,6 +2,8 @@
 
 #include <cassert>
 #include <chrono>
+#include <iostream>
+#include <sstream>
 
 #include "util/log.hpp"
 
@@ -28,6 +30,26 @@ void Simulator::enable_obs(const obs::Options& opts) {
   sampler_ = recorder_->sampler();
   provenance_ = opts.provenance;
   if (opts.profile) profile_ = std::make_unique<obs::WallProfile>();
+}
+
+obs::Snapshot Simulator::take_obs() {
+  if (recorder_ == nullptr) {
+    obs::Snapshot empty;
+    empty.cells = 1;
+    return empty;
+  }
+  if (recorder_->options().metrics) {
+    recorder_->registry().counter("sim.events_processed").add(events_processed_);
+  }
+  // One "wall-profile " prefixed line each, so bench/perf_report.py
+  // --profile can scrape it from bench output without parsing the exports.
+  if (profile_ != nullptr) {
+    std::istringstream lines{profile_->report()};
+    for (std::string line; std::getline(lines, line);) {
+      if (!line.empty()) std::cerr << "wall-profile " << line << "\n";
+    }
+  }
+  return recorder_->take_snapshot();
 }
 
 namespace {

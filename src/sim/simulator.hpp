@@ -61,6 +61,12 @@ class Simulator {
   [[nodiscard]] obs::Recorder* obs() { return recorder_.get(); }
   /// Non-null only when Options::profile was set.
   [[nodiscard]] const obs::WallProfile* wall_profile() const { return profile_.get(); }
+  /// Ends the cell's observability: adds the `sim.events_processed` counter
+  /// (metrics on), writes the wall-profile report to stderr as one
+  /// "wall-profile " prefixed line each (profile on) and freezes the data.
+  /// With obs off it returns a valid empty snapshot of one cell, so campaign
+  /// results merge uniformly across configurations.
+  [[nodiscard]] obs::Snapshot take_obs();
 
   /// Enables/disables analytic fast paths (link express serialization and
   /// transport scan skipping read it at component construction). Both

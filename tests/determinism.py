@@ -30,6 +30,7 @@ from typing import Callable, Optional
 
 SOURCE_DIR = Path(__file__).resolve().parent.parent
 PLANE_FAILURE = str(SOURCE_DIR / "examples" / "scenarios" / "plane_failure.scn")
+LOAD_SURGE = str(SOURCE_DIR / "examples" / "scenarios" / "load_surge.scn")
 
 JOBS = {"serial": ["--jobs=1"], "parallel": ["--jobs=8"]}
 
@@ -79,6 +80,13 @@ TABLE = [
         strip=r"^(metrics|trace) |job"),
     Row("multivantage", "fig1_rtt_anchors",
         ["--multivantage=1", "--fleet=2000", "--continental=1", "--scale=0.05", "--seeds=2"]),
+    # The multi-vantage cell honours --scenario (load_surge runs 3-13 min,
+    # inside the 1 h window) and reports the simulator's event counter.
+    Row("multivantage_scenario", "fig1_rtt_anchors",
+        ["--multivantage=1", "--fleet=200", "--scale=0.05", "--seeds=2",
+         f"--scenario={LOAD_SURGE}"],
+        files=METRICS, counters=["scenario.events_applied", "sim.events_processed"],
+        strip=r"^(metrics|trace) "),
     Row("mobility", "fig7_road_trip", ["--route=highway", "--fleet=20", "--seeds=2"],
         files=METRICS_TRACE, counters=["mobility.reroutes", "mobility.tunnels"],
         strip=r"^(metrics|trace) "),

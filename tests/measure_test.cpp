@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include "measure/campaign.hpp"
+#include "fleet/campaign.hpp"
 #include "measure/loss.hpp"
+#include "measure/multivantage.hpp"
 #include "measure/qoe_campaign.hpp"
 #include "measure/testbed.hpp"
 
@@ -210,13 +212,27 @@ TEST(MiddleboxAuditTest, StarlinkShowsNatsNoPepNoTd) {
   EXPECT_FALSE(result.wehe.differentiation_detected);
 }
 
-// ------------------------------------------------- RunEnv -> Testbed mapping
+// ---------------------------------------------------------- AccessKind names
+
+TEST(AccessKind, ParseInvertsToStringAndTakesAliases) {
+  for (const AccessKind kind : {AccessKind::kStarlink, AccessKind::kSatCom, AccessKind::kWired}) {
+    EXPECT_EQ(parse_access(to_string(kind)), kind);
+  }
+  EXPECT_EQ(parse_access("leo"), AccessKind::kStarlink);
+  EXPECT_EQ(parse_access("geo"), AccessKind::kSatCom);
+  EXPECT_EQ(parse_access(""), std::nullopt);
+  EXPECT_EQ(parse_access("sat"), std::nullopt);
+}
+
+// ---------------------------------------------------- RunEnv -> cell mapping
 //
 // Every campaign Config is a fleet::RunEnv; each run() hands that env to its
-// Testbed. One row per Testbed campaign at its smallest runnable size: with
+// cell: a Testbed, or a fleet::FleetCampaign::Cell for the fleet-only
+// campaigns. One row per campaign at its smallest runnable size: with
 // metrics on, a scenario and a 3-terminal fleet in the env/Config, the
-// cell's snapshot must show the scenario's injector and (Starlink access only) the
-// fleet. A run() that dropped a field would lose the matching counters.
+// cell's snapshot must show the scenario's injector, the simulator's event
+// counter and (Starlink access only) the fleet. A run() that dropped a field
+// would lose the matching counters.
 
 struct EnvCase {
   const char* name;
@@ -333,6 +349,20 @@ const EnvCase kEnvCases[] = {
        c.session.duration = Duration::seconds(5);
        return run_with_env<GameCampaign>(c);
      }},
+    // Fleet-only cells run for a fixed window: plane_failure opens on day 30.
+    {"FleetCampaign", true,
+     [] {
+       fleet::FleetCampaign::Config c;
+       c.duration = Duration::days(31);
+       return run_with_env<fleet::FleetCampaign>(c);
+     }},
+    {"MultiVantage", true,
+     [] {
+       MultiVantageCampaign::Config c;
+       c.duration = Duration::days(31);
+       c.cadence = Duration::days(1);
+       return run_with_env<MultiVantageCampaign>(c);
+     }},
 };
 
 void PrintTo(const EnvCase& c, std::ostream* os) { *os << c.name; }
@@ -346,6 +376,7 @@ TEST_P(RunEnvMapping, EnvAndFleetReachTheTestbed) {
   const auto applied = snap.counters.find("scenario.events_applied");
   ASSERT_NE(applied, snap.counters.end());
   EXPECT_EQ(applied->second, 1u);  // plane_failure's one window opened
+  EXPECT_EQ(snap.counters.count("sim.events_processed"), 1u);
   const auto fleet_counter = snap.counters.lower_bound("fleet.");
   const bool has_fleet = fleet_counter != snap.counters.end() &&
                          fleet_counter->first.starts_with("fleet.");

@@ -297,7 +297,7 @@ TEST(MobilityDeterminism, ZeroSpeedRouteExportsMatchStaticRun) {
     apps::PingApp app{bed.client(measure::AccessKind::kStarlink), ping_cfg};
     app.start();
     bed.sim().run();
-    return bed.take_obs();
+    return bed.sim().take_obs();
   };
   const obs::Snapshot without = run_once(false);
   const obs::Snapshot with = run_once(true);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "sim/event_queue.hpp"
@@ -169,6 +170,50 @@ TEST(Simulator, StopHaltsRun) {
   sim.run();
   EXPECT_EQ(count, 3);
   EXPECT_EQ(sim.pending_events(), 7u);
+}
+
+// Simulator::take_obs is the one place a cell's observability ends.
+obs::Snapshot run_and_take(const obs::Options* opts) {
+  Simulator sim;
+  if (opts != nullptr) sim.enable_obs(*opts);
+  for (int i = 1; i <= 3; ++i) sim.schedule_in(Duration::millis(i), [] {});
+  sim.run();
+  EXPECT_EQ(sim.events_processed(), 3u);
+  return sim.take_obs();
+}
+
+TEST(SimulatorTakeObs, ObsOffYieldsOneEmptyCell) {
+  const obs::Snapshot snap = run_and_take(nullptr);
+  EXPECT_EQ(snap.cells, 1u);
+  EXPECT_TRUE(snap.counters.empty());
+}
+
+TEST(SimulatorTakeObs, MetricsCountProcessedEvents) {
+  obs::Options opts;
+  opts.metrics = true;
+  const obs::Snapshot snap = run_and_take(&opts);
+  EXPECT_EQ(snap.cells, 1u);
+  const auto it = snap.counters.find("sim.events_processed");
+  ASSERT_NE(it, snap.counters.end());
+  EXPECT_EQ(it->second, 3u);
+}
+
+TEST(SimulatorTakeObs, ProfileReportsToStderrOnlyWhenOn) {
+  obs::Options opts;
+  opts.profile = true;
+  ::testing::internal::CaptureStderr();
+  const obs::Snapshot profiled = run_and_take(&opts);
+  const std::string on = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(on.find("wall-profile "), std::string::npos) << on;
+  EXPECT_EQ(profiled.counters.count("sim.events_processed"), 0u);  // metrics off
+
+  opts.profile = false;
+  opts.metrics = true;
+  ::testing::internal::CaptureStderr();
+  const obs::Snapshot plain = run_and_take(&opts);
+  const std::string off = ::testing::internal::GetCapturedStderr();
+  EXPECT_EQ(off.find("wall-profile "), std::string::npos) << off;
+  EXPECT_EQ(plain.counters.count("sim.events_processed"), 1u);
 }
 
 TEST(Timer, RearmReplacesPending) {

@@ -1,7 +1,9 @@
-// sweep_property_test.cpp — algebraic properties of runner::merge that the
-// parallel sweep relies on: any partition of one sample multiset, merged in
-// any shard order, yields the same distribution (quantiles, ECDF, moments);
-// and distinct sweep cells really are distinct experiments.
+// sweep_property_test.cpp — algebraic properties of the sample folds the
+// parallel sweep relies on (stats::Samples::merge, stats::TimeBinner::merge,
+// the per-Result merges built from them): any partition of one sample
+// multiset, merged in any shard order, yields the same distribution
+// (quantiles, ECDF, moments); and distinct sweep cells really are distinct
+// experiments.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,10 +12,10 @@
 #include <vector>
 
 #include "measure/campaign.hpp"
-#include "runner/merge.hpp"
 #include "runner/pool.hpp"
 #include "runner/sweep.hpp"
 #include "stats/ecdf.hpp"
+#include "stats/timeseries.hpp"
 #include "util/rng.hpp"
 
 namespace slp::runner {
@@ -26,6 +28,13 @@ std::vector<stats::Samples> random_partition(Rng& rng, const std::vector<double>
   for (const double v : values) {
     out[rng.index(shards)].add(v);
   }
+  return out;
+}
+
+// Folds shards in span order into one sample set.
+stats::Samples merge_samples(const std::vector<stats::Samples>& shards) {
+  stats::Samples out;
+  for (const stats::Samples& shard : shards) out.merge(shard);
   return out;
 }
 
@@ -80,13 +89,13 @@ TEST(MergeProperty, PairwiseMergeIsAssociative) {
 
   // (a + b) + c
   stats::Samples left = parts[0];
-  merge(left, parts[1]);
-  merge(left, parts[2]);
+  left.merge(parts[1]);
+  left.merge(parts[2]);
   // a + (b + c)
   stats::Samples bc = parts[1];
-  merge(bc, parts[2]);
+  bc.merge(parts[2]);
   stats::Samples right = parts[0];
-  merge(right, bc);
+  right.merge(bc);
 
   ASSERT_EQ(left.size(), right.size());
   // Left-fold in shard order is exactly concatenation, so even the raw
@@ -100,7 +109,7 @@ TEST(MergeProperty, EcdfOfPartitionsMatchesWholeSet) {
   for (int i = 0; i < 400; ++i) values.push_back(rng.pareto(10.0, 1.8));
   const stats::Ecdf whole{std::span<const double>{values}};
   const auto partition = random_partition(rng, values, 6);
-  const stats::Ecdf merged = merged_ecdf(partition);
+  const stats::Ecdf merged{merge_samples(partition)};
   ASSERT_EQ(merged.size(), whole.size());
   for (const double q : {0.1, 0.5, 0.9, 0.99}) {
     EXPECT_DOUBLE_EQ(merged.inverse(q), whole.inverse(q));
@@ -121,7 +130,7 @@ TEST(MergeProperty, TimeBinnerMergePoolsPerBinSamples) {
     whole.add(at, v);
     (rng.chance(0.5) ? left : right).add(at, v);
   }
-  merge(left, right);
+  left.merge(right);
   ASSERT_EQ(left.bins(), whole.bins());
   for (std::size_t b = 0; b < whole.bins(); ++b) {
     ASSERT_EQ(left.bin(b).size(), whole.bin(b).size()) << "bin " << b;
