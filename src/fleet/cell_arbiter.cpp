@@ -58,8 +58,19 @@ void CellArbiter::detach(TerminalId id) {
 }
 
 bool CellArbiter::set_demand(TerminalId id, DataRate down, DataRate up) {
-  Member* m = find(id);
-  if (m == nullptr || m->elastic) return false;
+  const Member* m = find(id);
+  return m != nullptr &&
+         set_demand_at(static_cast<std::size_t>(m - members_.data()), down, up);
+}
+
+DataRate CellArbiter::demand(TerminalId id, int direction) const {
+  const Member* m = find(id);
+  return m == nullptr ? DataRate::zero() : DataRate::bps(m->demand_bps[direction]);
+}
+
+bool CellArbiter::set_demand_at(std::size_t index, DataRate down, DataRate up) {
+  Member* m = &members_[index];
+  if (m->elastic) return false;
   const double down_bps = std::max(0.0, down.bits_per_second());
   const double up_bps = std::max(0.0, up.bits_per_second());
   if (m->demand_bps[kDown] == down_bps && m->demand_bps[kUp] == up_bps) return false;

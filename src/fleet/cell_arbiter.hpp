@@ -68,6 +68,11 @@ class CellArbiter {
   /// Transitions between zero and positive demand count as active-set
   /// attach/detach in the stats.
   bool set_demand(TerminalId id, DataRate down, DataRate up);
+  /// set_demand() for the member at `index` in ascending id order
+  /// (< members()), with no lookup.
+  bool set_demand_at(std::size_t index, DataRate down, DataRate up);
+  /// Declared demand of a member; zero for unknown or elastic ids.
+  [[nodiscard]] DataRate demand(TerminalId id, int direction) const;
 
   /// Serving-satellite change for this cell: beams are re-granted, so the
   /// allocation epoch advances.
@@ -91,6 +96,11 @@ class CellArbiter {
   /// Last-computed allocation of a member (elastic members report the
   /// capacity the foreground sees). Zero for unknown ids.
   [[nodiscard]] DataRate allocation(TerminalId id, int direction) const;
+  /// allocation() of the member at `index` in ascending id order
+  /// (< members()).
+  [[nodiscard]] DataRate allocation_at(std::size_t index, int direction) const {
+    return DataRate::bps(members_[index].alloc_bps[direction]);
+  }
 
   /// Sum of background allocations in `direction` (work-conservation
   /// checks: equals min(total demand, schedulable capacity)).

@@ -16,7 +16,24 @@ constexpr std::uint64_t kClassStream = 0x11ull;
 constexpr std::uint64_t kActiveStream = 0x22ull;
 constexpr std::uint64_t kRateStream = 0x33ull;
 
+DemandModel::Demand class_mix_mean(const DemandModel::Config& c) {
+  const DemandModel::ClassProfile* profiles[] = {&c.bulk,  &c.speedtest, &c.web, &c.video,
+                                                 &c.vc,    &c.game,      &c.idle};
+  double total = 0.0;
+  double down = 0.0;
+  double up = 0.0;
+  for (const DemandModel::ClassProfile* p : profiles) {
+    total += p->fraction;
+    down += p->fraction * p->duty * p->down.bits_per_second();
+    up += p->fraction * p->duty * p->up.bits_per_second();
+  }
+  if (total <= 0.0) return {};
+  return {DataRate::bps(down / total * c.scale_down), DataRate::bps(up / total * c.scale_up)};
+}
+
 }  // namespace
+
+DemandModel::DemandModel(Config config) : config_{config}, expected_{class_mix_mean(config_)} {}
 
 std::string_view to_string(DemandClass c) {
   switch (c) {
@@ -62,17 +79,28 @@ DemandClass DemandModel::class_of(std::uint64_t terminal_seed) const {
 }
 
 DemandModel::Demand DemandModel::at(std::uint64_t terminal_seed, TimePoint t) const {
-  const ClassProfile& p = profile(class_of(terminal_seed));
+  return session_at(terminal_seed, class_of(terminal_seed), t).demand;
+}
+
+DemandModel::Session DemandModel::session_at(std::uint64_t terminal_seed, DemandClass c,
+                                             TimePoint t) const {
+  const ClassProfile& p = profile(c);
   const auto session =
       static_cast<std::uint64_t>(std::max<std::int64_t>(0, t.ns()) / p.session.ns());
+  // Only the diurnal factor varies inside a window; with it on, the demand
+  // is valid for this instant alone.
+  const TimePoint until =
+      config_.diurnal_amplitude > 0.0
+          ? t
+          : TimePoint::from_ns(static_cast<std::int64_t>(session + 1) * p.session.ns());
 
   const double duty = p.duty * diurnal_factor(t);
-  if (mix_uniform(terminal_seed ^ kActiveStream, session) >= duty) return {};
+  if (mix_uniform(terminal_seed ^ kActiveStream, session) >= duty) return {{}, until};
 
   // Per-session rate jitter in [0.5, 1.5): sessions differ, but the rate is
   // constant within a session so allocations move on session boundaries.
   const double jitter = 0.5 + mix_uniform(terminal_seed ^ kRateStream, session);
-  return {p.down * (jitter * config_.scale_down), p.up * (jitter * config_.scale_up)};
+  return {{p.down * (jitter * config_.scale_down), p.up * (jitter * config_.scale_up)}, until};
 }
 
 double DemandModel::diurnal_factor(TimePoint t) const {
@@ -86,23 +114,6 @@ DemandModel::Demand DemandModel::expected_at(TimePoint t) const {
   const double f = diurnal_factor(t);
   const Demand e = expected();
   return {e.down * f, e.up * f};
-}
-
-DemandModel::Demand DemandModel::expected() const {
-  const ClassProfile* profiles[] = {&config_.bulk,  &config_.speedtest, &config_.web,
-                                    &config_.video, &config_.vc,        &config_.game,
-                                    &config_.idle};
-  double total = 0.0;
-  double down = 0.0;
-  double up = 0.0;
-  for (const ClassProfile* p : profiles) {
-    total += p->fraction;
-    down += p->fraction * p->duty * p->down.bits_per_second();
-    up += p->fraction * p->duty * p->up.bits_per_second();
-  }
-  if (total <= 0.0) return {};
-  return {DataRate::bps(down / total * config_.scale_down),
-          DataRate::bps(up / total * config_.scale_up)};
 }
 
 DemandModel::Config named_mix(std::string_view name) {

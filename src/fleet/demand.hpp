@@ -15,6 +15,14 @@
 // probability (optionally modulated by a diurnal sine — the paper saw a flat
 // day/night profile, so the default amplitude is 0), and an active session
 // demands the class rate jittered by a per-session factor.
+//
+// Within-session constancy: with diurnal_amplitude == 0 (the default and
+// every named mix) activity and jitter are drawn once per session window, so
+// at() is constant over each window. session_at() reports where the window
+// ends; the fleet caches a terminal's demand until then and pays one
+// evaluation per session, not one per epoch. With diurnal modulation on, the
+// duty moves continuously and session_at() reports the query time itself as
+// the end, so every later query re-evaluates.
 #pragma once
 
 #include <cstdint>
@@ -91,7 +99,7 @@ class DemandModel {
     Duration diurnal_period = Duration::hours(24);
   };
 
-  explicit DemandModel(Config config) : config_{config} {}
+  explicit DemandModel(Config config);
 
   [[nodiscard]] const Config& config() const { return config_; }
 
@@ -108,9 +116,22 @@ class DemandModel {
   /// Demand of a terminal at time t. Pure: no state is read or written.
   [[nodiscard]] Demand at(std::uint64_t terminal_seed, TimePoint t) const;
 
+  /// A terminal's demand at t and the earliest time it may differ: at(seed,
+  /// t') == demand for every t' in [t, until). `until` is the end of t's
+  /// session window, or t itself under diurnal modulation. `c` must be
+  /// class_of(terminal_seed); callers that query one terminal repeatedly
+  /// pass it cached.
+  struct Session {
+    Demand demand;
+    TimePoint until;
+  };
+  [[nodiscard]] Session session_at(std::uint64_t terminal_seed, DemandClass c,
+                                   TimePoint t) const;
+
   /// Expected long-run downlink/uplink demand of one average terminal (the
   /// class-mix mean) — used to report the implied per-cell utilization.
-  [[nodiscard]] Demand expected() const;
+  /// Computed once from the immutable config.
+  [[nodiscard]] Demand expected() const { return expected_; }
 
   /// Expected demand of one average terminal *at time t*: expected() scaled
   /// by the diurnal duty factor. This is the O(1) analytic term the
@@ -125,6 +146,7 @@ class DemandModel {
   [[nodiscard]] const ClassProfile& profile(DemandClass c) const;
 
   Config config_;
+  Demand expected_;
 };
 
 /// Named fleet traffic mixes for the `--fleet-mix` flag. Presets:

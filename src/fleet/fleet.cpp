@@ -125,12 +125,19 @@ void Fleet::make_cell(CellId id, const Placement::CellRange* range) {
                  : config_.rng_label + "/cell-" + CellGrid::to_string(id);
   c.arbiter = std::make_unique<CellArbiter>(arb_config_, sim_->fork_rng(base + "/load-down"),
                                             sim_->fork_rng(base + "/load-up"));
+  c.util_down = cell_util_down_.slot(id);
+  c.util_up = cell_util_up_.slot(id);
   if (range != nullptr) {
     c.first_terminal = range->first;
-    c.terminal_count = range->count;
+    c.terminals.resize(range->count);
   }
-  for (std::uint32_t k = 0; k < c.terminal_count; ++k) {
-    c.arbiter->attach(c.first_terminal + k, config_.terminal_weight, /*elastic=*/false);
+  for (std::uint32_t k = 0; k < c.terminals.size(); ++k) {
+    const TerminalId tid = c.first_terminal + k;
+    Terminal& t = c.terminals[k];
+    t.seed = terminal_seed(tid);
+    t.cls = demand_.class_of(t.seed);
+    t.down_mbps = terminal_down_mbps_.slot(tid);
+    c.arbiter->attach(tid, config_.terminal_weight, /*elastic=*/false);
   }
   if (foreground) {
     c.arbiter->attach(kForegroundId, config_.foreground_weight, /*elastic=*/true);
@@ -140,7 +147,7 @@ void Fleet::make_cell(CellId id, const Placement::CellRange* range) {
   }
   // Handover tracking: the foreground cell reads the access's scheduler in
   // tick(); populated neighbour cells watch the sky from their own centre.
-  if (config_.handovers && !foreground && c.terminal_count > 0) ensure_scheduler(c);
+  if (config_.handovers && !foreground && !c.terminals.empty()) ensure_scheduler(c);
   const auto it = std::lower_bound(cells_.begin(), cells_.end(), id,
                                    [](const Cell& cc, CellId key) { return cc.id < key; });
   cells_.insert(it, std::move(c));
@@ -175,7 +182,9 @@ void Fleet::fold_into_aggregate(CellId base, std::uint32_t count) {
     it->terminals += count;
     it->cells += 1;
   } else {
-    aggregates_.insert(it, Aggregate{super, count, 1});
+    const CellId key = super | HierarchicalGrid::kAggregateKeyBit;
+    aggregates_.insert(it, Aggregate{super, count, 1, cell_util_down_.slot(key),
+                                     cell_util_up_.slot(key)});
   }
 }
 
@@ -213,7 +222,9 @@ void Fleet::demote_cell(CellId id) {
   retired_.handovers += s.handovers;
   retired_.reallocations += s.reallocations;
   retired_.epoch += s.epoch;
-  if (it->terminal_count > 0) fold_into_aggregate(id, it->terminal_count);
+  if (!it->terminals.empty()) {
+    fold_into_aggregate(id, static_cast<std::uint32_t>(it->terminals.size()));
+  }
   cells_.erase(it);
   obs_demotions_.add();
 }
@@ -229,7 +240,7 @@ bool Fleet::set_foreground_position(const leo::GeoPoint& p, TimePoint now) {
     // own scheduler; if it stays hot with background members it now needs
     // its own sky watcher at the cell centre.
     const bool stays_hot = !config_.aggregate_idle || old_cell->pinned;
-    if (config_.handovers && stays_hot && old_cell->terminal_count > 0) {
+    if (config_.handovers && stays_hot && !old_cell->terminals.empty()) {
       ensure_scheduler(*old_cell);
     }
   }
@@ -295,7 +306,8 @@ std::uint64_t Fleet::aggregated_terminal_count() const {
   return total;
 }
 
-double Fleet::analytic_util(int direction, const Aggregate& a, TimePoint t) const {
+double Fleet::analytic_util(int direction, const Aggregate& a,
+                            const DemandModel::Demand& expected) const {
   const phy::LoadProcess::Config& load = direction == CellArbiter::kUp
                                              ? arb_config_.uplink_load
                                              : arb_config_.downlink_load;
@@ -305,10 +317,9 @@ double Fleet::analytic_util(int direction, const Aggregate& a, TimePoint t) cons
     // across its populated cells, each demanding the class-mix expectation
     // at t. The same floor/ceiling clamps bound it that bound a real
     // arbiter's contention term.
-    const DemandModel::Demand e = demand_.expected_at(t);
     const double per_cell_bps =
         static_cast<double>(a.terminals) / static_cast<double>(a.cells) *
-        (direction == CellArbiter::kUp ? e.up : e.down).bits_per_second();
+        (direction == CellArbiter::kUp ? expected.up : expected.down).bits_per_second();
     const double nominal = (direction == CellArbiter::kUp ? arb_config_.cell_uplink
                                                           : arb_config_.cell_downlink)
                                .bits_per_second();
@@ -368,27 +379,32 @@ void Fleet::step_cell(Cell& c, TimePoint now, CellTick& out) {
       c.had_sat = true;
     }
   }
-  for (std::uint32_t k = 0; k < c.terminal_count; ++k) {
-    const TerminalId id = c.first_terminal + k;
-    const DemandModel::Demand d = demand_.at(terminal_seed(id), now);
-    c.arbiter->set_demand(id, d.down, d.up);
+  // Demand only changes at a session boundary: re-evaluate just the members
+  // whose window ended.
+  const auto n = static_cast<std::uint32_t>(c.terminals.size());
+  for (std::uint32_t k = 0; k < n; ++k) {
+    Terminal& t = c.terminals[k];
+    if (now < t.until) continue;
+    const DemandModel::Session s = demand_.session_at(t.seed, t.cls, now);
+    t.until = s.until;
+    t.active = s.demand.active();
+    c.arbiter->set_demand_at(k, s.demand.down, s.demand.up);
   }
   c.arbiter->reallocate(now);
   out.util_down = c.arbiter->utilization(CellArbiter::kDown, now);
   out.util_up = c.arbiter->utilization(CellArbiter::kUp, now);
-  for (std::uint32_t k = 0; k < c.terminal_count; ++k) {
-    const TerminalId id = c.first_terminal + k;
-    if (demand_.at(terminal_seed(id), now).active()) {
+  for (std::uint32_t k = 0; k < n; ++k) {
+    if (c.terminals[k].active) {
       out.active_down.emplace_back(
-          id, c.arbiter->allocation(id, CellArbiter::kDown).bits_per_second() / 1e6);
+          k, c.arbiter->allocation_at(k, CellArbiter::kDown).bits_per_second() / 1e6);
     }
   }
 }
 
-void Fleet::fold_cell(const Cell& c, const CellTick& t) {
-  cell_util_down_.add(c.id, t.util_down);
-  cell_util_up_.add(c.id, t.util_up);
-  for (const auto& [id, mbps] : t.active_down) terminal_down_mbps_.add(id, mbps);
+void Fleet::fold_cell(Cell& c, const CellTick& t) {
+  c.util_down.add(t.util_down);
+  c.util_up.add(t.util_up);
+  for (const auto& [k, mbps] : t.active_down) c.terminals[k].down_mbps.add(mbps);
 }
 
 void Fleet::tick() {
@@ -421,10 +437,10 @@ void Fleet::tick() {
   }
   // Aggregated supercells: one O(1) analytic term each, keyed with the
   // aggregate bit so they never collide with base-cell keys.
-  for (const Aggregate& a : aggregates_) {
-    const CellId key = a.super | HierarchicalGrid::kAggregateKeyBit;
-    cell_util_down_.add(key, analytic_util(CellArbiter::kDown, a, now));
-    cell_util_up_.add(key, analytic_util(CellArbiter::kUp, a, now));
+  const DemandModel::Demand expected = demand_.expected_at(now);
+  for (Aggregate& a : aggregates_) {
+    a.util_down.add(analytic_util(CellArbiter::kDown, a, expected));
+    a.util_up.add(analytic_util(CellArbiter::kUp, a, expected));
   }
   foreground_down_mbps_.add(access_->downlink_capacity(now).bits_per_second() / 1e6);
   foreground_up_mbps_.add(access_->uplink_capacity(now).bits_per_second() / 1e6);

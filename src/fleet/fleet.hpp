@@ -14,9 +14,12 @@
 // Background terminals are deliberately *not* packet-level: their demand is
 // a pure function of (terminal seed, time) and their effect on the
 // foreground is entirely through the arbiter's allocation. That is what
-// makes 10k terminals tractable — the per-epoch cost is O(terminals) hash
-// evaluations plus O(active) water-filling, with no extra events per
-// terminal.
+// makes 10k terminals tractable, with no extra events per terminal. Each hot
+// cell caches its members' seed, class and current session window, and
+// demand is constant within a window (demand.hpp), so an epoch evaluates
+// only the terminals whose window ended: the per-epoch cost is O(session
+// changes) hash evaluations plus a scan of the cell's cached windows and
+// O(active) water-filling and sample folds.
 //
 // Continental scale adds two more levers on top (both off by default):
 //
@@ -48,6 +51,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -134,6 +138,9 @@ class Fleet final : public leo::CellShareModel {
     CellId super = 0;
     std::uint32_t terminals = 0;
     std::uint32_t cells = 0;
+    /// This supercell's cell_util(direction) groups, resolved once.
+    stats::KeyedSamples::Slot util_down;
+    stats::KeyedSamples::Slot util_up;
   };
   /// Supercell-id ordered; empty unless config().aggregate_idle.
   [[nodiscard]] const std::vector<Aggregate>& aggregates() const { return aggregates_; }
@@ -141,7 +148,9 @@ class Fleet final : public leo::CellShareModel {
   /// The analytic utilization term for one aggregate at time t (clamped to
   /// the ambient floor/ceiling; composes with load-surge overrides exactly
   /// like a hot arbiter: util = max(analytic, override)).
-  [[nodiscard]] double analytic_util(int direction, const Aggregate& a, TimePoint t) const;
+  [[nodiscard]] double analytic_util(int direction, const Aggregate& a, TimePoint t) const {
+    return analytic_util(direction, a, demand_.expected_at(t));
+  }
 
   // --- measured vantages (measure::MultiVantageCampaign) ---------------
   /// Attaches a measured vantage terminal — an elastic member, like the
@@ -190,14 +199,31 @@ class Fleet final : public leo::CellShareModel {
   }
 
  private:
+  /// A background member's cached demand state. Its demand was last
+  /// evaluated for the session window ending at `until`, and stays what the
+  /// arbiter holds until then.
+  struct Terminal {
+    std::uint64_t seed = 0;
+    /// Earliest time the demand may change; the minimum forces the first
+    /// epoch after the cell goes hot to evaluate every member.
+    TimePoint until = TimePoint::from_ns(std::numeric_limits<std::int64_t>::min());
+    stats::KeyedSamples::Slot down_mbps;  ///< terminal_down_mbps() group
+    DemandClass cls = DemandClass::kIdle;
+    bool active = false;
+  };
+
   struct Cell {
     CellId id = 0;
     std::unique_ptr<CellArbiter> arbiter;
     /// Background members: the contiguous id range [first_terminal,
-    /// first_terminal + terminal_count) from the lazy placement; 0 for
-    /// pure-foreground/vantage cells.
+    /// first_terminal + terminals.size()) from the lazy placement; empty
+    /// for pure-foreground/vantage cells. Elastic ids descend from
+    /// kForegroundId, above every background id, so terminals[k] is arbiter
+    /// member index k.
     TerminalId first_terminal = 0;
-    std::uint32_t terminal_count = 0;
+    std::vector<Terminal> terminals;
+    stats::KeyedSamples::Slot util_down;
+    stats::KeyedSamples::Slot util_up;
     bool pinned = false;  ///< hosts a vantage; never demoted
     /// Serving-satellite tracker. The foreground cell reads the access's own
     /// scheduler (null here); other cells get one at their cell centre,
@@ -212,7 +238,8 @@ class Fleet final : public leo::CellShareModel {
   struct CellTick {
     double util_down = 0.0;
     double util_up = 0.0;
-    std::vector<std::pair<TerminalId, double>> active_down;  ///< (id, mbps)
+    /// (index into Cell::terminals, mbps)
+    std::vector<std::pair<std::uint32_t, double>> active_down;
   };
 
   void tick();
@@ -222,7 +249,10 @@ class Fleet final : public leo::CellShareModel {
   /// step concurrently.
   void step_cell(Cell& c, TimePoint now, CellTick& out);
   /// Folds one staged epoch into the keyed distributions (sim thread only).
-  void fold_cell(const Cell& c, const CellTick& t);
+  static void fold_cell(Cell& c, const CellTick& t);
+  /// analytic_util() with the class-mix expectation at t already evaluated.
+  [[nodiscard]] double analytic_util(int direction, const Aggregate& a,
+                                     const DemandModel::Demand& expected) const;
   void publish_stats();
   void update_shape_gauges();
   [[nodiscard]] Cell* find_cell(CellId id);

@@ -79,21 +79,24 @@ void Simulator::sample_up_to(TimePoint at) {
   }
 }
 
+void Simulator::run_profiled(TimePoint deadline) {
+  using Clock = std::chrono::steady_clock;
+  const ProfileScope scope{profile_.get()};
+  while (!queue_.empty() && !stopped_ && queue_.next_time() <= deadline) {
+    auto [at, fn] = queue_.pop();
+    if (sampler_ != nullptr) sample_up_to(at);
+    now_ = at;
+    ++events_processed_;
+    const auto t0 = Clock::now();
+    fn();
+    profile_->record_callback_ns(static_cast<std::uint64_t>((Clock::now() - t0).count()));
+  }
+}
+
 void Simulator::run() {
   stopped_ = false;
   if (profile_) {
-    using Clock = std::chrono::steady_clock;
-    const ProfileScope scope{profile_.get()};
-    while (!queue_.empty() && !stopped_) {
-      auto [at, fn] = queue_.pop();
-      if (sampler_ != nullptr) sample_up_to(at);
-      now_ = at;
-      ++events_processed_;
-      const auto t0 = Clock::now();
-      fn();
-      profile_->record_callback_ns(
-          static_cast<std::uint64_t>((Clock::now() - t0).count()));
-    }
+    run_profiled(TimePoint::infinite());
     return;
   }
   while (!queue_.empty() && !stopped_) {
@@ -107,13 +110,17 @@ void Simulator::run() {
 
 void Simulator::run_until(TimePoint deadline) {
   stopped_ = false;
-  const ProfileScope scope{profile_ ? profile_.get() : obs::WallProfile::current()};
-  while (!queue_.empty() && !stopped_ && queue_.next_time() <= deadline) {
-    auto [at, fn] = queue_.pop();
-    if (sampler_ != nullptr) sample_up_to(at);
-    now_ = at;
-    ++events_processed_;
-    fn();
+  if (profile_) {
+    run_profiled(deadline);
+  } else {
+    const ProfileScope scope{obs::WallProfile::current()};
+    while (!queue_.empty() && !stopped_ && queue_.next_time() <= deadline) {
+      auto [at, fn] = queue_.pop();
+      if (sampler_ != nullptr) sample_up_to(at);
+      now_ = at;
+      ++events_processed_;
+      fn();
+    }
   }
   if (!stopped_ && now_ < deadline) {
     if (sampler_ != nullptr) sampler_->sample_until(deadline);

@@ -90,6 +90,10 @@ class Simulator {
   /// Emits any sample-grid points the clock is about to pass. Kept out of
   /// line so the run loop's fast path is a single null check.
   void sample_up_to(TimePoint at);
+  /// The profile-on run loop shared by run() and run_until(): times every
+  /// callback into profile_ and stops after the last event at or before
+  /// `deadline`.
+  void run_profiled(TimePoint deadline);
 
   EventQueue queue_;
   TimePoint now_;

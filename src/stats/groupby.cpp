@@ -7,12 +7,23 @@ namespace slp::stats {
 
 KeyedSamples::KeyedSamples(std::vector<double> edges) : edges_{std::move(edges)} {}
 
-void KeyedSamples::add(std::uint64_t key, double x) {
+KeyedSamples::Group& KeyedSamples::group(std::uint64_t key) {
   Group& g = groups_[key];
   if (g.counts.empty()) g.counts.assign(edges_.size() + 1, 0);
+  return g;
+}
+
+void KeyedSamples::add_to(Group& g, double x) const {
   g.summary.add(x);
   const auto it = std::upper_bound(edges_.begin(), edges_.end(), x);
   ++g.counts[static_cast<std::size_t>(it - edges_.begin())];
+}
+
+void KeyedSamples::add(std::uint64_t key, double x) { add_to(group(key), x); }
+
+void KeyedSamples::Slot::add(double x) {
+  if (group_ == nullptr) group_ = &owner_->group(key_);
+  owner_->add_to(*group_, x);
 }
 
 void KeyedSamples::merge(const KeyedSamples& other) {
@@ -20,8 +31,7 @@ void KeyedSamples::merge(const KeyedSamples& other) {
   if (groups_.empty() && edges_.empty()) edges_ = other.edges_;
   const bool compatible = edges_ == other.edges_;
   for (const auto& [key, from] : other.groups_) {
-    Group& into = groups_[key];
-    if (into.counts.empty()) into.counts.assign(edges_.size() + 1, 0);
+    Group& into = group(key);
     into.summary.merge(from.summary);
     if (compatible) {
       for (std::size_t i = 0; i < into.counts.size() && i < from.counts.size(); ++i) {

@@ -41,6 +41,25 @@ class KeyedSamples {
 
   void add(std::uint64_t key, double x);
 
+  /// One key's group, looked up at the first add() and cached after it, so
+  /// a caller adding to the same key every epoch pays the map lookup once.
+  /// Holding a Slot creates no group; its first add() does, exactly as
+  /// add(key, x) would. std::map nodes are stable and nothing erases a
+  /// group, so the cached pointer stays valid while the owner lives and is
+  /// neither assigned to nor moved from.
+  class Slot {
+   public:
+    Slot() = default;
+    Slot(KeyedSamples& owner, std::uint64_t key) : owner_{&owner}, key_{key} {}
+    void add(double x);
+
+   private:
+    KeyedSamples* owner_ = nullptr;
+    std::uint64_t key_ = 0;
+    Group* group_ = nullptr;
+  };
+  [[nodiscard]] Slot slot(std::uint64_t key) { return Slot{*this, key}; }
+
   /// Key-ordered deterministic fold (found by ADL from runner::run_merged
   /// through the campaign Results that embed KeyedSamples).
   void merge(const KeyedSamples& other);
@@ -69,6 +88,9 @@ class KeyedSamples {
   [[nodiscard]] std::vector<std::pair<double, double>> pooled_ecdf() const;
 
  private:
+  /// `key`'s group, created empty (with zeroed counts) on first use.
+  Group& group(std::uint64_t key);
+  void add_to(Group& g, double x) const;
   [[nodiscard]] static double bucket_quantile(const Group& g,
                                               const std::vector<double>& edges, double q);
 

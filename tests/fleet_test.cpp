@@ -7,12 +7,15 @@
 // load-surge override composition), and the Fleet/FleetCampaign integration
 // (size-1 fallback bit-identity to the legacy LoadProcess path, the fig5
 // speedtest pin, queue-drain termination under packet campaigns, and
-// --jobs invariance of the merged campaign).
+// --jobs invariance of the merged campaign), and the hot cells' cached
+// per-terminal demand (equal to the model after every epoch, also under
+// diurnal modulation, sharding and mid-run promotion).
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <memory>
 #include <stdexcept>
+#include <tuple>
 
 #include "fleet/campaign.hpp"
 #include "fleet/cell_arbiter.hpp"
@@ -619,6 +622,114 @@ TEST(Fleet, VantagesPinCellsHotAndSplitTheElasticPool) {
   EXPECT_NE(fleet.arbiter(fleet.vantage_cell(v1)), nullptr)
       << "pinned cells survive demotion";
   EXPECT_EQ(fleet.cell_count(), hot0 + 1);
+}
+
+// ------------------------------------------------ cached demand state
+
+// Every background member of every hot cell holds exactly the demand the
+// model gives at `now`: the per-cell session cache never serves a stale
+// window. Returns how many members are active.
+int expect_demands_current(Fleet& fleet, TimePoint now) {
+  int active = 0;
+  for (const Placement::CellRange& r : fleet.placement().cells()) {
+    const CellArbiter* arb = fleet.arbiter(r.cell);
+    if (arb == nullptr) continue;
+    for (std::uint32_t k = 0; k < r.count; ++k) {
+      const TerminalId id = r.first + k;
+      const DemandModel::Demand d = fleet.demand_model().at(fleet.terminal_seed(id), now);
+      EXPECT_EQ(arb->demand(id, CellArbiter::kDown).bits_per_second(),
+                d.down.bits_per_second())
+          << "terminal " << id << " at " << now.to_seconds() << " s";
+      EXPECT_EQ(arb->demand(id, CellArbiter::kUp).bits_per_second(), d.up.bits_per_second())
+          << "terminal " << id << " at " << now.to_seconds() << " s";
+      if (d.active()) ++active;
+    }
+  }
+  return active;
+}
+
+class CachedDemand : public ::testing::TestWithParam<std::tuple<double, int>> {};
+
+TEST_P(CachedDemand, ArbiterHoldsTheModelDemandAfterEveryEpoch) {
+  const auto [amplitude, shards] = GetParam();
+  sim::Simulator sim{13};
+  sim::Network net{sim};
+  leo::StarlinkAccess access{net, {}};
+  Fleet::Config config;
+  config.size = 800;
+  config.shards = shards;
+  config.demand.diurnal_amplitude = amplitude;
+  config.demand.diurnal_period = Duration::minutes(6);  // duty moves within the run
+  sim.schedule_in(Duration::hours(1), [] {});  // keeps the epoch timer armed
+  Fleet fleet{sim, access, config};
+  ASSERT_GT(fleet.cell_count(), 3u) << "a flat grid with several hot cells";
+
+  int active_epochs = 0;
+  for (int epoch = 0; epoch <= 120; ++epoch) {  // 4 simulated minutes
+    if (epoch > 0) sim.run_for(config.epoch);
+    if (expect_demands_current(fleet, sim.now()) > 0) ++active_epochs;
+    if (::testing::Test::HasFailure()) return;
+  }
+  EXPECT_EQ(fleet.epochs(), 121u);
+  EXPECT_GT(active_epochs, 100);
+}
+
+INSTANTIATE_TEST_SUITE_P(DiurnalAndShards, CachedDemand,
+                         ::testing::Combine(::testing::Values(0.0, 0.3),
+                                            ::testing::Values(1, 4)));
+
+// A cell that goes hot mid-run has no cached windows yet: its first epoch
+// must evaluate every member, not wait for session boundaries.
+TEST(Fleet, PromotedCellEvaluatesEveryMemberAtItsFirstEpoch) {
+  sim::Simulator sim{31};
+  sim::Network net{sim};
+  leo::StarlinkAccess access{net, {}};
+  Fleet::Config config;
+  config.size = 20000;
+  config.placement = Placement::continental_europe();
+  config.aggregate_idle = true;
+  sim.schedule_in(Duration::hours(1), [] {});
+  Fleet fleet{sim, access, config};
+  const CellId home = fleet.foreground_cell();
+
+  // One epoch after each promotion, every hot member holds its model demand
+  // (the promoted cell's own members included).
+  const auto first_epoch_is_current = [&](CellId promoted) {
+    ASSERT_NE(fleet.arbiter(promoted), nullptr);
+    ASSERT_NE(fleet.placement().find(promoted), nullptr);
+    const std::uint64_t epochs = fleet.epochs();
+    sim.run_for(config.epoch);
+    ASSERT_EQ(fleet.epochs(), epochs + 1);
+    EXPECT_GT(expect_demands_current(fleet, sim.now()), 0);
+  };
+  const leo::GeoPoint amsterdam{52.37, 4.90};
+  const leo::GeoPoint berlin{52.52, 13.40};
+  sim.run_for(Duration::seconds(61));
+  const TerminalId vantage = fleet.add_vantage(amsterdam);  // promoted by a vantage
+  first_epoch_is_current(fleet.vantage_cell(vantage));
+  sim.run_for(Duration::seconds(61));
+  ASSERT_TRUE(fleet.set_foreground_position(berlin, sim.now()));  // by the foreground
+  first_epoch_is_current(fleet.foreground_cell());
+  sim.run_for(Duration::seconds(61));
+  // `home` was demoted while the foreground was away; hot again, its cache
+  // starts over.
+  ASSERT_TRUE(fleet.set_foreground_position(access.config().terminal, sim.now()));
+  ASSERT_EQ(fleet.foreground_cell(), home);
+  first_epoch_is_current(home);
+
+  // Promotion alone evaluates nothing: the new cell's members hold no
+  // demand until its first epoch.
+  const leo::GeoPoint paris{48.86, 2.35};
+  const TerminalId second = fleet.add_vantage(paris);
+  const CellId paris_cell = fleet.vantage_cell(second);
+  const Placement::CellRange* r = fleet.placement().find(paris_cell);
+  ASSERT_NE(r, nullptr);
+  const CellArbiter* arb = fleet.arbiter(paris_cell);
+  for (std::uint32_t k = 0; k < r->count; ++k) {
+    EXPECT_EQ(arb->demand(r->first + k, CellArbiter::kDown).bits_per_second(), 0.0);
+  }
+  sim.run_for(config.epoch);
+  EXPECT_GT(expect_demands_current(fleet, sim.now()), 0);
 }
 
 }  // namespace

@@ -216,6 +216,25 @@ TEST(SimulatorTakeObs, ProfileReportsToStderrOnlyWhenOn) {
   EXPECT_EQ(plain.counters.count("sim.events_processed"), 1u);
 }
 
+TEST(SimulatorTakeObs, RunForTimesEveryCallbackWhenProfiling) {
+  // Fleet-only cells advance with run_for, not run(): their callbacks must
+  // reach the wall profile too, and stop at the deadline like the plain loop.
+  obs::Options opts;
+  opts.profile = true;
+  Simulator sim;
+  sim.enable_obs(opts);
+  for (int i = 1; i <= 5; ++i) sim.schedule_in(Duration::millis(i), [] {});
+  sim.run_for(Duration::millis(3));
+  ASSERT_NE(sim.wall_profile(), nullptr);
+  EXPECT_EQ(sim.events_processed(), 3u);
+  EXPECT_EQ(sim.wall_profile()->events(), sim.events_processed());
+  EXPECT_EQ(sim.now(), TimePoint::epoch() + Duration::millis(3));
+  EXPECT_EQ(sim.pending_events(), 2u);
+  sim.run_for(Duration::millis(10));
+  EXPECT_EQ(sim.wall_profile()->events(), 5u);
+  EXPECT_EQ(sim.wall_profile()->events(), sim.events_processed());
+}
+
 TEST(Timer, RearmReplacesPending) {
   Simulator sim;
   Timer timer{sim};

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "stats/ecdf.hpp"
+#include "stats/groupby.hpp"
 #include "stats/histogram.hpp"
 #include "stats/moods_test.hpp"
 #include "stats/quantiles.hpp"
@@ -337,6 +338,57 @@ TEST(TextTable, NumberFormatting) {
   EXPECT_EQ(TextTable::num(3.14159, 2), "3.14");
   EXPECT_EQ(TextTable::num(2.0, 0), "2");
   EXPECT_EQ(TextTable::pct(0.0156), "1.56%");
+}
+
+// ------------------------------------------------------- KeyedSamples
+
+TEST(KeyedSamples, SlotAddsAreByteEqualToKeyedAdds) {
+  const std::vector<double> edges{1.0, 2.0, 4.0, 8.0};
+  KeyedSamples keyed{edges};
+  KeyedSamples slotted{edges};
+  KeyedSamples::Slot a = slotted.slot(7);
+  KeyedSamples::Slot b = slotted.slot(3);
+  Rng rng{5};
+  for (int i = 0; i < 200; ++i) {
+    const double x = rng.uniform(0.0, 10.0);
+    const double y = rng.uniform(0.0, 10.0);
+    keyed.add(7, x);
+    a.add(x);
+    keyed.add(3, y);
+    b.add(y);
+    // A keyed add between slot adds lands in the same group.
+    if (i % 50 == 0) {
+      keyed.add(7, 0.5);
+      slotted.add(7, 0.5);
+    }
+  }
+  ASSERT_EQ(keyed.size(), slotted.size());
+  auto it = slotted.groups().begin();
+  for (const auto& [key, g] : keyed.groups()) {
+    ASSERT_EQ(key, it->first);
+    const KeyedSamples::Group& h = it->second;
+    EXPECT_EQ(g.summary.count(), h.summary.count());
+    EXPECT_EQ(g.summary.sum(), h.summary.sum());
+    EXPECT_EQ(g.summary.mean(), h.summary.mean());
+    EXPECT_EQ(g.summary.variance(), h.summary.variance());
+    EXPECT_EQ(g.summary.min(), h.summary.min());
+    EXPECT_EQ(g.summary.max(), h.summary.max());
+    EXPECT_EQ(g.counts, h.counts);
+    ++it;
+  }
+}
+
+TEST(KeyedSamples, SlotCreatesNoGroupUntilItsFirstAdd) {
+  KeyedSamples ks{{1.0, 2.0}};
+  KeyedSamples::Slot idle = ks.slot(11);
+  KeyedSamples::Slot used = ks.slot(12);
+  EXPECT_TRUE(ks.empty());
+  EXPECT_EQ(ks.quantile(11, 0.5), 0.0);
+  used.add(1.5);
+  EXPECT_EQ(ks.size(), 1u);
+  EXPECT_EQ(ks.groups().count(11), 0u);
+  EXPECT_EQ(ks.groups().at(12).summary.count(), 1u);
+  (void)idle;
 }
 
 }  // namespace
