@@ -29,7 +29,7 @@ FleetCampaign::Cell::Cell(const Config& config)
 FleetCampaign::Result FleetCampaign::run(const Config& config) {
   Cell cell{config};
   cell.sim.run_for(config.duration);
-  const Fleet* fleet = cell.fleet.get();
+  Fleet* fleet = cell.fleet.get();
 
   Result r;
   if (fleet != nullptr) {

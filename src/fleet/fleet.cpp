@@ -1,6 +1,7 @@
 #include "fleet/fleet.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "obs/profile.hpp"
@@ -21,6 +22,11 @@ std::vector<double> util_edges() {
   edges.reserve(20);
   for (int i = 1; i <= 20; ++i) edges.push_back(static_cast<double>(i) * 0.05);
   return edges;
+}
+
+/// Run values compare by bits, so 0.0 and -0.0 never share a run.
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
 
 std::vector<double> mbps_edges() {
@@ -178,13 +184,15 @@ void Fleet::fold_into_aggregate(CellId base, std::uint32_t count) {
   const auto it =
       std::lower_bound(aggregates_.begin(), aggregates_.end(), super,
                        [](const Aggregate& a, CellId key) { return a.super < key; });
+  aggregates_stale_ = true;
   if (it != aggregates_.end() && it->super == super) {
     it->terminals += count;
     it->cells += 1;
   } else {
     const CellId key = super | HierarchicalGrid::kAggregateKeyBit;
-    aggregates_.insert(it, Aggregate{super, count, 1, cell_util_down_.slot(key),
-                                     cell_util_up_.slot(key)});
+    Aggregate a{super, count, 1, cell_util_down_.slot(key), cell_util_up_.slot(key)};
+    a.run_since = epochs_;
+    aggregates_.insert(it, std::move(a));
   }
 }
 
@@ -194,9 +202,13 @@ void Fleet::take_from_aggregate(CellId base, std::uint32_t count) {
       std::lower_bound(aggregates_.begin(), aggregates_.end(), super,
                        [](const Aggregate& a, CellId key) { return a.super < key; });
   if (it == aggregates_.end() || it->super != super) return;
+  aggregates_stale_ = true;
   it->terminals -= std::min(count, it->terminals);
   if (it->cells > 0) it->cells -= 1;
-  if (it->cells == 0 && it->terminals == 0) aggregates_.erase(it);
+  if (it->cells == 0 && it->terminals == 0) {
+    flush_run(*it);
+    aggregates_.erase(it);
+  }
 }
 
 Fleet::Cell* Fleet::promote_cell(CellId id) {
@@ -225,6 +237,7 @@ void Fleet::demote_cell(CellId id) {
   if (!it->terminals.empty()) {
     fold_into_aggregate(id, static_cast<std::uint32_t>(it->terminals.size()));
   }
+  flush_runs(*it);
   cells_.erase(it);
   obs_demotions_.add();
 }
@@ -253,7 +266,7 @@ bool Fleet::set_foreground_position(const leo::GeoPoint& p, TimePoint now) {
   demote_cell(departed);
   foreground_cell_ = find_cell(target);
   (void)now;
-  publish_stats();
+  publish_stats(totals());
   update_shape_gauges();
   return true;
 }
@@ -346,8 +359,7 @@ CellArbiter::Stats Fleet::totals() const {
   return t;
 }
 
-void Fleet::publish_stats() {
-  const CellArbiter::Stats t = totals();
+void Fleet::publish_stats(const CellArbiter::Stats& t) {
   obs_attaches_.add(t.attaches - published_.attaches);
   obs_detaches_.add(t.detaches - published_.detaches);
   obs_handovers_.add(t.handovers - published_.handovers);
@@ -364,8 +376,8 @@ void Fleet::update_shape_gauges() {
   }
 }
 
-void Fleet::step_cell(Cell& c, TimePoint now, CellTick& out) {
-  out.active_down.clear();
+void Fleet::step_cell(Cell& c, TimePoint now, CellTick& out) const {
+  out.runs.clear();
   // Cells without a scheduler of their own: only the current foreground
   // cell may fall back to the access's scheduler (a cell the foreground
   // migrated out of and left empty has nobody watching its sky).
@@ -380,31 +392,96 @@ void Fleet::step_cell(Cell& c, TimePoint now, CellTick& out) {
     }
   }
   // Demand only changes at a session boundary: re-evaluate just the members
-  // whose window ended.
+  // whose window ended. A member going idle closes its run; one going active
+  // opens a run at this epoch, whose value the restage below sets.
+  const std::uint64_t epoch = epochs_;
   const auto n = static_cast<std::uint32_t>(c.terminals.size());
   for (std::uint32_t k = 0; k < n; ++k) {
     Terminal& t = c.terminals[k];
     if (now < t.until) continue;
     const DemandModel::Session s = demand_.session_at(t.seed, t.cls, now);
     t.until = s.until;
-    t.active = s.demand.active();
+    if (s.demand.active() != t.active) {
+      if (t.active) {
+        out.runs.push_back({k, t.run_mbps, epoch - t.run_since});
+      } else {
+        t.run_since = epoch;
+      }
+      t.active = !t.active;
+    }
     c.arbiter->set_demand_at(k, s.demand.down, s.demand.up);
   }
   c.arbiter->reallocate(now);
   out.util_down = c.arbiter->utilization(CellArbiter::kDown, now);
   out.util_up = c.arbiter->utilization(CellArbiter::kUp, now);
+  // Allocations only move when the arbiter recomputes (here or in a capacity
+  // query since the last epoch), and a flip changes the member's demand, so
+  // it always comes with a recompute: otherwise every open run just grows.
+  const std::uint64_t reallocations = c.arbiter->stats().reallocations;
+  if (reallocations == c.staged_reallocations) return;
+  c.staged_reallocations = reallocations;
   for (std::uint32_t k = 0; k < n; ++k) {
-    if (c.terminals[k].active) {
-      out.active_down.emplace_back(
-          k, c.arbiter->allocation_at(k, CellArbiter::kDown).bits_per_second() / 1e6);
-    }
+    Terminal& t = c.terminals[k];
+    if (!t.active) continue;
+    const double mbps = c.arbiter->allocation_at(k, CellArbiter::kDown).bits_per_second() / 1e6;
+    if (same_bits(mbps, t.run_mbps)) continue;
+    if (epoch > t.run_since) out.runs.push_back({k, t.run_mbps, epoch - t.run_since});
+    t.run_mbps = mbps;
+    t.run_since = epoch;
   }
 }
 
 void Fleet::fold_cell(Cell& c, const CellTick& t) {
   c.util_down.add(t.util_down);
   c.util_up.add(t.util_up);
-  for (const auto& [k, mbps] : t.active_down) c.terminals[k].down_mbps.add(mbps);
+  for (const RunFold& r : t.runs) c.terminals[r.terminal].down_mbps.add(r.mbps, r.epochs);
+}
+
+void Fleet::flush_runs(Cell& c) const {
+  for (Terminal& t : c.terminals) {
+    if (!t.active) continue;
+    t.down_mbps.add(t.run_mbps, epochs_ - t.run_since);
+    t.run_since = epochs_;
+  }
+}
+
+void Fleet::flush_run(Aggregate& a) const {
+  a.util_down.add(a.run_down, epochs_ - a.run_since);
+  a.util_up.add(a.run_up, epochs_ - a.run_since);
+  a.run_since = epochs_;
+}
+
+void Fleet::refresh_aggregates(TimePoint now) {
+  // Each analytic term is a function of the class-mix expectation at now,
+  // the override and the aggregate's counts: with none of them moved (no
+  // diurnal modulation, no surge, no promotion) there is nothing to do.
+  const DemandModel::Demand expected = demand_.expected_at(now);
+  if (!aggregates_stale_ &&
+      same_bits(expected.down.bits_per_second(),
+                aggregates_expected_.down.bits_per_second()) &&
+      same_bits(expected.up.bits_per_second(), aggregates_expected_.up.bits_per_second())) {
+    return;
+  }
+  aggregates_expected_ = expected;
+  aggregates_stale_ = false;
+  for (Aggregate& a : aggregates_) {
+    const double down = analytic_util(CellArbiter::kDown, a, expected);
+    const double up = analytic_util(CellArbiter::kUp, a, expected);
+    if (same_bits(down, a.run_down) && same_bits(up, a.run_up)) continue;
+    flush_run(a);
+    a.run_down = down;
+    a.run_up = up;
+  }
+}
+
+const stats::KeyedSamples& Fleet::cell_util(int direction) {
+  for (Aggregate& a : aggregates_) flush_run(a);
+  return direction == CellArbiter::kUp ? cell_util_up_ : cell_util_down_;
+}
+
+const stats::KeyedSamples& Fleet::terminal_down_mbps() {
+  for (Cell& c : cells_) flush_runs(c);
+  return terminal_down_mbps_;
 }
 
 void Fleet::tick() {
@@ -437,11 +514,7 @@ void Fleet::tick() {
   }
   // Aggregated supercells: one O(1) analytic term each, keyed with the
   // aggregate bit so they never collide with base-cell keys.
-  const DemandModel::Demand expected = demand_.expected_at(now);
-  for (Aggregate& a : aggregates_) {
-    a.util_down.add(analytic_util(CellArbiter::kDown, a, expected));
-    a.util_up.add(analytic_util(CellArbiter::kUp, a, expected));
-  }
+  refresh_aggregates(now);
   foreground_down_mbps_.add(access_->downlink_capacity(now).bits_per_second() / 1e6);
   foreground_up_mbps_.add(access_->uplink_capacity(now).bits_per_second() / 1e6);
   ++epochs_;
@@ -449,23 +522,22 @@ void Fleet::tick() {
   obs_util_down_.set(foreground_cell_->arbiter->utilization(CellArbiter::kDown, now));
   obs_util_up_.set(foreground_cell_->arbiter->utilization(CellArbiter::kUp, now));
   // Epoch observability: per-epoch arbiter deltas as gauges, and a trace
-  // span covering the interval this re-evaluation closed out.
-  {
-    const CellArbiter::Stats t = totals();
-    const std::uint64_t d_handovers = t.handovers - published_.handovers;
-    const std::uint64_t d_reallocations = t.reallocations - published_.reallocations;
-    obs_epoch_handovers_.set(static_cast<double>(d_handovers));
-    obs_epoch_reallocations_.set(static_cast<double>(d_reallocations));
-    if (auto* rec = sim_->obs(); rec != nullptr && rec->trace().enabled() && ticked_) {
-      rec->trace().span("fleet", "epoch", last_tick_at_, now,
-                        "{\"epoch\":" + std::to_string(epochs_) +
-                            ",\"handovers\":" + std::to_string(d_handovers) +
-                            ",\"reallocations\":" + std::to_string(d_reallocations) + "}");
-    }
-    last_tick_at_ = now;
-    ticked_ = true;
+  // span covering the interval this re-evaluation closed out. One walk over
+  // the hot cells' counters serves both these deltas and publish_stats().
+  const CellArbiter::Stats t = totals();
+  const std::uint64_t d_handovers = t.handovers - published_.handovers;
+  const std::uint64_t d_reallocations = t.reallocations - published_.reallocations;
+  obs_epoch_handovers_.set(static_cast<double>(d_handovers));
+  obs_epoch_reallocations_.set(static_cast<double>(d_reallocations));
+  if (auto* rec = sim_->obs(); rec != nullptr && rec->trace().enabled() && ticked_) {
+    rec->trace().span("fleet", "epoch", last_tick_at_, now,
+                      "{\"epoch\":" + std::to_string(epochs_) +
+                          ",\"handovers\":" + std::to_string(d_handovers) +
+                          ",\"reallocations\":" + std::to_string(d_reallocations) + "}");
   }
-  publish_stats();
+  last_tick_at_ = now;
+  ticked_ = true;
+  publish_stats(t);
   // Daemon contract: the fleet must never be the only thing keeping
   // `Simulator::run()` (queue-drain termination) alive. At this point our own
   // timer event has already been popped, so an empty queue means no workload,
@@ -486,11 +558,13 @@ void Fleet::set_load_override(int direction, double utilization) {
   // the foreground capacity and the neighbours' contention react. Aggregated
   // supercells read load_override_ inside analytic_util directly.
   load_override_[direction] = utilization;
+  aggregates_stale_ = true;
   for (Cell& c : cells_) c.arbiter->set_load_override(direction, utilization);
 }
 
 void Fleet::clear_load_override(int direction) {
   load_override_[direction] = -1.0;
+  aggregates_stale_ = true;
   for (Cell& c : cells_) c.arbiter->clear_load_override(direction);
 }
 

@@ -18,8 +18,20 @@
 // cell caches its members' seed, class and current session window, and
 // demand is constant within a window (demand.hpp), so an epoch evaluates
 // only the terminals whose window ended: the per-epoch cost is O(session
-// changes) hash evaluations plus a scan of the cell's cached windows and
-// O(active) water-filling and sample folds.
+// changes) hash evaluations plus a scan of the cell's cached windows; the
+// water-filling and a scan of the members' allocations run only on epochs
+// where the cell's arbiter recomputed.
+//
+// Per-epoch sample streams are runs. A background terminal's down_mbps and
+// a supercell's analytic utilization are piecewise constant, so each is
+// kept as an open run (value, first epoch) and folded into its KeyedSamples
+// group — KeyedSamples::Slot::add(x, k), bit-identical to k adds — only when
+// the value changes, the terminal goes idle, the aggregate or its cell is
+// retired, or someone reads the distribution: cell_util() and
+// terminal_down_mbps() flush every open run before they return, so a reader
+// never sees a stale sample. Runs compare values bitwise, and only serial
+// code flushes them (sharded workers stage the folds; no worker creates a
+// group). Hot cells' own utilization is still added every epoch.
 //
 // Continental scale adds two more levers on top (both off by default):
 //
@@ -141,6 +153,11 @@ class Fleet final : public leo::CellShareModel {
     /// This supercell's cell_util(direction) groups, resolved once.
     stats::KeyedSamples::Slot util_down;
     stats::KeyedSamples::Slot util_up;
+    /// The open run: every epoch from `run_since` on sampled (run_down,
+    /// run_up), and none of them is in util_down/util_up yet.
+    double run_down = 0.0;
+    double run_up = 0.0;
+    std::uint64_t run_since = 0;
   };
   /// Supercell-id ordered; empty unless config().aggregate_idle.
   [[nodiscard]] const std::vector<Aggregate>& aggregates() const { return aggregates_; }
@@ -184,13 +201,12 @@ class Fleet final : public leo::CellShareModel {
 
   // --- per-epoch accumulated distributions ----------------------------
   /// Keys are base-cell ids for hot cells and
-  /// (super | HierarchicalGrid::kAggregateKeyBit) for aggregates.
-  [[nodiscard]] const stats::KeyedSamples& cell_util(int direction) const {
-    return direction == CellArbiter::kUp ? cell_util_up_ : cell_util_down_;
-  }
-  [[nodiscard]] const stats::KeyedSamples& terminal_down_mbps() const {
-    return terminal_down_mbps_;
-  }
+  /// (super | HierarchicalGrid::kAggregateKeyBit) for aggregates. Flushes
+  /// the supercells' open runs first.
+  [[nodiscard]] const stats::KeyedSamples& cell_util(int direction);
+  /// Keyed by terminal id, one sample per epoch the terminal was active.
+  /// Flushes the hot terminals' open runs first.
+  [[nodiscard]] const stats::KeyedSamples& terminal_down_mbps();
   [[nodiscard]] const stats::Samples& foreground_down_mbps() const {
     return foreground_down_mbps_;
   }
@@ -208,6 +224,10 @@ class Fleet final : public leo::CellShareModel {
     /// epoch after the cell goes hot to evaluate every member.
     TimePoint until = TimePoint::from_ns(std::numeric_limits<std::int64_t>::min());
     stats::KeyedSamples::Slot down_mbps;  ///< terminal_down_mbps() group
+    /// Open run while active: every epoch from `run_since` on sampled
+    /// `run_mbps`, none of them folded into down_mbps yet.
+    double run_mbps = 0.0;
+    std::uint64_t run_since = 0;
     DemandClass cls = DemandClass::kIdle;
     bool active = false;
   };
@@ -231,6 +251,16 @@ class Fleet final : public leo::CellShareModel {
     std::unique_ptr<leo::HandoverScheduler> scheduler;
     leo::SatIndex last_sat{};
     bool had_sat = false;
+    /// arbiter->stats().reallocations when the terminals' runs were last
+    /// compared with their allocations.
+    std::uint64_t staged_reallocations = 0;
+  };
+
+  /// A closed terminal run: `epochs` samples of `mbps` for terminals[terminal].
+  struct RunFold {
+    std::uint32_t terminal = 0;
+    double mbps = 0.0;
+    std::uint64_t epochs = 0;
   };
 
   /// Per-cell epoch output, staged so sharded and serial ticks fold the
@@ -238,8 +268,7 @@ class Fleet final : public leo::CellShareModel {
   struct CellTick {
     double util_down = 0.0;
     double util_up = 0.0;
-    /// (index into Cell::terminals, mbps)
-    std::vector<std::pair<std::uint32_t, double>> active_down;
+    std::vector<RunFold> runs;  ///< terminal runs closed this epoch
   };
 
   void tick();
@@ -247,13 +276,19 @@ class Fleet final : public leo::CellShareModel {
   /// and stages its samples into `out`. Touches only this cell's state (and
   /// the access's scheduler for the foreground cell), so disjoint cells may
   /// step concurrently.
-  void step_cell(Cell& c, TimePoint now, CellTick& out);
+  void step_cell(Cell& c, TimePoint now, CellTick& out) const;
   /// Folds one staged epoch into the keyed distributions (sim thread only).
   static void fold_cell(Cell& c, const CellTick& t);
+  /// Folds the open runs' epochs so far into their groups (sim thread only).
+  void flush_runs(Cell& c) const;
+  void flush_run(Aggregate& a) const;
+  /// Re-evaluates the supercells' analytic terms when one of their inputs
+  /// moved, closing every run whose value changed.
+  void refresh_aggregates(TimePoint now);
   /// analytic_util() with the class-mix expectation at t already evaluated.
   [[nodiscard]] double analytic_util(int direction, const Aggregate& a,
                                      const DemandModel::Demand& expected) const;
-  void publish_stats();
+  void publish_stats(const CellArbiter::Stats& totals);
   void update_shape_gauges();
   [[nodiscard]] Cell* find_cell(CellId id);
   /// Makes `id` hot: returns the existing cell or builds one, pulling its
@@ -261,7 +296,8 @@ class Fleet final : public leo::CellShareModel {
   Cell* promote_cell(CellId id);
   /// Folds an unpinned, non-foreground hot cell back into its aggregate
   /// (no-op unless aggregate_idle). Its arbiter counters move into the
-  /// retired accumulator so totals() stays monotonic.
+  /// retired accumulator so totals() stays monotonic, and its terminals'
+  /// open runs are flushed.
   void demote_cell(CellId id);
   void make_cell(CellId id, const Placement::CellRange* range);
   void fold_into_aggregate(CellId base, std::uint32_t count);
@@ -305,6 +341,10 @@ class Fleet final : public leo::CellShareModel {
   /// Active scenario load-surge floors (index = direction; < 0 = none), so
   /// cells created by a mid-run migration inherit an in-force override.
   double load_override_[2] = {-1.0, -1.0};
+  /// The class-mix expectation the supercell runs were last evaluated at,
+  /// and whether an override or an aggregate's counts moved since.
+  DemandModel::Demand aggregates_expected_{};
+  bool aggregates_stale_ = true;
 
   CellArbiter::Stats published_{};
   CellArbiter::Stats retired_{};  ///< counters of demoted cells

@@ -13,10 +13,14 @@ KeyedSamples::Group& KeyedSamples::group(std::uint64_t key) {
   return g;
 }
 
+std::size_t KeyedSamples::bucket_of(double x) const {
+  return static_cast<std::size_t>(std::upper_bound(edges_.begin(), edges_.end(), x) -
+                                  edges_.begin());
+}
+
 void KeyedSamples::add_to(Group& g, double x) const {
   g.summary.add(x);
-  const auto it = std::upper_bound(edges_.begin(), edges_.end(), x);
-  ++g.counts[static_cast<std::size_t>(it - edges_.begin())];
+  ++g.counts[bucket_of(x)];
 }
 
 void KeyedSamples::add(std::uint64_t key, double x) { add_to(group(key), x); }
@@ -24,6 +28,13 @@ void KeyedSamples::add(std::uint64_t key, double x) { add_to(group(key), x); }
 void KeyedSamples::Slot::add(double x) {
   if (group_ == nullptr) group_ = &owner_->group(key_);
   owner_->add_to(*group_, x);
+}
+
+void KeyedSamples::Slot::add(double x, std::uint64_t k) {
+  if (k == 0) return;
+  if (group_ == nullptr) group_ = &owner_->group(key_);
+  group_->summary.add_repeated(x, k);
+  group_->counts[owner_->bucket_of(x)] += k;
 }
 
 void KeyedSamples::merge(const KeyedSamples& other) {

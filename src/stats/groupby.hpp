@@ -52,6 +52,8 @@ class KeyedSamples {
     Slot() = default;
     Slot(KeyedSamples& owner, std::uint64_t key) : owner_{&owner}, key_{key} {}
     void add(double x);
+    /// Bit-identical to `k` calls of add(x); k == 0 creates no group.
+    void add(double x, std::uint64_t k);
 
    private:
     KeyedSamples* owner_ = nullptr;
@@ -91,6 +93,7 @@ class KeyedSamples {
   /// `key`'s group, created empty (with zeroed counts) on first use.
   Group& group(std::uint64_t key);
   void add_to(Group& g, double x) const;
+  [[nodiscard]] std::size_t bucket_of(double x) const;
   [[nodiscard]] static double bucket_quantile(const Group& g,
                                               const std::vector<double>& edges, double q);
 

@@ -22,6 +22,14 @@ class StreamingSummary {
     if (x > max_) max_ = x;
   }
 
+  /// Exactly what `k` calls of add(x) leave behind, bit for bit (up to the
+  /// sign and payload of a NaN result, which the compiler may vary between
+  /// call sites of add() itself). Once the mean has settled on a finite
+  /// non-zero x, each further add(x) only bumps the count and the sum (delta
+  /// is +0.0), so a run of one repeated value costs one addition per sample
+  /// instead of a Welford step.
+  void add_repeated(double x, std::uint64_t k);
+
   void merge(const StreamingSummary& other) {
     if (other.count_ == 0) return;
     if (count_ == 0) {

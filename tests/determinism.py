@@ -72,10 +72,17 @@ TABLE = [
         ["--scale=0.2", "--seeds=2", f"--scenario={PLANE_FAILURE}"],
         files=METRICS_TRACE, counters=["scenario.events_applied"],
         strip=r"^(metrics|trace) "),
+    # Fleet rows also diff the epoch shard count: flags are first-wins, so
+    # --shards sits in every axis. The flat grid's many hot cells take the
+    # sharded tick; continental aggregation leaves one hot cell, which steps
+    # serially for any --shards but folds the same supercell runs.
     Row("fleet", "fleet_scale", ["--terminals=1000", "--duration=10m", "--seeds=2"],
+        axes={**JOBS, "sharded": ["--jobs=8", "--shards=4"]},
         files=METRICS, counters=["fleet.reallocations"], strip=r"^(metrics|trace) |job"),
     Row("continental_fleet", "fleet_scale",
-        ["--terminals=100000", "--continental=1", "--shards=4", "--duration=10m", "--seeds=2"],
+        ["--terminals=100000", "--continental=1", "--duration=10m", "--seeds=2"],
+        axes={"serial": ["--jobs=1", "--shards=4"], "parallel": ["--jobs=8", "--shards=4"],
+              "unsharded": ["--jobs=8", "--shards=1"]},
         files=METRICS_TRACE, counters=["fleet.promotions", "fleet.supercells"],
         strip=r"^(metrics|trace) |job"),
     Row("multivantage", "fig1_rtt_anchors",

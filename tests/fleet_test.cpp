@@ -7,11 +7,13 @@
 // load-surge override composition), and the Fleet/FleetCampaign integration
 // (size-1 fallback bit-identity to the legacy LoadProcess path, the fig5
 // speedtest pin, queue-drain termination under packet campaigns, and
-// --jobs invariance of the merged campaign), and the hot cells' cached
+// --jobs invariance of the merged campaign), the hot cells' cached
 // per-terminal demand (equal to the model after every epoch, also under
-// diurnal modulation, sharding and mid-run promotion).
+// diurnal modulation, sharding and mid-run promotion), and the run-folded
+// supercell and terminal samples (bit-equal to one add per epoch).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <memory>
 #include <stdexcept>
@@ -731,6 +733,150 @@ TEST(Fleet, PromotedCellEvaluatesEveryMemberAtItsFirstEpoch) {
   sim.run_for(config.epoch);
   EXPECT_GT(expect_demands_current(fleet, sim.now()), 0);
 }
+
+// ------------------------------------------------ run-folded samples
+
+// Bit equality of two groups (EXPECT_EQ on doubles would take 0.0 for -0.0).
+void expect_group_bits(const stats::KeyedSamples::Group& a, const stats::KeyedSamples::Group& b,
+                       std::uint64_t key) {
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  EXPECT_EQ(a.summary.count(), b.summary.count()) << "key " << key;
+  EXPECT_EQ(bits(a.summary.mean()), bits(b.summary.mean())) << "key " << key;
+  EXPECT_EQ(bits(a.summary.variance()), bits(b.summary.variance())) << "key " << key;
+  EXPECT_EQ(bits(a.summary.sum()), bits(b.summary.sum())) << "key " << key;
+  EXPECT_EQ(bits(a.summary.min()), bits(b.summary.min())) << "key " << key;
+  EXPECT_EQ(bits(a.summary.max()), bits(b.summary.max())) << "key " << key;
+  EXPECT_EQ(a.counts, b.counts) << "key " << key;
+}
+
+// `fleet`'s groups whose key passes `keep` equal `reference`'s, bit for bit.
+template <class Keep>
+void expect_groups_bits(const stats::KeyedSamples& fleet, const stats::KeyedSamples& reference,
+                        Keep keep) {
+  std::size_t kept = 0;
+  for (const auto& [key, g] : fleet.groups()) {
+    if (!keep(key)) continue;
+    ++kept;
+    const auto it = reference.groups().find(key);
+    ASSERT_NE(it, reference.groups().end()) << "key " << key << " only in the fleet";
+    expect_group_bits(g, it->second, key);
+  }
+  EXPECT_EQ(kept, reference.size());
+}
+
+// The samples the fleet folds as runs, rebuilt the slow way after every
+// epoch: one add per supercell from the public analytic_util, and one per
+// active hot terminal from its arbiter's allocation.
+struct ReferenceSamples {
+  stats::KeyedSamples util_down;
+  stats::KeyedSamples util_up;
+  stats::KeyedSamples terminal_mbps;
+
+  explicit ReferenceSamples(Fleet& fleet)
+      : util_down{fleet.cell_util(CellArbiter::kDown).edges()},
+        util_up{fleet.cell_util(CellArbiter::kUp).edges()},
+        terminal_mbps{fleet.terminal_down_mbps().edges()} {}
+
+  void observe(Fleet& fleet, TimePoint now) {
+    for (const Fleet::Aggregate& a : fleet.aggregates()) {
+      const std::uint64_t key = a.super | HierarchicalGrid::kAggregateKeyBit;
+      util_down.add(key, fleet.analytic_util(CellArbiter::kDown, a, now));
+      util_up.add(key, fleet.analytic_util(CellArbiter::kUp, a, now));
+    }
+    for (const Placement::CellRange& r : fleet.placement().cells()) {
+      const CellArbiter* arb = fleet.arbiter(r.cell);
+      if (arb == nullptr) continue;
+      for (std::uint32_t k = 0; k < r.count; ++k) {
+        const TerminalId id = r.first + k;
+        if (arb->demand(id, CellArbiter::kDown).is_zero() &&
+            arb->demand(id, CellArbiter::kUp).is_zero()) {
+          continue;
+        }
+        terminal_mbps.add(id, arb->allocation(id, CellArbiter::kDown).bits_per_second() / 1e6);
+      }
+    }
+  }
+
+  // Reading the fleet's distributions flushes its open runs.
+  void expect_equal(Fleet& fleet) const {
+    const auto aggregate = [](std::uint64_t key) {
+      return (key & HierarchicalGrid::kAggregateKeyBit) != 0;
+    };
+    expect_groups_bits(fleet.cell_util(CellArbiter::kDown), util_down, aggregate);
+    expect_groups_bits(fleet.cell_util(CellArbiter::kUp), util_up, aggregate);
+    expect_groups_bits(fleet.terminal_down_mbps(), terminal_mbps,
+                       [](std::uint64_t) { return true; });
+  }
+};
+
+class RunFolds : public ::testing::TestWithParam<std::tuple<double, int>> {};
+
+TEST_P(RunFolds, SupercellAndTerminalSamplesEqualOneAddPerEpoch) {
+  const auto [amplitude, shards] = GetParam();
+  sim::Simulator sim{41};
+  sim::Network net{sim};
+  leo::StarlinkAccess access{net, {}};
+  Fleet::Config config;
+  config.size = 20000;
+  config.placement = Placement::continental_europe();
+  config.aggregate_idle = true;
+  config.shards = shards;
+  config.demand.diurnal_amplitude = amplitude;
+  config.demand.diurnal_period = Duration::minutes(6);
+  // A heavy foreground squeezes share-limited members: joining a hot cell
+  // moves their allocations with no demand change.
+  config.foreground_weight = 50.0;
+  config.demand.scale_down = 4.0;
+  sim.schedule_in(Duration::hours(1), [] {});
+  Fleet fleet{sim, access, config};
+  ReferenceSamples ref{fleet};
+  ref.observe(fleet, sim.now());  // the construction-time epoch
+  // Vantages keep several cells hot, so shards > 1 takes the sharded path.
+  const leo::GeoPoint amsterdam{52.37, 4.90};
+  const leo::GeoPoint berlin{52.52, 13.40};
+  fleet.add_vantage(amsterdam);
+  fleet.add_vantage({48.86, 2.35});  // Paris
+  ASSERT_GE(fleet.cell_count(), 3u);
+  for (int epoch = 1; epoch <= 90; ++epoch) {
+    sim.run_for(config.epoch);
+    ref.observe(fleet, sim.now());
+    switch (epoch) {
+      case 15:
+        fleet.set_load_override(CellArbiter::kDown, 0.7);
+        break;
+      case 25:
+        ref.expect_equal(fleet);  // mid-run, mid-surge
+        break;
+      case 35:
+        fleet.clear_load_override(CellArbiter::kDown);
+        break;
+      case 45:
+        // Promotes Berlin's cell and demotes home.
+        ASSERT_TRUE(fleet.set_foreground_position(berlin, sim.now()));
+        break;
+      case 60:
+        ref.expect_equal(fleet);
+        ref.expect_equal(fleet);  // a second read with nothing new to fold
+        break;
+      case 70:
+        // Demotes Berlin and joins the hot Amsterdam cell, whose arbiter the
+        // capacity query reallocates between epochs, outside any tick.
+        ASSERT_TRUE(fleet.set_foreground_position(amsterdam, sim.now()));
+        (void)fleet.available_fraction(CellArbiter::kDown, sim.now());
+        break;
+      default:
+        break;
+    }
+    if (::testing::Test::HasFailure()) return;
+  }
+  EXPECT_EQ(fleet.epochs(), 91u);
+  EXPECT_GT(ref.terminal_mbps.total_count(), 1000u);
+  ref.expect_equal(fleet);
+}
+
+INSTANTIATE_TEST_SUITE_P(DiurnalAndShards, RunFolds,
+                         ::testing::Combine(::testing::Values(0.0, 0.3),
+                                            ::testing::Values(1, 4)));
 
 }  // namespace
 }  // namespace slp::fleet

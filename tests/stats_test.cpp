@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "stats/ecdf.hpp"
@@ -20,6 +24,27 @@ using slp::Duration;
 using slp::TimePoint;
 
 // ------------------------------------------------------------ Summary
+
+// Bit equality, except that any two NaNs match: IEEE 754 leaves the sign
+// and payload of an arithmetic NaN unspecified, and a compiler may commute
+// the operands of + and *, so the same add() inlined in two places can
+// produce NaNs with different bits. Every other value, 0.0 vs -0.0
+// included, must match bit for bit.
+bool same_bits(double a, double b) {
+  return (std::isnan(a) && std::isnan(b)) ||
+         std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+void expect_same_bits(const StreamingSummary& a, const StreamingSummary& b,
+                      const std::string& what) {
+  EXPECT_EQ(a.count(), b.count()) << what;
+  EXPECT_TRUE(same_bits(a.mean(), b.mean())) << what;
+  EXPECT_TRUE(same_bits(a.variance(), b.variance())) << what;
+  EXPECT_TRUE(same_bits(a.sample_variance(), b.sample_variance())) << what;
+  EXPECT_TRUE(same_bits(a.sum(), b.sum())) << what;
+  EXPECT_TRUE(same_bits(a.min(), b.min())) << what;
+  EXPECT_TRUE(same_bits(a.max(), b.max())) << what;
+}
 
 TEST(StreamingSummary, BasicMoments) {
   StreamingSummary s;
@@ -48,6 +73,49 @@ TEST(StreamingSummary, MergeEqualsSequential) {
   EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
   EXPECT_DOUBLE_EQ(a.min(), all.min());
   EXPECT_DOUBLE_EQ(a.max(), all.max());
+}
+
+TEST(StreamingSummary, AddRepeatedIsBitIdenticalToRepeatedAdds) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double sub = std::numeric_limits<double>::denorm_min();
+  const std::vector<std::vector<double>> histories{
+      {},                          // empty: the first add sets the mean
+      {3.25, 3.25, 3.25},          // constant: x == mean_ takes the fast path
+      {1.0, 7.5, -2.0, 0.1, 0.1},  // mixed: x != mean_ and m2_ > 0
+      {1.0, 3.0},                  // mixed, with x == mean_ (2.0) below
+      {0.0},
+      {-0.0},
+      {sub, 3.0 * sub},
+      {inf},
+      {-inf, 1.0},
+      {nan},
+  };
+  std::vector<double> xs{3.25, 0.1, 2.0,  0.0,  -0.0, inf, -inf,
+                         nan,  sub, -sub, 2 * sub, 1e300, -7.0};
+  for (const std::vector<double>& h : histories) {
+    StreamingSummary prefix;
+    for (double v : h) prefix.add(v);
+    xs.push_back(prefix.mean());  // x == mean_ after whatever history
+  }
+  for (const std::vector<double>& h : histories) {
+    for (double x : xs) {
+      for (std::uint64_t k : {0ull, 1ull, 2ull, 1000ull, 70000ull}) {
+        StreamingSummary repeated;
+        StreamingSummary looped;
+        for (double v : h) {
+          repeated.add(v);
+          looped.add(v);
+        }
+        repeated.add_repeated(x, k);
+        for (std::uint64_t i = 0; i < k; ++i) looped.add(x);
+        expect_same_bits(repeated, looped,
+                         "history of " + std::to_string(h.size()) + ", x=" +
+                             std::to_string(x) + ", k=" + std::to_string(k));
+        if (::testing::Test::HasFailure()) return;
+      }
+    }
+  }
 }
 
 TEST(StreamingSummary, MergeWithEmpty) {
@@ -389,6 +457,29 @@ TEST(KeyedSamples, SlotCreatesNoGroupUntilItsFirstAdd) {
   EXPECT_EQ(ks.groups().count(11), 0u);
   EXPECT_EQ(ks.groups().at(12).summary.count(), 1u);
   (void)idle;
+}
+
+TEST(KeyedSamples, SlotRepeatedAddEqualsRepeatedAdds) {
+  const std::vector<double> edges{1.0, 2.0, 4.0, 8.0};
+  KeyedSamples repeated{edges};
+  KeyedSamples looped{edges};
+  KeyedSamples::Slot slot = repeated.slot(9);
+  slot.add(5.0, 0);
+  EXPECT_TRUE(repeated.empty()) << "k == 0 creates no group";
+  // Runs across every bucket (an edge value included), with a value that
+  // repeats after a different one so the mean is not settled on it.
+  const std::vector<std::pair<double, std::uint64_t>> runs{
+      {0.5, 3}, {2.0, 1}, {5.0, 400}, {5.0, 7}, {9.5, 2}, {0.5, 0}, {3.0, 50}, {5.0, 9}};
+  for (const auto& [x, k] : runs) {
+    slot.add(x, k);
+    for (std::uint64_t i = 0; i < k; ++i) looped.add(9, x);
+  }
+  ASSERT_EQ(repeated.size(), 1u);
+  ASSERT_EQ(looped.size(), 1u);
+  const KeyedSamples::Group& a = repeated.groups().at(9);
+  const KeyedSamples::Group& b = looped.groups().at(9);
+  EXPECT_EQ(a.counts, b.counts);
+  expect_same_bits(a.summary, b.summary, "slot runs");
 }
 
 }  // namespace
