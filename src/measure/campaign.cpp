@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <functional>
+#include <list>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -10,11 +12,46 @@
 #include "apps/messages.hpp"
 #include "apps/ping.hpp"
 #include "apps/speedtest.hpp"
+#include "measure/session_series.hpp"
 #include "web/browser.hpp"
 #include "web/page.hpp"
 #include "web/server.hpp"
 
 namespace slp::measure {
+namespace {
+
+/// Owns fire-and-forget PingApps: each app frees itself when its round
+/// completes, right after running the caller's completion callback.
+class PingPool {
+ public:
+  apps::PingApp& add(sim::Host& host, const apps::PingApp::Config& config,
+                     std::function<void(const std::vector<apps::PingApp::Probe>&)> done) {
+    const auto app = live_.emplace(live_.end(), host, config);
+    app->on_complete = [this, app, done = std::move(done)](const auto& probes) {
+      done(probes);
+      live_.erase(app);  // destroys this closure: touch nothing after it
+    };
+    return *app;
+  }
+
+ private:
+  std::list<apps::PingApp> live_;
+};
+
+/// Wires one end of a QUIC data transfer: RTT is sampled at the data
+/// sender, loss is observed at the receiver's packet-number gaps.
+void observe_end(quic::QuicConnection& conn, bool sends, stats::Samples& rtt_ms,
+                 LossAnalyzer& analyzer) {
+  if (sends) {
+    conn.hooks.on_packet_acked = [&rtt_ms](std::uint64_t, Duration rtt) {
+      rtt_ms.add(rtt.to_millis());
+    };
+  } else {
+    analyzer.attach(conn);
+  }
+}
+
+}  // namespace
 
 void apply_paper_epochs(leo::StarlinkAccess::Config& config) {
   const TimePoint feb11 = TimePoint::epoch() + Duration::days(53);
@@ -41,9 +78,8 @@ void apply_paper_epochs(leo::StarlinkAccess::Config& config) {
 // ===================================================================== pings
 
 PingCampaign::Result PingCampaign::run(const Config& config) {
-  TestbedConfig tb_config{config};
-  tb_config.with_satcom = false;  // the paper pings over Starlink only
-  tb_config.fleet = config.fleet;
+  // The paper pings over Starlink only.
+  TestbedConfig tb_config{config, AccessKind::kStarlink, config.fleet};
   if (config.epochs) apply_paper_epochs(tb_config.starlink);
   Testbed bed{tb_config};
 
@@ -56,7 +92,7 @@ PingCampaign::Result PingCampaign::run(const Config& config) {
   }
 
   sim::Host& client = bed.starlink().client();
-  std::vector<std::unique_ptr<apps::PingApp>> live;
+  PingPool pings;
 
   const auto rounds = static_cast<std::int64_t>(config.duration / config.cadence);
   for (std::int64_t round = 0; round < rounds; ++round) {
@@ -70,9 +106,7 @@ PingCampaign::Result PingCampaign::run(const Config& config) {
         ping_cfg.target = bed.anchor(a).host->addr();
         ping_cfg.count = config.pings_per_round;
         ping_cfg.flow = a + 1;  // provenance key: anchor index (0 = anonymous)
-        auto app = std::make_unique<apps::PingApp>(client, ping_cfg);
-        apps::PingApp* raw = app.get();
-        app->on_complete = [&, a, at, raw](const std::vector<apps::PingApp::Probe>& probes) {
+        apps::PingApp& app = pings.add(client, ping_cfg, [&, a, at](const auto& probes) {
           AnchorResult& anchor = result.anchors[a];
           for (const auto& probe : probes) {
             result.pings_sent++;
@@ -92,21 +126,9 @@ PingCampaign::Result PingCampaign::run(const Config& config) {
               result.eu_by_hour[hour].push_back(ms);
             }
           }
-          // Self-cleanup.
-          for (auto& slot : live) {
-            if (slot.get() == raw) {
-              slot.reset();
-              break;
-            }
-          }
-        };
+        });
         bed.sim().schedule_in(Duration::from_millis(350.0 * static_cast<double>(a)),
-                              [raw] { raw->start(); });
-        live.push_back(std::move(app));
-      }
-      // Compact the pool occasionally.
-      if (live.size() > 256) {
-        std::erase_if(live, [](const auto& p) { return p == nullptr; });
+                              [&app] { app.start(); });
       }
     });
   }
@@ -118,9 +140,7 @@ PingCampaign::Result PingCampaign::run(const Config& config) {
 // ===================================================================== H3
 
 H3Campaign::Result H3Campaign::run(const Config& config) {
-  TestbedConfig tb_config{config};
-  tb_config.with_satcom = false;
-  tb_config.fleet = config.fleet;
+  TestbedConfig tb_config{config, AccessKind::kStarlink, config.fleet};
   if (config.epochs) apply_paper_epochs(tb_config.starlink);
   Testbed bed{tb_config};
 
@@ -144,54 +164,26 @@ H3Campaign::Result H3Campaign::run(const Config& config) {
   LossAnalyzer analyzer;
   std::vector<std::unique_ptr<apps::H3Client>> clients;
 
-  // RTT sampling happens at the data *sender*: the server for downloads
-  // (the paper captured at the server for its download curves), the client
-  // for uploads. Loss is observed at the receiver's packet-number gaps.
+  // The data sender is the server for downloads (the paper captured at the
+  // server for its download curves), the client for uploads.
   server.on_connection = [&](quic::QuicConnection& conn) {
-    if (config.download) {
-      conn.hooks.on_packet_acked = [&result](std::uint64_t, Duration rtt) {
-        result.rtt_ms.add(rtt.to_millis());
-      };
-    } else {
-      analyzer.attach(conn);
-    }
+    observe_end(conn, config.download, result.rtt_ms, analyzer);
   };
 
-  std::function<void(int)> launch = [&](int remaining) {
-    if (remaining <= 0) return;
+  SessionSeries series{bed.sim(), config.transfers, config.gap, config.transfer_timeout};
+  result.transfers_completed = series.run([&](SessionSeries::Session s) {
     apps::H3Client::Config cc;
     cc.server = bed.campus_server().addr();
     cc.download = config.download;
     cc.bytes = config.bytes;
     cc.quic = quic_config;
-    clients.push_back(std::make_unique<apps::H3Client>(client_stack, cc));
-    apps::H3Client& h3 = *clients.back();
+    apps::H3Client& h3 = *clients.emplace_back(std::make_unique<apps::H3Client>(client_stack, cc));
     h3.start();
-    if (config.download) {
-      analyzer.attach(h3.connection());
-    } else {
-      h3.connection().hooks.on_packet_acked = [&result](std::uint64_t, Duration rtt) {
-        result.rtt_ms.add(rtt.to_millis());
-      };
-    }
-    auto done = std::make_shared<bool>(false);
-    h3.on_complete = [&, remaining, done](const apps::H3Client::Result& r) {
-      *done = true;
-      result.goodput_mbps.add(r.goodput.to_mbps());
-      result.transfers_completed++;
-      bed.sim().schedule_in(config.gap, [&launch, remaining] { launch(remaining - 1); });
+    observe_end(h3.connection(), !config.download, result.rtt_ms, analyzer);
+    h3.on_complete = [&, s](const apps::H3Client::Result& r) {
+      if (s.complete()) result.goodput_mbps.add(r.goodput.to_mbps());
     };
-    // Watchdog: a transfer stuck past the timeout is abandoned.
-    bed.sim().schedule_in(config.transfer_timeout, [&, remaining, done] {
-      if (!*done) {
-        *done = true;
-        bed.sim().schedule_in(config.gap, [&launch, remaining] { launch(remaining - 1); });
-      }
-    });
-  };
-  launch(config.transfers);
-  bed.sim().run();
-
+  });
   result.loss = analyzer.analyze();
   result.obs = bed.sim().take_obs();
   return result;
@@ -200,10 +192,7 @@ H3Campaign::Result H3Campaign::run(const Config& config) {
 // ================================================================= messages
 
 MessageCampaign::Result MessageCampaign::run(const Config& config) {
-  TestbedConfig tb_config{config};
-  tb_config.with_satcom = false;
-  tb_config.fleet = config.fleet;
-  Testbed bed{tb_config};
+  Testbed bed{TestbedConfig{config, AccessKind::kStarlink, config.fleet}};
 
   Result result;
   quic::QuicStack client_stack{bed.starlink().client()};
@@ -216,57 +205,41 @@ MessageCampaign::Result MessageCampaign::run(const Config& config) {
   std::vector<std::unique_ptr<apps::MessageSender>> senders;
   std::vector<std::unique_ptr<apps::MessageReceiver>> receivers;
 
+  const auto receive = [&](quic::QuicConnection& conn) {
+    auto& receiver = *receivers.emplace_back(std::make_unique<apps::MessageReceiver>(conn));
+    receiver.on_delivery = [&result](const apps::MessageReceiver::Delivery& d) {
+      result.latency_ms.add(d.latency.to_millis());
+    };
+  };
   // For downloads the *server* drives the messages; its connection appears
   // via the listener. For uploads the client drives.
   quic::QuicConnection* server_conn = nullptr;
   server_stack.listen(443, [&](quic::QuicConnection& conn) {
     server_conn = &conn;
-    if (config.upload) {
-      analyzer.attach(conn);
-      receivers.push_back(std::make_unique<apps::MessageReceiver>(conn));
-      receivers.back()->on_delivery = [&result](const apps::MessageReceiver::Delivery& d) {
-        result.latency_ms.add(d.latency.to_millis());
-      };
-    } else {
-      conn.hooks.on_packet_acked = [&result](std::uint64_t, Duration rtt) {
-        result.rtt_ms.add(rtt.to_millis());
-      };
-    }
+    observe_end(conn, !config.upload, result.rtt_ms, analyzer);
+    if (config.upload) receive(conn);
   }, quic_config);
 
-  std::function<void(int)> launch = [&](int remaining) {
-    if (remaining <= 0) return;
+  SessionSeries series{bed.sim(), config.sessions, config.gap};
+  series.run([&](SessionSeries::Session s) {
     quic::QuicConnection& conn = client_stack.connect(bed.campus_server().addr(), 443,
                                                       quic_config);
-    if (config.upload) {
-      conn.hooks.on_packet_acked = [&result](std::uint64_t, Duration rtt) {
-        result.rtt_ms.add(rtt.to_millis());
-      };
-    } else {
-      analyzer.attach(conn);
-      receivers.push_back(std::make_unique<apps::MessageReceiver>(conn));
-      receivers.back()->on_delivery = [&result](const apps::MessageReceiver::Delivery& d) {
-        result.latency_ms.add(d.latency.to_millis());
-      };
-    }
-    conn.on_established = [&, remaining] {
+    observe_end(conn, config.upload, result.rtt_ms, analyzer);
+    if (!config.upload) receive(conn);
+    conn.on_established = [&, s] {
       apps::MessageSender::Config sender_config;
       sender_config.duration = config.session_duration;
       // Downloads: the sender runs on the server side of this connection.
       quic::QuicConnection& driving = config.upload ? conn : *server_conn;
-      senders.push_back(std::make_unique<apps::MessageSender>(
+      apps::MessageSender& sender = *senders.emplace_back(std::make_unique<apps::MessageSender>(
           driving, sender_config,
-          bed.sim().fork_rng("msg-session-" + std::to_string(remaining))));
-      apps::MessageSender& sender = *senders.back();
-      sender.on_complete = [&, remaining] {
-        result.messages_sent += sender.messages_sent();
-        bed.sim().schedule_in(config.gap, [&launch, remaining] { launch(remaining - 1); });
+          bed.sim().fork_rng("msg-session-" + std::to_string(config.sessions - s.index))));
+      sender.on_complete = [&, s] {
+        if (s.complete()) result.messages_sent += sender.messages_sent();
       };
       sender.start();
     };
-  };
-  launch(config.sessions);
-  bed.sim().run();
+  });
 
   result.loss = analyzer.analyze();
   result.obs = bed.sim().take_obs();
@@ -276,10 +249,8 @@ MessageCampaign::Result MessageCampaign::run(const Config& config) {
 // ================================================================ speedtest
 
 SpeedtestCampaign::Result SpeedtestCampaign::run(const Config& config) {
-  TestbedConfig tb_config{config};
-  tb_config.with_satcom = config.access == AccessKind::kSatCom;
+  TestbedConfig tb_config{config, config.access, config.fleet};
   tb_config.geo.pep.enabled = config.satcom_pep;
-  if (config.access == AccessKind::kStarlink) tb_config.fleet = config.fleet;
   Testbed bed{tb_config};
 
   Result result;
@@ -288,23 +259,20 @@ SpeedtestCampaign::Result SpeedtestCampaign::run(const Config& config) {
   apps::SpeedtestServer server{server_stack};
 
   std::vector<std::unique_ptr<apps::Speedtest>> tests;
-  std::function<void(int)> launch = [&](int remaining) {
-    if (remaining <= 0) return;
+  SessionSeries series{bed.sim(), config.tests, config.gap};
+  series.run([&](SessionSeries::Session s) {
     apps::Speedtest::Config test_config;
     test_config.server = bed.ookla_server().addr();
     test_config.connections = config.connections;
     test_config.duration = config.test_duration;
     test_config.download = config.download;
-    tests.push_back(std::make_unique<apps::Speedtest>(client_stack, test_config));
-    apps::Speedtest& test = *tests.back();
-    test.on_complete = [&, remaining](const apps::Speedtest::Result& r) {
-      result.mbps.add(r.goodput.to_mbps());
-      bed.sim().schedule_in(config.gap, [&launch, remaining] { launch(remaining - 1); });
+    apps::Speedtest& test =
+        *tests.emplace_back(std::make_unique<apps::Speedtest>(client_stack, test_config));
+    test.on_complete = [&, s](const apps::Speedtest::Result& r) {
+      if (s.complete()) result.mbps.add(r.goodput.to_mbps());
     };
     test.start();
-  };
-  launch(config.tests);
-  bed.sim().run();
+  });
   result.obs = bed.sim().take_obs();
   return result;
 }
@@ -312,10 +280,8 @@ SpeedtestCampaign::Result SpeedtestCampaign::run(const Config& config) {
 // ====================================================================== web
 
 WebCampaign::Result WebCampaign::run(const Config& config) {
-  TestbedConfig tb_config{config};
-  tb_config.with_satcom = config.access == AccessKind::kSatCom;
+  TestbedConfig tb_config{config, config.access, config.fleet};
   tb_config.geo.pep.enabled = config.satcom_pep;
-  if (config.access == AccessKind::kStarlink) tb_config.fleet = config.fleet;
   Testbed bed{tb_config};
 
   Result result;
@@ -351,26 +317,22 @@ WebCampaign::Result WebCampaign::run(const Config& config) {
   Rng site_rng = bed.sim().fork_rng("site-choice");
   double total_connections = 0.0;
 
-  std::function<void(int)> visit_next = [&](int remaining) {
-    if (remaining <= 0) return;
+  SessionSeries series{bed.sim(), config.visits, config.gap};
+  result.visits_completed = series.run([&](SessionSeries::Session s) {
     const web::WebPage& page = catalog.site(site_rng.index(catalog.size()));
     server.clear_plans();
-    browser.visit(page, [&, remaining](const web::Browser::VisitResult& r) {
-      if (r.complete) {
-        result.visits_completed++;
+    browser.visit(page, [&, s](const web::Browser::VisitResult& r) {
+      if (!r.complete) {
+        s.abandon();
+      } else if (s.complete()) {
         result.onload_s.add(r.on_load.to_seconds());
         result.speedindex_s.add(r.speed_index.to_seconds());
         result.setup_ms.add(r.mean_connection_setup.to_millis());
         total_connections += r.connections_opened;
-      } else {
-        result.visits_timed_out++;
       }
-      bed.sim().schedule_in(config.gap, [&visit_next, remaining] { visit_next(remaining - 1); });
     });
-  };
-  visit_next(config.visits);
-  bed.sim().run();
-
+  });
+  result.visits_timed_out = series.abandoned();
   if (result.visits_completed > 0) {
     result.mean_connections = total_connections / result.visits_completed;
   }
@@ -386,9 +348,7 @@ RoadTripCampaign::Result RoadTripCampaign::run(const Config& config) {
     throw std::invalid_argument("road trip: unknown route '" + config.route + "'");
   }
 
-  TestbedConfig tb_config{config};
-  tb_config.with_satcom = false;
-  tb_config.fleet = config.fleet;
+  TestbedConfig tb_config{config, AccessKind::kStarlink, config.fleet};
   tb_config.mobility.route = *route;
   tb_config.mobility.speed_scale = config.speed_scale;
   tb_config.mobility.obstructions = config.obstructions;
@@ -416,7 +376,7 @@ RoadTripCampaign::Result RoadTripCampaign::run(const Config& config) {
 
   sim::Host& client = bed.starlink().client();
   const sim::Ipv4Addr target = bed.anchor(0).host->addr();  // brussels-be
-  std::vector<std::unique_ptr<apps::PingApp>> live;
+  PingPool pings;
 
   for (std::int64_t round = 0; round < rounds; ++round) {
     const TimePoint at = TimePoint::epoch() + config.cadence * static_cast<double>(round);
@@ -425,9 +385,7 @@ RoadTripCampaign::Result RoadTripCampaign::run(const Config& config) {
       ping_cfg.target = target;
       ping_cfg.count = 1;
       ping_cfg.flow = 1;
-      auto app = std::make_unique<apps::PingApp>(client, ping_cfg);
-      apps::PingApp* raw = app.get();
-      app->on_complete = [&, at, round, raw](const std::vector<apps::PingApp::Probe>& probes) {
+      pings.add(client, ping_cfg, [&, at, round](const auto& probes) {
         // Bin by the vehicle's speed at probe launch (0 while parked or
         // before departure), 20 km/h per bin.
         const mobility::Trajectory::State st = bed.mobility()->state_at(at);
@@ -445,18 +403,7 @@ RoadTripCampaign::Result RoadTripCampaign::run(const Config& config) {
             result.comp_ns[static_cast<std::size_t>(c)] += probe.comp_ns[c];
           }
         }
-        for (auto& slot : live) {
-          if (slot.get() == raw) {
-            slot.reset();
-            break;
-          }
-        }
-      };
-      raw->start();
-      live.push_back(std::move(app));
-      if (live.size() > 256) {
-        std::erase_if(live, [](const auto& p) { return p == nullptr; });
-      }
+      }).start();
     });
   }
   bed.sim().run();
@@ -557,9 +504,7 @@ void merge(WebCampaign::Result& into, const WebCampaign::Result& from) {
 // =============================================================== middleboxes
 
 MiddleboxAudit::Result MiddleboxAudit::run(const Config& config) {
-  TestbedConfig tb_config{config};
-  tb_config.with_satcom = config.access == AccessKind::kSatCom;
-  Testbed bed{tb_config};
+  Testbed bed{TestbedConfig{config, config.access}};
 
   Result result;
   sim::Host& client = bed.client(config.access);

@@ -14,6 +14,15 @@
 // every run() builds its own Testbed from that env, so campaigns are
 // independent and reproducible. Timeline compression: cadences are
 // parameters; the paper's five months are replayed at a configurable pace.
+//
+// Session series (SessionSeries, session_series.hpp): H3, messages,
+// Speedtest, web and the three QoE campaigns run N sessions one at a time;
+// session i+1 starts one `gap` after session i *ends*. Each session has
+// exactly one outcome, completed or abandoned, and the first report wins: a
+// completion after the deadline adds no sample and launches nothing. Only H3
+// (transfer_timeout) and web (the browser's visit_timeout) have deadlines.
+// A session still open when the run ends counts as abandoned; with metrics
+// on, campaign.sessions_{launched,completed,abandoned} count the outcomes.
 #pragma once
 
 #include <array>

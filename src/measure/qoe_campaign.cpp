@@ -1,9 +1,11 @@
 #include "measure/qoe_campaign.hpp"
 
-#include <functional>
 #include <memory>
+#include <tuple>
+#include <utility>
 #include <vector>
 
+#include "measure/session_series.hpp"
 #include "sim/provenance.hpp"
 
 namespace slp::measure {
@@ -15,15 +17,16 @@ std::uint64_t handover_slot_phase(TimePoint t) {
   return static_cast<std::uint64_t>(ns / Duration::seconds(1).ns());
 }
 
-// ================================================================ ABR video
+// ============================================== ABR video, videoconferencing
 
-AbrCampaign::Result AbrCampaign::run(const Config& config) {
-  TestbedConfig tb_config{config};
-  tb_config.with_satcom = false;
-  tb_config.fleet = config.fleet;
-  Testbed bed{tb_config};
+namespace {
 
-  Result result;
+/// Runs ABR or videoconferencing QUIC sessions from the Starlink client to
+/// the campus server as a session series; `fold` takes each completed
+/// session's metrics. Returns the completed count and the cell's snapshot.
+template <typename Session, typename Config, typename Fold>
+std::pair<int, obs::Snapshot> run_quic_series(const Config& config, int sessions, Fold fold) {
+  Testbed bed{TestbedConfig{config, AccessKind::kStarlink, config.fleet}};
   quic::QuicStack client_stack{bed.starlink().client()};
   quic::QuicStack server_stack{bed.campus_server()};
   const quic::QuicConfig quic_config;
@@ -31,60 +34,47 @@ AbrCampaign::Result AbrCampaign::run(const Config& config) {
   // Sessions run one at a time, so the listener always hands the accepted
   // connection to the session launched last (see AbrVideoSession's wiring
   // contract: accept precedes the client handshake completing).
-  std::vector<std::unique_ptr<qoe::AbrVideoSession>> sessions;
-  qoe::AbrVideoSession* pending = nullptr;
+  std::vector<std::unique_ptr<Session>> live;
+  Session* pending = nullptr;
   server_stack.listen(443, [&](quic::QuicConnection& conn) {
     if (pending != nullptr) pending->attach_server(conn);
   }, quic_config);
 
-  std::function<void(int)> launch = [&](int remaining) {
-    if (remaining <= 0) return;
+  SessionSeries series{bed.sim(), sessions, config.gap};
+  const int completed = series.run([&](SessionSeries::Session s) {
     quic::QuicConnection& conn =
         client_stack.connect(bed.campus_server().addr(), 443, quic_config);
-    sessions.push_back(std::make_unique<qoe::AbrVideoSession>(conn, config.session));
-    qoe::AbrVideoSession& session = *sessions.back();
-    pending = &session;
-    session.on_complete = [&, remaining](const qoe::AbrVideoSession::Metrics& m) {
-      result.startup_s.add(m.startup_delay.to_seconds());
-      result.rebuffer_ratio.add(m.rebuffer_ratio());
-      if (m.segments_downloaded > 0) result.mean_rung_mbps.add(m.mean_rung_mbps);
-      for (double mbps : m.segment_mbps) result.segment_mbps.add(mbps);
-      for (TimePoint at : m.rebuffer_at) {
-        result.rebuffer_by_phase.add(handover_slot_phase(at), 1.0);
-      }
-      result.rebuffer_events += static_cast<std::uint64_t>(m.rebuffer_events);
-      result.quality_switches += static_cast<std::uint64_t>(m.quality_switches);
-      result.segments += static_cast<std::uint64_t>(m.segments_downloaded);
-      result.sessions_completed++;
-      bed.sim().schedule_in(config.gap, [&launch, remaining] { launch(remaining - 1); });
+    pending = live.emplace_back(std::make_unique<Session>(conn, config.session)).get();
+    pending->on_complete = [&fold, s](const typename Session::Metrics& m) {
+      if (s.complete()) fold(m);
     };
-    session.start();
-  };
-  launch(config.sessions);
-  bed.sim().run();
-  result.obs = bed.sim().take_obs();
+    pending->start();
+  });
+  return {completed, bed.sim().take_obs()};
+}
+
+}  // namespace
+
+AbrCampaign::Result AbrCampaign::run(const Config& config) {
+  Result result;
+  std::tie(result.sessions_completed, result.obs) = run_quic_series<qoe::AbrVideoSession>(
+      config, config.sessions, [&result](const qoe::AbrVideoSession::Metrics& m) {
+        result.startup_s.add(m.startup_delay.to_seconds());
+        result.rebuffer_ratio.add(m.rebuffer_ratio());
+        if (m.segments_downloaded > 0) result.mean_rung_mbps.add(m.mean_rung_mbps);
+        for (double mbps : m.segment_mbps) result.segment_mbps.add(mbps);
+        for (TimePoint at : m.rebuffer_at) {
+          result.rebuffer_by_phase.add(handover_slot_phase(at), 1.0);
+        }
+        result.rebuffer_events += static_cast<std::uint64_t>(m.rebuffer_events);
+        result.quality_switches += static_cast<std::uint64_t>(m.quality_switches);
+        result.segments += static_cast<std::uint64_t>(m.segments_downloaded);
+      });
   return result;
 }
 
-// ======================================================== videoconferencing
-
 VcCampaign::Result VcCampaign::run(const Config& config) {
-  TestbedConfig tb_config{config};
-  tb_config.with_satcom = false;
-  tb_config.fleet = config.fleet;
-  Testbed bed{tb_config};
-
   Result result;
-  quic::QuicStack client_stack{bed.starlink().client()};
-  quic::QuicStack server_stack{bed.campus_server()};
-  const quic::QuicConfig quic_config;
-
-  std::vector<std::unique_ptr<qoe::VcSession>> calls;
-  qoe::VcSession* pending = nullptr;
-  server_stack.listen(443, [&](quic::QuicConnection& conn) {
-    if (pending != nullptr) pending->attach_server(conn);
-  }, quic_config);
-
   const auto fold_dir = [&result](const qoe::VcSession::DirMetrics& dir) {
     for (const qoe::VcSession::Window& win : dir.windows) {
       result.mos.add(win.mos);
@@ -96,50 +86,32 @@ VcCampaign::Result VcCampaign::run(const Config& config) {
     result.frames_missed += dir.frames_missed;
     result.datagrams_lost += dir.datagrams_lost;
   };
-
-  std::function<void(int)> launch = [&](int remaining) {
-    if (remaining <= 0) return;
-    quic::QuicConnection& conn =
-        client_stack.connect(bed.campus_server().addr(), 443, quic_config);
-    calls.push_back(std::make_unique<qoe::VcSession>(conn, config.session));
-    qoe::VcSession& call = *calls.back();
-    pending = &call;
-    call.on_complete = [&, remaining](const qoe::VcSession::Metrics& m) {
-      fold_dir(m.up);
-      fold_dir(m.down);
-      result.calls_completed++;
-      bed.sim().schedule_in(config.gap, [&launch, remaining] { launch(remaining - 1); });
-    };
-    call.start();
-  };
-  launch(config.calls);
-  bed.sim().run();
-  result.obs = bed.sim().take_obs();
+  std::tie(result.calls_completed, result.obs) = run_quic_series<qoe::VcSession>(
+      config, config.calls, [&fold_dir](const qoe::VcSession::Metrics& m) {
+        fold_dir(m.up);
+        fold_dir(m.down);
+      });
   return result;
 }
 
 // ============================================================= game traffic
 
 GameCampaign::Result GameCampaign::run(const Config& config) {
-  TestbedConfig tb_config{config};
-  tb_config.with_satcom = false;
-  tb_config.fleet = config.fleet;
-  Testbed bed{tb_config};
+  Testbed bed{TestbedConfig{config, AccessKind::kStarlink, config.fleet}};
 
   Result result;
   std::vector<std::unique_ptr<qoe::GameSession>> matches;
 
-  std::function<void(int)> launch = [&](int remaining) {
-    if (remaining <= 0) return;
+  SessionSeries series{bed.sim(), config.matches, config.gap};
+  result.matches_completed = series.run([&](SessionSeries::Session s) {
     // Distinct server port per match: earlier sessions stay alive (their
     // metrics belong to them) and a port stays bound for its session's life.
     qoe::GameSession::Config session_config = config.session;
-    session_config.server_port = static_cast<std::uint16_t>(
-        config.session.server_port + (config.matches - remaining));
-    matches.push_back(std::make_unique<qoe::GameSession>(
+    session_config.server_port = static_cast<std::uint16_t>(session_config.server_port + s.index);
+    qoe::GameSession& match = *matches.emplace_back(std::make_unique<qoe::GameSession>(
         bed.starlink().client(), bed.campus_server(), session_config));
-    qoe::GameSession& match = *matches.back();
-    match.on_complete = [&, remaining](const qoe::GameSession::Metrics& m) {
+    match.on_complete = [&, s](const qoe::GameSession::Metrics& m) {
+      if (!s.complete()) return;
       for (const qoe::GameSession::Tick& t : m.ticks) {
         result.ticks_sent++;
         const double stall_ms = static_cast<double>(t.handover_stall_ns) * 1e-6;
@@ -165,13 +137,9 @@ GameCampaign::Result GameCampaign::run(const Config& config) {
           }
         }
       }
-      result.matches_completed++;
-      bed.sim().schedule_in(config.gap, [&launch, remaining] { launch(remaining - 1); });
     };
     match.start();
-  };
-  launch(config.matches);
-  bed.sim().run();
+  });
   result.obs = bed.sim().take_obs();
   return result;
 }

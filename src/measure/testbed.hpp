@@ -43,8 +43,13 @@ enum class AccessKind { kStarlink, kSatCom, kWired };
 
 struct TestbedConfig : fleet::RunEnv {
   TestbedConfig() = default;
-  /// A campaign's Testbed: the campaign Config's env, everything else default.
-  explicit TestbedConfig(const fleet::RunEnv& env) : fleet::RunEnv{env} {}
+  /// A campaign's Testbed: the campaign Config's env, the SatCom side only
+  /// for SatCom access, `starlink_fleet` only for Starlink access.
+  TestbedConfig(const fleet::RunEnv& env, AccessKind access,
+                const fleet::Fleet::Config& starlink_fleet = {})
+      : fleet::RunEnv{env}, with_satcom{access == AccessKind::kSatCom} {
+    if (access == AccessKind::kStarlink) fleet = starlink_fleet;
+  }
 
   leo::StarlinkAccess::Config starlink;
   geo::GeoAccess::Config geo;
@@ -77,14 +82,9 @@ class Testbed {
   [[nodiscard]] sim::Simulator& sim() { return sim_; }
   [[nodiscard]] sim::Network& net() { return net_; }
   [[nodiscard]] leo::StarlinkAccess& starlink() { return *starlink_; }
-  /// Null unless the config carried a non-empty scenario.
-  [[nodiscard]] const scenario::Injector* injector() const { return injector_.get(); }
-  /// Null unless the config asked for a fleet (fleet.size > 0).
-  [[nodiscard]] fleet::Fleet* fleet() { return fleet_.get(); }
   /// Null unless the config carried a non-trivial route or a `move` event.
   [[nodiscard]] mobility::MobileTerminal* mobility() { return mobile_.get(); }
   [[nodiscard]] geo::GeoAccess& satcom() { return *geo_; }
-  [[nodiscard]] bool has_satcom() const { return geo_ != nullptr; }
 
   /// The measurement client of a given access technology.
   [[nodiscard]] sim::Host& client(AccessKind kind);

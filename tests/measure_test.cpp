@@ -161,6 +161,26 @@ TEST(PingCampaignTest, ShortCampaignProducesStarlinkLikeRtts) {
   EXPECT_LT(static_cast<double>(result.pings_lost) / result.pings_sent, 0.05);
 }
 
+TEST(H3CampaignTest, LateCompletionAfterTheDeadlineIsIgnored) {
+  // A 2 MB transfer over Starlink outlives a 200 ms transfer_timeout. The
+  // deadline abandons it and launches its one successor; its own late
+  // completion must neither count nor launch a second successor.
+  H3Campaign::Config config;
+  config.transfers = 3;
+  config.bytes = 2'000'000;
+  config.transfer_timeout = Duration::millis(200);
+  config.epochs = false;
+  config.obs.metrics = true;
+  const auto result = H3Campaign::run(config);
+  EXPECT_LE(result.transfers_completed, 3);
+  EXPECT_EQ(result.goodput_mbps.size(), static_cast<std::size_t>(result.transfers_completed));
+  const auto& counters = result.obs.counters;
+  ASSERT_TRUE(counters.contains("campaign.sessions_launched"));
+  EXPECT_EQ(counters.at("campaign.sessions_launched"), 3u);
+  EXPECT_EQ(counters.at("campaign.sessions_completed") + counters.at("campaign.sessions_abandoned"),
+            3u);
+}
+
 TEST(MessageCampaignTest, ShortUploadSessionCollectsEverything) {
   MessageCampaign::Config config;
   config.sessions = 1;
@@ -232,11 +252,13 @@ TEST(AccessKind, ParseInvertsToStringAndTakesAliases) {
 // metrics on, a scenario and a 3-terminal fleet in the env/Config, the
 // cell's snapshot must show the scenario's injector, the simulator's event
 // counter and (Starlink access only) the fleet. A run() that dropped a field
-// would lose the matching counters.
+// would lose the matching counters. The session-series campaigns run one
+// session, which must be launched and completed exactly once.
 
 struct EnvCase {
   const char* name;
   bool expect_fleet;  ///< Config::fleet applies (Starlink access)
+  bool one_session;   ///< a one-session measure::SessionSeries run
   obs::Snapshot (*run)();
 };
 
@@ -261,7 +283,7 @@ obs::Snapshot run_with_env(typename Campaign::Config config) {
 }
 
 const EnvCase kEnvCases[] = {
-    {"Ping", true,
+    {"Ping", true, false,
      [] {
        PingCampaign::Config c;
        c.duration = c.cadence;
@@ -269,7 +291,7 @@ const EnvCase kEnvCases[] = {
        c.epochs = false;
        return run_with_env<PingCampaign>(c);
      }},
-    {"H3", true,
+    {"H3", true, true,
      [] {
        H3Campaign::Config c;
        c.transfers = 1;
@@ -277,14 +299,14 @@ const EnvCase kEnvCases[] = {
        c.epochs = false;
        return run_with_env<H3Campaign>(c);
      }},
-    {"Message", true,
+    {"Message", true, true,
      [] {
        MessageCampaign::Config c;
        c.sessions = 1;
        c.session_duration = Duration::seconds(2);
        return run_with_env<MessageCampaign>(c);
      }},
-    {"SpeedtestStarlink", true,
+    {"SpeedtestStarlink", true, true,
      [] {
        SpeedtestCampaign::Config c;
        c.tests = 1;
@@ -292,7 +314,7 @@ const EnvCase kEnvCases[] = {
        c.test_duration = Duration::seconds(1);
        return run_with_env<SpeedtestCampaign>(c);
      }},
-    {"SpeedtestSatCom", false,
+    {"SpeedtestSatCom", false, true,
      [] {
        SpeedtestCampaign::Config c;
        c.access = AccessKind::kSatCom;
@@ -301,14 +323,14 @@ const EnvCase kEnvCases[] = {
        c.test_duration = Duration::seconds(1);
        return run_with_env<SpeedtestCampaign>(c);
      }},
-    {"WebStarlink", true,
+    {"WebStarlink", true, true,
      [] {
        WebCampaign::Config c;
        c.visits = 1;
        c.catalog_sites = 1;
        return run_with_env<WebCampaign>(c);
      }},
-    {"WebSatCom", false,
+    {"WebSatCom", false, true,
      [] {
        WebCampaign::Config c;
        c.access = AccessKind::kSatCom;
@@ -316,33 +338,33 @@ const EnvCase kEnvCases[] = {
        c.catalog_sites = 1;
        return run_with_env<WebCampaign>(c);
      }},
-    {"RoadTrip", true,
+    {"RoadTrip", true, false,
      [] {
        RoadTripCampaign::Config c;
        c.duration = Duration::seconds(5);
        return run_with_env<RoadTripCampaign>(c);
      }},
-    {"MiddleboxAudit", false,  // no fleet field
+    {"MiddleboxAudit", false, false,  // no fleet field
      [] {
        MiddleboxAudit::Config c;
        c.wehe_repetitions = 1;
        return run_with_env<MiddleboxAudit>(c);
      }},
-    {"Abr", true,
+    {"Abr", true, true,
      [] {
        AbrCampaign::Config c;
        c.sessions = 1;
        c.session.watch = Duration::seconds(8);
        return run_with_env<AbrCampaign>(c);
      }},
-    {"Vc", true,
+    {"Vc", true, true,
      [] {
        VcCampaign::Config c;
        c.calls = 1;
        c.session.duration = Duration::seconds(5);
        return run_with_env<VcCampaign>(c);
      }},
-    {"Game", true,
+    {"Game", true, true,
      [] {
        GameCampaign::Config c;
        c.matches = 1;
@@ -350,13 +372,13 @@ const EnvCase kEnvCases[] = {
        return run_with_env<GameCampaign>(c);
      }},
     // Fleet-only cells run for a fixed window: plane_failure opens on day 30.
-    {"FleetCampaign", true,
+    {"FleetCampaign", true, false,
      [] {
        fleet::FleetCampaign::Config c;
        c.duration = Duration::days(31);
        return run_with_env<fleet::FleetCampaign>(c);
      }},
-    {"MultiVantage", true,
+    {"MultiVantage", true, false,
      [] {
        MultiVantageCampaign::Config c;
        c.duration = Duration::days(31);
@@ -369,7 +391,7 @@ void PrintTo(const EnvCase& c, std::ostream* os) { *os << c.name; }
 
 class RunEnvMapping : public ::testing::TestWithParam<EnvCase> {};
 
-TEST_P(RunEnvMapping, EnvAndFleetReachTheTestbed) {
+TEST_P(RunEnvMapping, EnvAndFleetReachTheCell) {
   const EnvCase& c = GetParam();
   const obs::Snapshot snap = c.run();
   EXPECT_EQ(snap.cells, 1u);
@@ -381,9 +403,14 @@ TEST_P(RunEnvMapping, EnvAndFleetReachTheTestbed) {
   const bool has_fleet = fleet_counter != snap.counters.end() &&
                          fleet_counter->first.starts_with("fleet.");
   EXPECT_EQ(has_fleet, c.expect_fleet);
+  EXPECT_EQ(snap.counters.contains("campaign.sessions_launched"), c.one_session);
+  if (c.one_session) {
+    EXPECT_EQ(snap.counters.at("campaign.sessions_launched"), 1u);
+    EXPECT_EQ(snap.counters.at("campaign.sessions_completed"), 1u);
+  }
 }
 
-INSTANTIATE_TEST_SUITE_P(TestbedCampaigns, RunEnvMapping, ::testing::ValuesIn(kEnvCases),
+INSTANTIATE_TEST_SUITE_P(CampaignCells, RunEnvMapping, ::testing::ValuesIn(kEnvCases),
                          [](const ::testing::TestParamInfo<EnvCase>& info) {
                            return std::string{info.param.name};
                          });
