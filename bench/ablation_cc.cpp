@@ -5,6 +5,7 @@
 // loss-based control (Cubic, NewReno) pays for every medium-loss burst,
 // while model-based BBR shrugs them off and keeps the queue shallow.
 #include <cstdio>
+#include <iterator>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -82,23 +83,15 @@ int main(int argc, char** argv) {
   // Every (loss regime, controller, replication) is an independent cell —
   // run them all on one pool and read results back in cell order, so the
   // table is identical for any --jobs.
-  const int runs = args.scaled(3) * args.seeds;
-  std::vector<CcResult> cells(2 * 3 * static_cast<std::size_t>(runs));
-  {
-    runner::Pool pool{args.jobs};
-    std::size_t cell = 0;
-    for (const bool heavy : {false, true}) {
-      for (const Row& row : rows) {
-        for (int i = 0; i < runs; ++i, ++cell) {
-          const std::uint64_t seed = args.seed + static_cast<std::uint64_t>(i) * 13;
-          pool.submit([&cells, &args, cell, seed, algorithm = row.algorithm, heavy] {
-            cells[cell] = run_one(args, seed, algorithm, heavy);
-          });
-        }
-      }
-    }
-    pool.drain();
-  }
+  const auto runs = static_cast<std::size_t>(args.scaled(3) * args.seeds);
+  const std::size_t per_regime = std::size(rows) * runs;
+  runner::Pool pool{args.jobs};
+  const std::vector<CcResult> cells =
+      runner::run_indexed(pool, 2 * per_regime, [&](std::size_t cell) {
+        const std::size_t i = cell % runs;
+        return run_one(args, args.seed + static_cast<std::uint64_t>(i) * 13,
+                       rows[(cell % per_regime) / runs].algorithm, cell >= per_regime);
+      });
 
   std::size_t cell = 0;
   for (const bool heavy : {false, true}) {
@@ -107,7 +100,7 @@ int main(int argc, char** argv) {
     stats::TextTable table{{"controller", "p25 Mbit/s", "median Mbit/s", "p75 Mbit/s"}};
     for (const Row& row : rows) {
       stats::Samples mbps;
-      for (int i = 0; i < runs; ++i, ++cell) mbps.add(cells[cell].mbps);
+      for (std::size_t i = 0; i < runs; ++i, ++cell) mbps.add(cells[cell].mbps);
       using stats::TextTable;
       table.add_row({row.name, TextTable::num(mbps.percentile(25), 0),
                      TextTable::num(mbps.median(), 0),
@@ -122,8 +115,8 @@ int main(int argc, char** argv) {
               "cannot tell medium loss from congestion — unless they stop "
               "using loss as the signal).\n");
 
-  // Cells were filled by completion order but are merged by index — the
-  // export is --jobs invariant like everything else.
+  // Merged by cell index, never completion order: the export is --jobs
+  // invariant like everything else.
   obs::Snapshot all_obs;
   for (const CcResult& c : cells) obs::merge(all_obs, c.obs);
   bench::write_obs(args, all_obs);

@@ -95,23 +95,12 @@ int main(int argc, char** argv) {
   // One cell per (penalty, seed replication); folds append in cell order so
   // the output is --jobs invariant.
   const double penalties_ms[] = {8.0, 0.0};
-  std::vector<FoldResult> cells(2 * static_cast<std::size_t>(args.seeds));
-  {
-    runner::Pool pool{args.jobs};
-    for (std::size_t p = 0; p < 2; ++p) {
-      for (int s = 0; s < args.seeds; ++s) {
-        const std::size_t cell = p * static_cast<std::size_t>(args.seeds) +
-                                 static_cast<std::size_t>(s);
-        const std::uint64_t seed =
-            runner::cell_seed(args.seed, static_cast<std::uint64_t>(s));
-        const Duration penalty = Duration::from_millis(penalties_ms[p]);
-        pool.submit([&cells, &args, cell, seed, penalty] {
-          cells[cell] = probe_phase_fold(args, seed, penalty);
-        });
-      }
-    }
-    pool.drain();
-  }
+  const auto seeds = static_cast<std::size_t>(args.seeds);
+  runner::Pool pool{args.jobs};
+  std::vector<FoldResult> cells = runner::run_indexed(pool, 2 * seeds, [&](std::size_t cell) {
+    return probe_phase_fold(args, runner::cell_seed(args.seed, cell % seeds),
+                            Duration::from_millis(penalties_ms[cell / seeds]));
+  });
 
   // Merge obs by cell index before the fold below moves cells out.
   obs::Snapshot all_obs;
@@ -119,10 +108,9 @@ int main(int argc, char** argv) {
 
   for (std::size_t p = 0; p < 2; ++p) {
     const double penalty_ms = penalties_ms[p];
-    FoldResult fold = std::move(cells[p * static_cast<std::size_t>(args.seeds)]);
-    for (int s = 1; s < args.seeds; ++s) {
-      const FoldResult& from =
-          cells[p * static_cast<std::size_t>(args.seeds) + static_cast<std::size_t>(s)];
+    FoldResult fold = std::move(cells[p * seeds]);
+    for (std::size_t s = 1; s < seeds; ++s) {
+      const FoldResult& from = cells[p * seeds + s];
       for (std::size_t i = 0; i < fold.by_phase.size(); ++i) {
         fold.by_phase[i].merge(from.by_phase[i]);
       }

@@ -1,4 +1,5 @@
-// bench_common.hpp — shared scaffolding for the table/figure regenerators.
+// bench_common.hpp — shared scaffolding for the table/figure regenerators,
+// and the front end of the sweep examples (examples/sweep_cli, fleet_cli).
 //
 // Every bench binary prints:
 //   * a banner naming the paper asset it regenerates;
@@ -19,7 +20,8 @@
 //   --trace=PATH            write a Chrome trace-event file (.jsonl => JSONL)
 //   --sample-interval=DUR   sample gauges (queue depth, cwnd, ...) on a grid
 //   --log-level=LEVEL       trace|debug|info|warn|error|off (default warn)
-// The merged exports are byte-identical for any --jobs value.
+// The merged exports are byte-identical for any --jobs value. An export that
+// cannot be written exits 2 with "error: cannot write PATH".
 //
 // Latency-provenance flags (EXPERIMENTS.md "Latency provenance"):
 //   --provenance=0|1        per-packet RTT component tagging (default 0)
@@ -35,6 +37,10 @@
 //                           format; examples/scenarios/*.scn) onto every cell
 //   --scenario-offset=DUR   shift the whole timeline later by DUR
 // Durations accept unit suffixes: 90s, 15m, 2h (bare numbers = seconds).
+//
+// The common flags cover the sweep and fleet examples too: sweep_cli and
+// fleet_cli parse with CommonArgs, set their campaign Configs with apply()
+// and export with write_obs(). The other examples only use warn_unused().
 #pragma once
 
 #include <cstdio>
@@ -234,14 +240,16 @@ struct CommonArgs {
   }
 };
 
+/// Writes `body` to `path`; an export that cannot be written is fatal
+/// (exit 2), so a run never reports an export it did not produce.
 inline void write_text_file(const std::string& path, const std::string& body) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
+  const bool written = f != nullptr &&
+                       std::fwrite(body.data(), 1, body.size(), f) == body.size();
+  if (f == nullptr || std::fclose(f) != 0 || !written) {
     std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
-    return;
+    std::exit(2);
   }
-  std::fwrite(body.data(), 1, body.size(), f);
-  std::fclose(f);
 }
 
 /// Writes the --metrics/--trace outputs a bench collected. A snapshot taken

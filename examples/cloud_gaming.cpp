@@ -10,10 +10,10 @@
 #include <cstdio>
 
 #include "apps/messages.hpp"
+#include "bench_common.hpp"
 #include "measure/testbed.hpp"
 #include "stats/ecdf.hpp"
 #include "stats/quantiles.hpp"
-#include "util/flags.hpp"
 
 namespace {
 
@@ -90,11 +90,13 @@ int main(int argc, char** argv) {
   using namespace slp;
   const Flags flags = Flags::parse(argc, argv);
   const auto seconds = flags.get_int("seconds", 30);
+  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 7));
+  bench::warn_unused(flags);
 
   std::printf("Cloud gaming check (GeForce Now budget: 80 ms, paper §3.1)\n\n");
   {
     measure::TestbedConfig config;
-    config.seed = static_cast<std::uint64_t>(flags.get_int("seed", 7));
+    config.seed = seed;
     config.with_satcom = false;
     measure::Testbed bed{config};
     report("starlink",
@@ -102,7 +104,7 @@ int main(int argc, char** argv) {
   }
   {
     measure::TestbedConfig config;
-    config.seed = static_cast<std::uint64_t>(flags.get_int("seed", 7));
+    config.seed = seed;
     measure::Testbed bed{config};
     report("satcom", play(bed, measure::AccessKind::kSatCom, Duration::seconds(seconds)));
   }

@@ -10,16 +10,17 @@
 #include <cstdio>
 
 #include "apps/ping.hpp"
+#include "bench_common.hpp"
 #include "emu/errant.hpp"
 #include "sim/network.hpp"
 #include "tcp/tcp.hpp"
-#include "util/flags.hpp"
 
 int main(int argc, char** argv) {
   using namespace slp;
   using sim::make_addr;
   const Flags flags = Flags::parse(argc, argv);
   Rng rng{static_cast<std::uint64_t>(flags.get_int("seed", 5))};
+  bench::warn_unused(flags);
 
   // A hand-specified Starlink profile at the paper's headline numbers (the
   // errant_profiles bench shows how to *fit* one from campaign data).

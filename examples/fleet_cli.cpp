@@ -10,22 +10,24 @@
 //
 //   ./fleet_cli --sizes=1,1000,5000 --mixes=balanced,web-heavy --seeds=4
 //   ./fleet_cli --grid=leo,wired --tests=2 --jobs=8 --metrics=fleet.json
+//   ./fleet_cli --grid=leo --sizes=100 --scenario=examples/scenarios/load_surge.scn
+//
+// Beyond its grid flags (--grid, --sizes, --mixes, --tests, --download,
+// --duration) it takes the benches' common flags (bench/bench_common.hpp);
+// --scenario replays its timeline onto every speedtest and fleet cell.
 //
 // Deterministic: seeds derive from (row, replication) alone and results are
 // folded in cell order, so any --jobs value prints the same bytes.
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "fleet/campaign.hpp"
 #include "measure/campaign.hpp"
-#include "obs/recorder.hpp"
 #include "runner/sweep.hpp"
 #include "stats/ecdf.hpp"
 #include "stats/table.hpp"
-#include "util/flags.hpp"
-#include "util/log.hpp"
 
 namespace {
 
@@ -58,40 +60,18 @@ bool apply_mix(const std::string& name, fleet::DemandModel::Config& demand) {
   return false;
 }
 
-void write_file(const std::string& path, const std::string& body) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fwrite(body.data(), 1, body.size(), f);
-  std::fclose(f);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const Flags flags = Flags::parse(argc, argv);
-  const auto base_seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  const int seeds = std::max<int>(1, static_cast<int>(flags.get_int("seeds", 1)));
-  const int jobs = std::max<int>(0, static_cast<int>(flags.get_int("jobs", 1)));
+  const bench::CommonArgs args = bench::CommonArgs::parse(flags);
   const int tests = std::max<int>(1, static_cast<int>(flags.get_int("tests", 3)));
   const bool download = flags.get_bool("download", true);
   const auto grid_labels = flags.get_list("grid", {"leo", "geo", "wired"});
   const auto size_list = flags.get_double_list("sizes", {1, 1000, 5000});
   const auto mix_labels = flags.get_list("mixes", {"balanced"});
   const Duration fleet_duration = flags.get_duration("duration", Duration::minutes(10));
-  const std::string metrics_path = flags.get("metrics", "");
-  const std::string trace_path = flags.get("trace", "");
-  Logger::instance().set_level(
-      parse_log_level(flags.get("log-level", "warn"), LogLevel::kWarn));
-  for (const auto& key : flags.unused()) {
-    std::fprintf(stderr, "warning: unknown flag --%s\n", key.c_str());
-  }
-
-  obs::Options obs_opts;
-  obs_opts.metrics = !metrics_path.empty();
-  obs_opts.trace = !trace_path.empty();
+  bench::warn_unused(flags);
 
   std::vector<measure::AccessKind> accesses;
   for (const std::string& label : grid_labels) {
@@ -112,9 +92,8 @@ int main(int argc, char** argv) {
   }
 
   std::printf("fleet sweep: %zu access x %zu sizes x %zu mixes, %d seeds/row, %d tests\n\n",
-              accesses.size(), size_list.size(), mix_labels.size(), seeds, tests);
+              accesses.size(), size_list.size(), mix_labels.size(), args.seeds, tests);
 
-  const runner::SweepConfig sweep{seeds, jobs};
   stats::TextTable table{{"access", "fleet", "mix", "speedtest p50", "p95", "cell util p50",
                           "p95", "handovers"}};
   obs::Snapshot all_obs;
@@ -131,16 +110,16 @@ int main(int argc, char** argv) {
       for (std::size_t mi = 0; mi < mixes; ++mi) {
         ++row;
         measure::SpeedtestCampaign::Config config;
-        config.seed = runner::cell_seed(base_seed, row);
+        args.apply(config);
+        config.seed = runner::cell_seed(args.seed, row);
         config.access = kind;
         config.tests = tests;
         config.download = download;
-        config.obs = obs_opts;
         if (leo) {
           config.fleet.size = static_cast<int>(size_list[si]);
           apply_mix(mix_labels[mi], config.fleet.demand);
         }
-        const auto speed = runner::run_merged<measure::SpeedtestCampaign>(sweep, config);
+        const auto speed = runner::run_merged<measure::SpeedtestCampaign>(args.sweep(), config);
         obs::merge(all_obs, speed.obs);
 
         std::string util_p50 = "-";
@@ -148,11 +127,11 @@ int main(int argc, char** argv) {
         std::string handovers = "-";
         if (leo && config.fleet.size > 1) {
           fleet::FleetCampaign::Config fc;
+          args.apply(fc);
           fc.seed = config.seed;
           fc.fleet = config.fleet;
           fc.duration = fleet_duration;
-          fc.obs = obs_opts;
-          const auto contention = runner::run_merged<fleet::FleetCampaign>(sweep, fc);
+          const auto contention = runner::run_merged<fleet::FleetCampaign>(args.sweep(), fc);
           obs::merge(all_obs, contention.obs);
           util_p50 = stats::TextTable::num(contention.cell_util_down.pooled_quantile(0.50), 3);
           util_p95 = stats::TextTable::num(contention.cell_util_down.pooled_quantile(0.95), 3);
@@ -183,16 +162,6 @@ int main(int argc, char** argv) {
                     .c_str());
   }
 
-  if (!metrics_path.empty()) {
-    write_file(metrics_path, obs::metrics_json(all_obs));
-    std::printf("\nmetrics -> %s\n", metrics_path.c_str());
-  }
-  if (!trace_path.empty()) {
-    const bool jsonl =
-        trace_path.size() >= 6 && trace_path.compare(trace_path.size() - 6, 6, ".jsonl") == 0;
-    write_file(trace_path,
-               jsonl ? obs::trace_jsonl(all_obs.events) : obs::trace_json(all_obs.events));
-    std::printf("trace   -> %s\n", trace_path.c_str());
-  }
+  bench::write_obs(args, all_obs);
   return 0;
 }

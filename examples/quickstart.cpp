@@ -9,8 +9,8 @@
 
 #include "apps/h3.hpp"
 #include "apps/ping.hpp"
+#include "bench_common.hpp"
 #include "measure/testbed.hpp"
-#include "util/flags.hpp"
 
 int main(int argc, char** argv) {
   using namespace slp;
@@ -19,6 +19,7 @@ int main(int argc, char** argv) {
   // 1. Build the world: one call gives you the whole measurement universe.
   measure::TestbedConfig config;
   config.seed = static_cast<std::uint64_t>(flags.get_int("seed", 42));
+  bench::warn_unused(flags);
   measure::Testbed bed{config};
   std::printf("Testbed up: %zu nodes, %zu links, %zu anchors\n\n",
               bed.net().node_count(), bed.net().link_count(), bed.anchors().size());

@@ -16,11 +16,11 @@
 #include "apps/h3.hpp"
 #include "apps/ping.hpp"
 #include "apps/speedtest.hpp"
+#include "bench_common.hpp"
 #include "mbox/traceroute.hpp"
 #include "mbox/wehe.hpp"
 #include "measure/testbed.hpp"
 #include "quic/qlog.hpp"
-#include "util/flags.hpp"
 
 namespace {
 
@@ -174,11 +174,16 @@ int main(int argc, char** argv) {
   measure::Testbed bed{config};
 
   const std::string& command = flags.positional()[0];
-  if (command == "ping") return cmd_ping(bed, *access, flags);
-  if (command == "speedtest") return cmd_speedtest(bed, *access, flags);
-  if (command == "h3") return cmd_h3(bed, flags);
-  if (command == "traceroute") return cmd_traceroute(bed, *access);
-  if (command == "wehe") return cmd_wehe(bed, *access, flags);
-  std::fprintf(stderr, "unknown command: %s\n", command.c_str());
-  return 1;
+  const int status = [&] {
+    if (command == "ping") return cmd_ping(bed, *access, flags);
+    if (command == "speedtest") return cmd_speedtest(bed, *access, flags);
+    if (command == "h3") return cmd_h3(bed, flags);
+    if (command == "traceroute") return cmd_traceroute(bed, *access);
+    if (command == "wehe") return cmd_wehe(bed, *access, flags);
+    std::fprintf(stderr, "unknown command: %s\n", command.c_str());
+    return 1;
+  }();
+  // Per-command flags are read while the command runs, so warn afterwards.
+  bench::warn_unused(flags);
+  return status;
 }

@@ -9,20 +9,22 @@
 //   $ ./build/examples/video_streaming [--seed=N] [--minutes=3]
 #include <cstdio>
 
+#include "bench_common.hpp"
 #include "measure/testbed.hpp"
 #include "qoe/abr.hpp"
 #include "quic/quic.hpp"
-#include "util/flags.hpp"
 
 int main(int argc, char** argv) {
   using namespace slp;
   const Flags flags = Flags::parse(argc, argv);
   const auto minutes = flags.get_int("minutes", 3);
+  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 11));
+  bench::warn_unused(flags);
 
   std::printf("ABR video over Starlink (paper §3.3: 4K needs 15-25 Mbit/s)\n\n");
   for (const double mbps : {15.0, 25.0, 60.0, 120.0}) {
     measure::TestbedConfig config;
-    config.seed = static_cast<std::uint64_t>(flags.get_int("seed", 11));
+    config.seed = seed;
     config.with_satcom = false;
     measure::Testbed bed{config};
 

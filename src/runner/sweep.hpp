@@ -8,6 +8,9 @@
 //   * each cell writes only its own slot of a pre-sized result vector;
 //   * the merge folds slots in cell-id order, never in completion order.
 //
+// run_indexed() below is the one primitive that keeps the last two; the
+// campaign sweeps and the bench/example grids all fan out through it.
+//
 // Consequence: --jobs=1 and --jobs=32 produce bit-identical merged results,
 // and cell 0 of a 1-cell sweep reproduces the unswept campaign exactly.
 //
@@ -19,6 +22,7 @@
 #pragma once
 
 #include <cstdint>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -42,24 +46,38 @@ struct SweepConfig {
   return z ^ (z >> 31);
 }
 
+/// Runs `fn(i)` for every i < n on `pool` and returns the results indexed by
+/// i (NOT completion order) — the one place that fans cells out. Each task
+/// writes only its own slot of the pre-sized vector, and the pool is drained
+/// once, so callers fold the returned vector in index order. `fn` is shared
+/// by every task: it must derive everything (seed included) from `i` and
+/// captured read-only state. Its result type must be default-constructible.
+template <typename Fn>
+[[nodiscard]] auto run_indexed(Pool& pool, std::size_t n, const Fn& fn)
+    -> std::vector<std::invoke_result_t<const Fn&, std::size_t>> {
+  using Result = std::invoke_result_t<const Fn&, std::size_t>;
+  // std::vector<bool> packs slots into shared words: concurrent writes race.
+  static_assert(!std::is_same_v<Result, bool>, "run_indexed cannot return bool");
+  std::vector<Result> results(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    pool.submit([&results, &fn, i] { results[i] = fn(i); });
+  }
+  pool.drain();
+  return results;
+}
+
 /// Runs `sweep.seeds` copies of the campaign on `pool`, one per cell, each
 /// with `config.seed` replaced by its cell seed. Returns results indexed by
-/// cell id (NOT completion order).
+/// cell id.
 template <typename Campaign>
 [[nodiscard]] std::vector<typename Campaign::Result> run_cells(
     Pool& pool, int seeds, const typename Campaign::Config& config) {
   const std::size_t n = seeds < 1 ? 1 : static_cast<std::size_t>(seeds);
-  std::vector<typename Campaign::Result> results(n);
-  const std::uint64_t base = config.seed;
-  for (std::size_t cell = 0; cell < n; ++cell) {
-    pool.submit([&results, &config, base, cell] {
-      typename Campaign::Config cfg = config;
-      cfg.seed = cell_seed(base, cell);
-      results[cell] = Campaign::run(cfg);
-    });
-  }
-  pool.drain();
-  return results;
+  return run_indexed(pool, n, [&config](std::size_t cell) {
+    typename Campaign::Config cfg = config;
+    cfg.seed = cell_seed(config.seed, cell);
+    return Campaign::run(cfg);
+  });
 }
 
 /// Convenience: run_cells on a transient pool, folded left in cell order via

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Table-driven determinism harness for the bench binaries.
+"""Table-driven determinism harness for the bench and example binaries.
 
-Each row of TABLE runs one bench once per axis (e.g. --jobs=1 vs --jobs=8,
+Each row of TABLE runs one binary once per axis (e.g. --jobs=1 vs --jobs=8,
 or the --fast-forward=0 packet-level reference) and requires every axis to
 reproduce the first one byte for byte:
 
@@ -58,6 +58,7 @@ class Row:
     counters: list = field(default_factory=list)  # must appear in metrics.json
     strip: Optional[str] = None  # stdout lines matching this are not compared
     check: Optional[Callable[[Path], None]] = None
+    subdir: str = "bench"  # build subdirectory holding the binary
 
 
 METRICS = {"metrics": "metrics.json"}
@@ -108,6 +109,17 @@ TABLE = [
     # The audit honours --scenario: its injector must reach the audit's cells.
     Row("middlebox_scenario", "sec35_middleboxes", [f"--scenario={PLANE_FAILURE}"],
         files=METRICS, counters=["scenario.events_applied"], strip=r"^(metrics|trace) "),
+    # The examples parse through the benches' front end (bench_common.hpp):
+    # sweep_cli must honour the provenance exports, fleet_cli --scenario.
+    Row("sweep_cli", "sweep_cli", ["--grid=leo", "--loads=1", "--tests=1", "--seeds=2"],
+        files={**METRICS_TRACE, "breakdown": "breakdown.json", "flight": "flights.json"},
+        strip=r"^(pool:|metrics|trace|breakdown|flights) ", check=check_breakdown,
+        subdir="examples"),
+    Row("fleet_cli", "fleet_cli",
+        ["--grid=leo", "--sizes=1,100", "--tests=1", "--duration=2m",
+         f"--scenario={LOAD_SURGE}"],
+        files=METRICS, counters=["scenario.events_applied"], strip=r"^(metrics|trace) ",
+        subdir="examples"),
 ]
 
 
@@ -128,17 +140,21 @@ def first_difference(a: list, b: list) -> str:
 
 def run_row(row: Row, build_dir: Path, out_dir: Path) -> list:
     """Runs every axis of `row`; returns a list of failure messages."""
-    binary = build_dir / "bench" / row.bench
+    binary = build_dir / row.subdir / row.bench
     failures = []
     for axis, axis_args in row.axes.items():
         axis_dir = out_dir / row.name / axis
         axis_dir.mkdir(parents=True, exist_ok=True)
         exports = [f"--{flag}={name}" for flag, name in row.files.items()]
+        for name in row.files.values():
+            (axis_dir / name).unlink(missing_ok=True)  # no stale export can pass
         with open(axis_dir / "stdout.txt", "wb") as stdout:
             proc = subprocess.run([str(binary), *row.args, *axis_args, *exports],
                                   cwd=axis_dir, stdout=stdout, stderr=subprocess.PIPE)
         if proc.returncode != 0:
             failures.append(f"{axis}: exit {proc.returncode}: {proc.stderr.decode()[-500:]}")
+        failures += [f"{axis}: {name} not written" for name in row.files.values()
+                     if not (axis_dir / name).exists()]
     if failures:
         return failures
 

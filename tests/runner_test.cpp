@@ -121,6 +121,19 @@ TEST(CellSeed, CellsAreDistinct) {
   }
 }
 
+TEST(RunIndexed, SlotIHoldsFnOfIWhateverThePoolWidth) {
+  for (const int jobs : {1, 3, 8}) {
+    Pool pool{jobs};
+    const auto out = run_indexed(pool, 100, [](std::size_t i) { return cell_seed(5, i); });
+    ASSERT_EQ(out.size(), 100u);
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      EXPECT_EQ(out[i], cell_seed(5, i)) << "slot " << i << ", " << jobs << " jobs";
+    }
+    EXPECT_EQ(pool.tasks_completed(), 100u);  // one task per slot, one drain
+    EXPECT_TRUE(run_indexed(pool, 0, [](std::size_t) { return 0; }).empty());
+  }
+}
+
 // ====================================================== jobs invariance
 
 measure::PingCampaign::Result ping_sweep(int jobs) {
