@@ -1,8 +1,9 @@
 // Microbenchmarks (google-benchmark) for the simulator's hot paths: event
-// queue churn, link packet forwarding, congestion-controller updates, QUIC
-// transfer event rate, constellation visibility queries, and the cell-load
-// process's far seek and step. These guard the performance envelope that
-// makes the compressed campaigns tractable.
+// queue churn, link packet forwarding (one link, and a NAT + router chain),
+// congestion-controller updates, QUIC transfer event rate, constellation
+// visibility queries, and the cell-load process's far seek and step. These
+// guard the performance envelope that makes the compressed campaigns
+// tractable.
 #include <benchmark/benchmark.h>
 
 #include <map>
@@ -77,6 +78,47 @@ void BM_LinkPacketForwarding(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_LinkPacketForwarding);
+
+void BM_ForwardingChain(benchmark::State& state) {
+  // The page-load path in miniature: Host -> Nat -> Router -> Host, with a
+  // NAT mapping and a bound port per flow, as a long cell accumulates them.
+  // One topology serves every iteration, so the tables stay populated.
+  constexpr int kFlows = 512;
+  sim::Simulator sim;
+  sim::Network net{sim};
+  sim::Host& a = net.add_host("a", make_addr(192, 168, 1, 10));
+  sim::Host& b = net.add_host("b", make_addr(203, 0, 113, 7));
+  sim::Nat& nat = net.add_nat("cpe", make_addr(192, 168, 1, 1), make_addr(100, 70, 1, 5));
+  sim::Router& core = net.add_router("core");
+  sim::Interface& left = core.add_interface(make_addr(100, 70, 1, 1));
+  sim::Interface& right = core.add_interface(make_addr(203, 0, 113, 1));
+  const auto link = sim::Network::symmetric(DataRate::gbps(10), 1_ms, 64 * 1024 * 1024);
+  net.connect(a.uplink(), nat.inside(), link);
+  net.connect(nat.outside(), left, link);
+  net.connect(right, b.uplink(), link);
+  core.routes().add_route(make_addr(100, 70, 1, 0), 24, left);
+  core.routes().add_route(make_addr(203, 0, 113, 0), 24, right);
+  std::uint64_t delivered = 0;
+  for (int p = 0; p < kFlows; ++p) {
+    b.bind(sim::Protocol::kUdp, static_cast<std::uint16_t>(1000 + p),
+           [&](const sim::Packet&) { ++delivered; });
+  }
+  for (auto _ : state) {
+    for (int i = 0; i < 1000; ++i) {
+      sim::Packet pkt;
+      pkt.dst = b.addr();
+      pkt.src_port = static_cast<std::uint16_t>(40000 + i % kFlows);
+      pkt.dst_port = static_cast<std::uint16_t>(1000 + i % kFlows);
+      pkt.proto = sim::Protocol::kUdp;
+      pkt.size_bytes = 1250;
+      a.send(std::move(pkt));
+    }
+    sim.run();
+  }
+  benchmark::DoNotOptimize(delivered);
+  state.SetItemsProcessed(static_cast<std::int64_t>(delivered));
+}
+BENCHMARK(BM_ForwardingChain);
 
 void BM_PacketPoolAllocFree(benchmark::State& state) {
   // The payload hot loop: acquire a slot, construct a QUIC-record-sized

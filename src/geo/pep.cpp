@@ -89,7 +89,7 @@ void Pep::intercept_syn(const sim::Packet& pkt) {
   server_leg->on_error = [client_leg] { client_leg->abort(); };
 }
 
-void Pep::handle_packet(sim::Packet pkt, sim::Interface& in) {
+void Pep::handle_packet(sim::Packet&& pkt, sim::Interface& in) {
   const bool from_sat = &in == &sat_side();
   sim::Interface& out = from_sat ? net_side() : sat_side();
 

@@ -63,7 +63,7 @@ class Pep : public sim::Node {
   /// Interface toward the terrestrial internet.
   [[nodiscard]] sim::Interface& net_side() const { return interface(1); }
 
-  void handle_packet(sim::Packet pkt, sim::Interface& in) override;
+  void handle_packet(sim::Packet&& pkt, sim::Interface& in) override;
 
   struct Stats {
     std::uint64_t flows_split = 0;

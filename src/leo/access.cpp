@@ -269,10 +269,17 @@ Duration StarlinkAccess::access_delay(TimePoint t, bool up) {
   delay += tail;
 
   // Beam/MCS allocation penalty: constant within a 15s slot & direction.
+  // A fork depends only on the seed and the label, so drawing it once per
+  // slot gives the value every packet of the slot used to redraw.
   const std::int64_t slot = t.ns() / config_.handover_slot.ns();
-  Rng slot_rng = jitter_rng_.fork((up ? "slot-up/" : "slot-down/") + std::to_string(slot));
-  const Duration slot_penalty = Duration::from_seconds(
-      slot_rng.uniform(0.0, config_.slot_penalty_max.to_seconds()));
+  SlotPenalty& cached = slot_penalty_[direction];
+  if (cached.slot != slot) {
+    Rng slot_rng = jitter_rng_.fork((up ? "slot-up/" : "slot-down/") + std::to_string(slot));
+    cached.slot = slot;
+    cached.penalty = Duration::from_seconds(
+        slot_rng.uniform(0.0, config_.slot_penalty_max.to_seconds()));
+  }
+  const Duration slot_penalty = cached.penalty;
   pieces.stall_ns += slot_penalty.ns();
   delay += slot_penalty;
 

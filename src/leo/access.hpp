@@ -17,6 +17,7 @@
 // documented field by field.
 #pragma once
 
+#include <limits>
 #include <memory>
 
 #include "leo/handover.hpp"
@@ -263,6 +264,13 @@ class StarlinkAccess {
   TimePoint last_arrival_down_;
 
   DelayPieces last_draw_[2];  ///< provenance pieces of the latest delay draw
+
+  /// The latest per-slot allocation penalty per direction (0 = up, 1 = down).
+  struct SlotPenalty {
+    std::int64_t slot = std::numeric_limits<std::int64_t>::min();  ///< none drawn yet
+    Duration penalty;
+  };
+  SlotPenalty slot_penalty_[2];
 
   // Own-traffic utilization EMA per direction (0 = up, 1 = down), fed by the
   // enqueue hook, consumed by access_delay.

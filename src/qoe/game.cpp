@@ -30,10 +30,11 @@ bool LagDetector::add(double rtt_ms) {
 
 double LagDetector::median() const {
   if (window_.empty()) return 0.0;
-  std::vector<double> tmp(window_.begin(), window_.end());
-  const std::size_t mid = tmp.size() / 2;
-  std::nth_element(tmp.begin(), tmp.begin() + static_cast<std::ptrdiff_t>(mid), tmp.end());
-  return tmp[mid];
+  scratch_.assign(window_.begin(), window_.end());
+  const std::size_t mid = scratch_.size() / 2;
+  std::nth_element(scratch_.begin(), scratch_.begin() + static_cast<std::ptrdiff_t>(mid),
+                   scratch_.end());
+  return scratch_[mid];
 }
 
 GameSession::GameSession(sim::Host& client, sim::Host& server, Config config)

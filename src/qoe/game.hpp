@@ -55,6 +55,8 @@ class LagDetector {
  private:
   Config config_;
   std::deque<double> window_;
+  /// median()'s nth_element workspace, reused so a sample never allocates.
+  mutable std::vector<double> scratch_;
 };
 
 class GameSession {

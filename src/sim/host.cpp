@@ -92,7 +92,7 @@ void Host::deliver_icmp(const Packet& pkt) {
   }
 }
 
-void Host::handle_packet(Packet pkt, Interface& in) {
+void Host::handle_packet(Packet&& pkt, Interface& in) {
   (void)in;
   if (pkt.dst != addr_) {
     SLP_LOG(kDebug, "host", name() << " dropped misdelivered " << to_string(pkt));

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <unordered_map>
 #include <vector>
 
 #include "sim/node.hpp"
@@ -57,7 +58,7 @@ class Host : public Node {
     capture_ = std::move(tap);
   }
 
-  void handle_packet(Packet pkt, Interface& in) override;
+  void handle_packet(Packet&& pkt, Interface& in) override;
 
   struct Stats {
     std::uint64_t sent = 0;
@@ -70,7 +71,8 @@ class Host : public Node {
   void deliver_icmp(const Packet& pkt);
 
   Ipv4Addr addr_;
-  std::map<std::pair<Protocol, std::uint16_t>, PacketHandler> handlers_;
+  /// Looked up for every delivered packet; never iterated.
+  std::unordered_map<ProtoPort, PacketHandler, ProtoPortHash> handlers_;
   std::map<std::uint16_t, PacketHandler> echo_reply_handlers_;
   std::map<std::uint64_t, PacketHandler> error_listeners_;
   std::uint64_t next_listener_id_ = 1;

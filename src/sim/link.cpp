@@ -9,7 +9,7 @@
 
 namespace slp::sim {
 
-void Interface::send(Packet pkt) {
+void Interface::send(Packet&& pkt) {
   assert(attached() && "interface not wired to a link");
   link_->enqueue(endpoint_, std::move(pkt));
 }
@@ -89,9 +89,8 @@ std::size_t Link::queued_bytes(int direction) const {
   // Fast mode prunes the virtual queue lazily; report the pruned view
   // without mutating state.
   std::size_t bytes = d.queued_bytes;
-  for (const auto& entry : d.pipe) {
-    if (entry.first > sim_->now()) break;
-    bytes -= entry.second;
+  for (std::size_t i = 0; i < d.pipe.size() && d.pipe[i].first <= sim_->now(); ++i) {
+    bytes -= d.pipe[i].second;
   }
   return bytes;
 }
@@ -132,7 +131,7 @@ void Link::set_delivery_tap(int direction, std::function<void(const Packet&)> ta
   dir_[direction].tap = std::move(tap);
 }
 
-void Link::enqueue(int direction, Packet pkt) {
+void Link::enqueue(int direction, Packet&& pkt) {
   Direction& d = dir_[direction];
   d.stats.enqueued_packets++;
   d.obs.enqueued.add();
@@ -188,7 +187,7 @@ void Link::enqueue(int direction, Packet pkt) {
   begin_transmission(direction, std::move(pkt));
 }
 
-void Link::begin_transmission(int direction, Packet pkt) {
+void Link::begin_transmission(int direction, Packet&& pkt) {
   Direction& d = dir_[direction];
   d.transmitting = true;
   // Provenance: everything since the last watermark was queue wait (zero for
@@ -311,14 +310,14 @@ void Link::on_tx_done(int direction) {
   push_arrival(direction, Arrival{sim_->now() + delay, tx_start, tx_end, std::move(pkt)});
 }
 
-void Link::push_arrival(int direction, Arrival arr) {
+void Link::push_arrival(int direction, Arrival&& arr) {
   Direction& d = dir_[direction];
   const TimePoint due = arr.due;
   // Keep arrivals sorted by due time, stable for equal dues. Dynamic delays
   // can reorder, but the common case appends at the back.
-  auto it = d.arrivals.end();
-  while (it != d.arrivals.begin() && std::prev(it)->due > due) --it;
-  d.arrivals.insert(it, std::move(arr));
+  std::size_t pos = d.arrivals.size();
+  while (pos > 0 && d.arrivals[pos - 1].due > due) --pos;
+  d.arrivals.insert(pos, std::move(arr));
   if (due < d.delivery_due) arm_delivery(direction, due);
 }
 
@@ -336,7 +335,13 @@ void Link::deliver_due(int direction) {
   // One firing drains every arrival that is due — back-to-back completions
   // coalesce into a single event-queue entry.
   while (!d.arrivals.empty() && d.arrivals.front().due <= sim_->now()) {
-    Arrival arr = std::move(d.arrivals.front());
+    // Only the packet leaves the ring before the handler runs: a handler may
+    // push onto this very ring (zero-delay hairpin) and grow it.
+    Arrival& front = d.arrivals.front();
+    const TimePoint due = front.due;
+    const TimePoint tx_start = front.tx_start;
+    const TimePoint tx_end = front.tx_end;
+    Packet pkt = std::move(front.pkt);
     d.arrivals.pop_front();
     // Provenance for fast-committed arrivals: the event path stamped the
     // watermark to `due` at serialization end; a watermark that is NOT at
@@ -344,23 +349,23 @@ void Link::deliver_due(int direction) {
     // enqueue, so synthesize the identical components from the Arrival's
     // exact (tx_start, tx_end, due) schedule. Packets pulled back by
     // materialize() re-ran the event path and are skipped by the guard.
-    if (ProvenanceTag* tag = prov_tag(arr.pkt); tag != nullptr && tag->mark != arr.due) {
-      tag->advance(obs::kQueue, arr.tx_start);
-      tag->add(obs::kSerialize, arr.tx_end - arr.tx_start);
-      tag->add(obs::kPropagation, arr.due - arr.tx_end);
-      tag->set_mark(arr.due);
+    if (ProvenanceTag* tag = prov_tag(pkt); tag != nullptr && tag->mark != due) {
+      tag->advance(obs::kQueue, tx_start);
+      tag->add(obs::kSerialize, tx_end - tx_start);
+      tag->add(obs::kPropagation, due - tx_end);
+      tag->set_mark(due);
     }
     // tx accounting is deferred to delivery so the fast path (which never
     // sees serialization end as an event) produces identical counters at
     // any run cutoff.
     d.stats.tx_packets++;
-    d.stats.tx_bytes += arr.pkt.size_bytes;
-    d.obs.tx_bytes.add(arr.pkt.size_bytes);
+    d.stats.tx_bytes += pkt.size_bytes;
+    d.obs.tx_bytes.add(pkt.size_bytes);
     d.stats.delivered_packets++;
     d.obs.delivered.add();
-    if (d.tap) d.tap(arr.pkt);
+    if (d.tap) d.tap(pkt);
     Interface* to = d.to;
-    to->owner().handle_packet(std::move(arr.pkt), *to);
+    to->owner().handle_packet(std::move(pkt), *to);
   }
   if (d.arrivals.empty()) {
     // A handler may have re-armed for an arrival this loop then delivered
@@ -393,24 +398,23 @@ void Link::materialize(int direction) {
   d.busy_until = now;
 
   // Arrivals are due-sorted and (constant delay) tx_end-sorted: the suffix
-  // still being serialized comes back; fully-serialized frames keep their
-  // committed delivery times (event mode would not re-touch them either).
-  std::deque<Arrival> pending;
-  while (!d.arrivals.empty() && d.arrivals.back().tx_end > now) {
-    pending.push_front(std::move(d.arrivals.back()));
-    d.arrivals.pop_back();
-  }
-  if (d.arrivals.empty() && !d.delivery_due.is_infinite()) {
+  // from `pending` on is still being serialized and comes back;
+  // fully-serialized frames keep their committed delivery times (event mode
+  // would not re-touch them either).
+  const std::size_t count = d.arrivals.size();
+  std::size_t pending = count;
+  while (pending > 0 && d.arrivals[pending - 1].tx_end > now) --pending;
+  if (pending == 0 && !d.delivery_due.is_infinite()) {
     sim_->cancel(d.delivery_event);
     d.delivery_due = TimePoint::infinite();
   }
 
-  if (pending.empty()) return;
+  if (pending == count) return;
   // The busy period is contiguous, so the head is mid-serialization: it
   // becomes the serializer slot and completes on its original schedule at
   // the old rate; propagation is drawn at completion under the new config,
   // exactly as event mode would.
-  Arrival& head = pending.front();
+  Arrival& head = d.arrivals[pending];
   assert(head.tx_start <= now);
   d.transmitting = true;
   d.tx_valid = true;
@@ -418,10 +422,12 @@ void Link::materialize(int direction) {
   d.tx_ends = head.tx_end;
   d.tx_pkt = std::move(head.pkt);
   sim_->schedule_at(d.tx_ends, [this, direction] { on_tx_done(direction); });
-  pending.pop_front();
   // The rest had not started serializing; their bytes are already counted
   // in queued_bytes (they sat in the virtual pipe).
-  for (Arrival& a : pending) d.queue.push_back(std::move(a.pkt));
+  for (std::size_t i = pending + 1; i < count; ++i) {
+    d.queue.push_back(std::move(d.arrivals[i].pkt));
+  }
+  while (d.arrivals.size() > pending) d.arrivals.pop_back();
 }
 
 }  // namespace slp::sim

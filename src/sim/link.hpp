@@ -16,7 +16,8 @@
 //     fast-forward knob is on, serialization is computed analytically at
 //     enqueue (a virtual busy-until horizon plus a virtual queue) and the
 //     packet goes straight into the in-flight list with its delivery time.
-//     One event per packet, zero per-packet allocations. Any live
+//     One event per packet, zero per-packet allocations (pinned by
+//     tests/alloc_test.cpp). Any live
 //     reconfiguration (scenario epoch, shaper, handover retune) falls the
 //     direction back to event mode mid-flight with exact state handover.
 //   * batched events: dynamic directions serialize packet-by-packet, but the
@@ -37,10 +38,18 @@
 // are accounted when the packet is delivered (or destroyed by the medium),
 // not at serialization end, so both modes agree at any run cutoff; totals at
 // quiescence are identical to the unbatched reference.
+//
+// Storage: every per-direction queue — packets awaiting serialization, the
+// due-sorted in-flight arrivals and the fast path's virtual pipe — is a
+// util::Ring, a FIFO of fixed-size blocks that recycles its blocks through
+// one spare, so its memory follows the live depth and a queue cycling at a
+// steady depth never allocates. Packets move through a hop by rvalue
+// (Interface::send -> enqueue -> ring -> deliver_due -> Node::handle_packet),
+// so a forwarded packet is never copied and a steady-state hop in fast or
+// batched mode never touches the heap.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -50,6 +59,7 @@
 #include "sim/node.hpp"
 #include "sim/packet.hpp"
 #include "sim/simulator.hpp"
+#include "util/ring.hpp"
 #include "util/units.hpp"
 
 namespace slp::sim {
@@ -168,7 +178,7 @@ class Link {
   struct Direction {
     DirectionConfig config;
     Interface* to = nullptr;
-    std::deque<Packet> queue;  ///< awaiting serialization (event modes)
+    util::Ring<Packet> queue;  ///< awaiting serialization (event modes)
     std::size_t queued_bytes = 0;
     bool transmitting = false;
 
@@ -181,7 +191,7 @@ class Link {
 
     /// In-flight packets ordered by due time; one delivery event is armed
     /// for the front, and a single firing drains every arrival that is due.
-    std::deque<Arrival> arrivals;
+    util::Ring<Arrival> arrivals;
     EventId delivery_event{};
     TimePoint delivery_due = TimePoint::infinite();
 
@@ -192,7 +202,7 @@ class Link {
     /// Committed packets whose serialization has not started yet:
     /// (tx_start, wire bytes). Pruned lazily against the clock; the pruned
     /// byte sum is exactly event mode's queued_bytes at the same instant.
-    std::deque<std::pair<TimePoint, std::uint32_t>> pipe;
+    util::Ring<std::pair<TimePoint, std::uint32_t>> pipe;
 
     DirStats stats;
     std::function<void(const Packet&)> tap;
@@ -203,12 +213,12 @@ class Link {
   void trace_drop(int direction, const char* kind, const Packet& pkt);
 
   /// Called by Interface::send.
-  void enqueue(int direction, Packet pkt);
-  void begin_transmission(int direction, Packet pkt);
+  void enqueue(int direction, Packet&& pkt);
+  void begin_transmission(int direction, Packet&& pkt);
   void start_transmission(int direction);
   void finish_transmission(int direction, Packet pkt);  ///< unbatched reference
   void on_tx_done(int direction);                       ///< batched mode
-  void push_arrival(int direction, Arrival arr);
+  void push_arrival(int direction, Arrival&& arr);
   void arm_delivery(int direction, TimePoint due);
   void deliver_due(int direction);
   /// Drops a fast direction back to event mode: packets not yet fully

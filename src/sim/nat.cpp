@@ -24,7 +24,7 @@ void Nat::send_time_exceeded(const Packet& offender, Ipv4Addr reporter, Interfac
   out.send(std::move(err));
 }
 
-void Nat::handle_outbound(Packet pkt) {
+void Nat::handle_outbound(Packet&& pkt) {
   if (pkt.ttl <= 1) {
     // Report with the LAN address: this is exactly the 192.168.1.1 /
     // 100.64.0.1 hop the paper's traceroute surfaces.
@@ -53,7 +53,7 @@ void Nat::handle_outbound(Packet pkt) {
   outside().send(std::move(pkt));
 }
 
-void Nat::handle_inbound(Packet pkt) {
+void Nat::handle_inbound(Packet&& pkt) {
   if (pkt.ttl <= 1) {
     send_time_exceeded(pkt, outside().addr(), outside());
     return;
@@ -112,7 +112,7 @@ void Nat::handle_inbound(Packet pkt) {
   inside().send(std::move(pkt));
 }
 
-void Nat::handle_packet(Packet pkt, Interface& in) {
+void Nat::handle_packet(Packet&& pkt, Interface& in) {
   // Pings addressed to the NAT itself (e.g. pinging the CPE at 192.168.1.1).
   // Note that inbound *data* addressed to the external address is NOT local
   // traffic — every translated inbound packet targets that address.

@@ -8,7 +8,7 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <unordered_map>
 
 #include "sim/node.hpp"
 #include "sim/packet.hpp"
@@ -25,7 +25,7 @@ class Nat : public Node {
   [[nodiscard]] Interface& outside() const { return interface(1); }
   [[nodiscard]] Ipv4Addr external_addr() const { return external_addr_; }
 
-  void handle_packet(Packet pkt, Interface& in) override;
+  void handle_packet(Packet&& pkt, Interface& in) override;
 
   struct Stats {
     std::uint64_t translated_out = 0;
@@ -42,19 +42,27 @@ class Nat : public Node {
     Protocol proto;
     Ipv4Addr addr;
     std::uint16_t port;
-    auto operator<=>(const FlowKey&) const = default;
+    bool operator==(const FlowKey&) const = default;
+  };
+  struct FlowKeyHash {
+    std::size_t operator()(const FlowKey& k) const noexcept {
+      return (std::size_t{k.addr} << 24) | (std::size_t{static_cast<std::uint8_t>(k.proto)} << 16) |
+             k.port;
+    }
   };
 
   /// The "port" a mapping keys on: transport port, or ICMP id for echo.
   [[nodiscard]] static std::uint16_t flow_port(const Packet& pkt, bool src_side);
 
-  void handle_outbound(Packet pkt);
-  void handle_inbound(Packet pkt);
+  void handle_outbound(Packet&& pkt);
+  void handle_inbound(Packet&& pkt);
   void send_time_exceeded(const Packet& offender, Ipv4Addr reporter, Interface& out);
 
   Ipv4Addr external_addr_;
-  std::map<FlowKey, std::uint16_t> by_inside_;              ///< inside flow -> external port
-  std::map<std::pair<Protocol, std::uint16_t>, FlowKey> by_external_;
+  // Looked up for every translated packet and never iterated. Mappings
+  // never expire, so a long cell keeps every flow it ever opened.
+  std::unordered_map<FlowKey, std::uint16_t, FlowKeyHash> by_inside_;  ///< -> external port
+  std::unordered_map<ProtoPort, FlowKey, ProtoPortHash> by_external_;
   std::uint16_t next_external_port_ = 20000;
   Stats stats_;
 };

@@ -28,8 +28,9 @@ class Interface {
   [[nodiscard]] bool attached() const { return link_ != nullptr; }
 
   /// Transmits a packet toward the other end of the attached link.
-  /// Requires attached().
-  void send(Packet pkt);
+  /// Requires attached(). Takes the packet by rvalue: a forwarding node
+  /// hands on the packet it was given without another move.
+  void send(Packet&& pkt);
 
   /// The interface at the far end of the attached link, or nullptr.
   [[nodiscard]] Interface* peer() const;
@@ -59,8 +60,9 @@ class Node {
   [[nodiscard]] std::size_t interface_count() const { return interfaces_.size(); }
   [[nodiscard]] Interface& interface(std::size_t i) const { return *interfaces_.at(i); }
 
-  /// Delivery of a packet that arrived on `in`.
-  virtual void handle_packet(Packet pkt, Interface& in) = 0;
+  /// Delivery of a packet that arrived on `in`. The node owns `pkt` and may
+  /// rewrite and forward it in place.
+  virtual void handle_packet(Packet&& pkt, Interface& in) = 0;
 
  private:
   Simulator* sim_;

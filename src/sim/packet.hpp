@@ -5,6 +5,7 @@
 // error, or tap it into a capture) is cheap and has no ownership pitfalls.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -21,6 +22,15 @@ namespace slp::sim {
 enum class Protocol : std::uint8_t { kIcmp, kTcp, kUdp };
 
 [[nodiscard]] std::string to_string(Protocol p);
+
+/// (protocol, port): the key of per-port tables (Host handlers, NAT
+/// external mappings), with a hash for their per-packet lookups.
+using ProtoPort = std::pair<Protocol, std::uint16_t>;
+struct ProtoPortHash {
+  std::size_t operator()(const ProtoPort& k) const noexcept {
+    return (std::size_t{static_cast<std::uint8_t>(k.first)} << 16) | k.second;
+  }
+};
 
 enum class IcmpType : std::uint8_t {
   kEchoRequest,

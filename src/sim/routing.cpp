@@ -37,7 +37,7 @@ void Router::send_local(Packet pkt) {
   out->send(std::move(pkt));
 }
 
-void Router::handle_packet(Packet pkt, Interface& in) {
+void Router::handle_packet(Packet&& pkt, Interface& in) {
   // Locally addressed traffic: answer pings, silently absorb the rest.
   if (owns_address(pkt.dst)) {
     if (pkt.proto == Protocol::kIcmp && pkt.icmp && pkt.icmp->type == IcmpType::kEchoRequest) {

@@ -39,7 +39,7 @@ class Router : public Node {
 
   [[nodiscard]] RouteTable& routes() { return routes_; }
 
-  void handle_packet(Packet pkt, Interface& in) override;
+  void handle_packet(Packet&& pkt, Interface& in) override;
 
   struct Stats {
     std::uint64_t forwarded = 0;

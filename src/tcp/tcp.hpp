@@ -21,6 +21,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <unordered_map>
 
 #include "sim/host.hpp"
 #include "tcp/congestion.hpp"
@@ -313,7 +314,13 @@ class TcpStack {
     std::uint16_t local_port;
     sim::Ipv4Addr remote_addr;
     std::uint16_t remote_port;
-    auto operator<=>(const ConnKey&) const = default;
+    bool operator==(const ConnKey&) const = default;
+  };
+  struct ConnKeyHash {
+    std::size_t operator()(const ConnKey& k) const noexcept {
+      return (std::size_t{k.remote_addr} << 32) | (std::size_t{k.local_port} << 16) |
+             k.remote_port;
+    }
   };
   struct Listener {
     TcpConfig config;
@@ -329,7 +336,9 @@ class TcpStack {
   std::function<void(sim::Packet)> transmit_fn_;    ///< set in raw mode
   std::uint16_t next_raw_port_ = 49152;
   std::map<std::uint16_t, Listener> listeners_;
-  std::map<ConnKey, std::unique_ptr<TcpConnection>> connections_;
+  /// Looked up for every segment. Only gc() and the destructor iterate it,
+  /// and their order only decides which timer slots are freed first.
+  std::unordered_map<ConnKey, std::unique_ptr<TcpConnection>, ConnKeyHash> connections_;
   std::set<std::uint16_t> bound_ports_;
 };
 

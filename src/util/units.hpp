@@ -30,9 +30,19 @@ class Duration {
   [[nodiscard]] static constexpr Duration hours(std::int64_t h) { return seconds(h * 3600); }
   [[nodiscard]] static constexpr Duration days(std::int64_t d) { return hours(d * 24); }
 
-  /// Converts a floating-point second count, rounding to the nearest ns.
+  /// Converts a floating-point second count, rounding to the nearest ns
+  /// (halves away from zero, exactly as std::llround). Every serialization
+  /// time and jitter draw comes through here, so the rounding is done
+  /// inline: the truncation of a double below 2^63 is exact, and so is the
+  /// fraction it leaves. NaN and values beyond ±9e18 ns take llround itself.
   [[nodiscard]] static Duration from_seconds(double s) {
-    return Duration{static_cast<std::int64_t>(std::llround(s * 1e9))};
+    const double x = s * 1e9;
+    if (!(x > -9e18 && x < 9e18)) return Duration{static_cast<std::int64_t>(std::llround(x))};
+    auto i = static_cast<std::int64_t>(x);
+    const double f = x - static_cast<double>(i);
+    if (f >= 0.5) ++i;
+    if (f <= -0.5) --i;
+    return Duration{i};
   }
   [[nodiscard]] static Duration from_millis(double ms) { return from_seconds(ms * 1e-3); }
   [[nodiscard]] static Duration from_micros(double us) { return from_seconds(us * 1e-6); }

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
@@ -9,7 +12,9 @@
 
 #include "util/flags.hpp"
 #include "util/inline_function.hpp"
+#include "sim/packet.hpp"
 #include "util/log.hpp"
+#include "util/ring.hpp"
 #include "util/rng.hpp"
 #include "util/small_vector.hpp"
 #include "util/units.hpp"
@@ -34,6 +39,57 @@ TEST(Duration, FromSecondsRoundsToNearestNanosecond) {
   EXPECT_EQ(Duration::from_seconds(1.5).ns(), 1'500'000'000);
   EXPECT_EQ(Duration::from_millis(0.0001).ns(), 100);
   EXPECT_EQ(Duration::from_micros(2.5).ns(), 2'500);
+}
+
+TEST(Duration, FromSecondsMatchesLlroundBitForBit) {
+  // The inline rounding must agree with std::llround on every input: exact
+  // halves (away from zero), their nextafter neighbours on both sides,
+  // negatives, the range where doubles are whole numbers (2^52..2^63) and
+  // the NaN/inf fallback.
+  const auto llround_ns = [](double s) { return static_cast<std::int64_t>(std::llround(s * 1e9)); };
+  std::vector<double> ns_values;
+  for (const double half : {0.5, 1.5, 2.5, 1e6 + 0.5, 123456789.5, 4503599627370495.5}) {
+    for (const double v : {half, std::nextafter(half, 0.0), std::nextafter(half, 1e300)}) {
+      ns_values.push_back(v);
+      ns_values.push_back(-v);
+    }
+  }
+  for (int e = 52; e <= 63; ++e) {
+    const double p = std::ldexp(1.0, e);
+    for (const double v : {p, std::nextafter(p, 0.0), std::nextafter(p, 1e300)}) {
+      ns_values.push_back(v);
+      ns_values.push_back(-v);
+    }
+  }
+  ns_values.push_back(0.0);
+  ns_values.push_back(-0.0);
+  ns_values.push_back(0.49999999999999994);
+  ns_values.push_back(-0.49999999999999994);
+  // Callers pass seconds, so probe the nine doubles around ns / 1e9: their
+  // products with 1e9 land on and next to each target, exact halves included.
+  int exact_halves = 0;
+  for (const double ns : ns_values) {
+    double s = ns / 1e9;
+    for (int i = 0; i < 4; ++i) s = std::nextafter(s, -1e300);
+    for (int i = 0; i < 9; ++i, s = std::nextafter(s, 1e300)) {
+      const double x = s * 1e9;
+      if (std::abs(x) < 9e15 && x - std::trunc(x) == std::copysign(0.5, x)) ++exact_halves;
+      EXPECT_EQ(Duration::from_seconds(s).ns(), llround_ns(s)) << "s=" << s;
+    }
+  }
+  EXPECT_GE(exact_halves, 12);
+  for (const double s : {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity(), 9.3e9, -9.3e9}) {
+    EXPECT_EQ(Duration::from_seconds(s).ns(), llround_ns(s)) << "s=" << s;
+  }
+  // A sweep of draws like the simulator's: uniform jitter and serialization
+  // times at many scales.
+  Rng rng{11};
+  for (int i = 0; i < 200000; ++i) {
+    const double s = rng.uniform(-1.0, 1.0) * std::ldexp(1.0, static_cast<int>(rng.index(40)) - 30);
+    ASSERT_EQ(Duration::from_seconds(s).ns(), llround_ns(s)) << "s=" << s;
+  }
 }
 
 TEST(Duration, ArithmeticBehavesLikeIntegers) {
@@ -444,6 +500,110 @@ TEST(SmallVector, PopBackDestroysAndShrinks) {
   }
   v.push_back("again");  // reusable after draining
   EXPECT_EQ(v.back(), "again");
+}
+
+// -------------------------------------------------------------------- Ring
+
+TEST(Ring, FifoOrderAcrossWrapAroundAndGrowth) {
+  util::Ring<int> r;
+  int next_in = 0;
+  int next_out = 0;
+  // Interleave pushes and pops so the head walks around the buffer, then let
+  // the fill outgrow it several times while wrapped.
+  for (int round = 0; round < 40; ++round) {
+    for (int i = 0; i < 3 + round; ++i) r.push_back(int{next_in++});
+    for (int i = 0; i < 2 + round / 2; ++i) {
+      ASSERT_EQ(r.front(), next_out++);
+      r.pop_front();
+    }
+    for (std::size_t i = 0; i < r.size(); ++i) {
+      ASSERT_EQ(r[i], next_out + static_cast<int>(i));
+    }
+  }
+  EXPECT_GT(r.size(), 8 * util::Ring<int>::kBlockSlots);  // spans many blocks
+  while (!r.empty()) {
+    ASSERT_EQ(r.front(), next_out++);
+    r.pop_front();
+  }
+  EXPECT_EQ(next_out, next_in);
+}
+
+TEST(Ring, SortedInsertIsStableForEqualKeys) {
+  // The link's push_arrival contract: scan back from the tail past strictly
+  // later keys, insert there — equal keys keep their arrival order.
+  struct Item {
+    int key;
+    int seq;
+  };
+  util::Ring<Item> r;
+  const auto insert_sorted = [&r](Item it) {
+    std::size_t pos = r.size();
+    while (pos > 0 && r[pos - 1].key > it.key) --pos;
+    r.insert(pos, std::move(it));
+  };
+  // Rotate the head first so inserts shift across the wrap point.
+  for (int i = 0; i < 5; ++i) r.push_back(Item{-1, -1});
+  for (int i = 0; i < 5; ++i) r.pop_front();
+  const int keys[] = {5, 3, 5, 1, 3, 5, 9, 1, 3, 0, 9, 5, 2, 2, 7, 5, 3, 1, 0, 8};
+  int seq = 0;
+  for (const int k : keys) insert_sorted(Item{k, seq++});
+  ASSERT_EQ(r.size(), std::size(keys));
+  for (std::size_t i = 1; i < r.size(); ++i) {
+    ASSERT_LE(r[i - 1].key, r[i].key);
+    if (r[i - 1].key == r[i].key) {
+      EXPECT_LT(r[i - 1].seq, r[i].seq);
+    }
+  }
+}
+
+TEST(Ring, ReleasesBlocksAsItDrainsAndKeepsOneSpare) {
+  using R = util::Ring<int>;
+  R small;
+  for (int i = 0; i < 10; ++i) small.push_back(int{i});
+  EXPECT_EQ(small.capacity(), R::kBlockSlots);
+  while (!small.empty()) small.pop_front();
+  EXPECT_EQ(small.capacity(), R::kBlockSlots);  // the drained block stays as the spare
+  for (int i = 0; i < 10; ++i) small.push_back(int{i});
+  EXPECT_EQ(small.capacity(), R::kBlockSlots);  // and is reused, not reallocated
+
+  R big;
+  for (int i = 0; i < 200; ++i) big.push_back(int{i});
+  ASSERT_GE(big.capacity(), 200u);
+  for (int i = 0; i < 150; ++i) big.pop_front();
+  // Blocks leave as the head passes: 50 live elements span at most 5 blocks.
+  EXPECT_LE(big.capacity(), 6 * R::kBlockSlots);
+  while (!big.empty()) big.pop_back();
+  EXPECT_EQ(big.capacity(), R::kBlockSlots);  // drained: only the spare stays
+  big.push_back(7);
+  EXPECT_EQ(big.front(), 7);
+}
+
+TEST(Ring, MoveOnlyElementsAndSpilledPacketsSurviveGrowth) {
+  util::Ring<std::unique_ptr<int>> owners;
+  for (int i = 0; i < 100; ++i) owners.push_back(std::make_unique<int>(i));
+  owners.insert(0, std::make_unique<int>(-1));
+  ASSERT_EQ(owners.size(), 101u);
+  EXPECT_EQ(*owners.front(), -1);
+  for (std::size_t i = 1; i < owners.size(); ++i) EXPECT_EQ(*owners[i], static_cast<int>(i) - 1);
+
+  // A pure ACK with more SACK blocks than the inline four lives partly on
+  // the heap; relocation must carry the heap block along intact.
+  util::Ring<sim::Packet> packets;
+  for (int i = 0; i < 40; ++i) {
+    sim::Packet p;
+    p.uid = static_cast<std::uint64_t>(i);
+    p.tcp.emplace();
+    for (std::uint64_t b = 0; b < 6; ++b) p.tcp->sack.emplace_back(b * 100, b * 100 + 50);
+    EXPECT_FALSE(p.tcp->sack.is_inline());
+    packets.push_back(std::move(p));
+  }
+  for (std::size_t i = 0; i < packets.size(); ++i) {
+    const sim::Packet& p = packets[i];
+    EXPECT_EQ(p.uid, i);
+    ASSERT_TRUE(p.tcp.has_value());
+    ASSERT_EQ(p.tcp->sack.size(), 6u);
+    EXPECT_EQ(p.tcp->sack[5], (std::pair<std::uint64_t, std::uint64_t>{500, 550}));
+  }
 }
 
 TEST(Fnv1a, StableKnownValue) {
