@@ -64,19 +64,6 @@ void QuicStack::dispatch(std::uint16_t local_port, const sim::Packet& pkt) {
   ref.on_datagram(pkt);
 }
 
-void QuicStack::gc() {
-  // Connections have no explicit close in the model; gc drops idle ones with
-  // nothing in flight and nothing queued.
-  for (auto it = connections_.begin(); it != connections_.end();) {
-    const QuicConnection& c = *it->second;
-    if (c.established() && c.bytes_in_flight() == 0 && !it->second->has_data_to_send()) {
-      it = connections_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
 // ================================================================ Connection
 
 QuicConnection::QuicConnection(QuicStack& stack, sim::Ipv4Addr remote_addr,
@@ -101,9 +88,6 @@ QuicConnection::QuicConnection(QuicStack& stack, sim::Ipv4Addr remote_addr,
   cc_config.min_cwnd_bytes = 2ull * config_.max_payload;
   cc_config.hystart = config_.hystart;
   cc_ = cc::make_controller(config_.algorithm, cc_config);
-  // The simulator-wide knob turns the analytic fast paths off everywhere at
-  // once (differential reference runs) without per-app config plumbing.
-  config_.fast_forward = config_.fast_forward && stack.sim().fast_forward();
   flow_id_ = stack.sim().next_flow_id();
   if (auto* rec = stack.sim().obs(); rec != nullptr && rec->sampler() != nullptr) {
     cwnd_probe_id_ = rec->sampler()->add_probe(
@@ -171,7 +155,6 @@ void QuicConnection::send_handshake_packet() {
   sent_[payload->pn] = sp;
   stats_.packets_sent++;
   stats_.largest_pn_sent = payload->pn;
-  handshake_sent_ = true;
   if (hooks.on_packet_sent) hooks.on_packet_sent(payload->pn, sp.sent_at, sp.sent_bytes);
 
   sim::Packet pkt;
@@ -342,10 +325,10 @@ void QuicConnection::send_one_packet(bool force_probe) {
   stats_.largest_pn_sent = payload->pn;
   if (hooks.on_packet_sent) hooks.on_packet_sent(payload->pn, sp.sent_at, sp.sent_bytes);
 
-  if (config_.pacing && srtt_ > Duration::zero()) {
+  if (config_.pacing && rtt_.srtt > Duration::zero()) {
     // Release at cwnd/srtt rate with a 1.25 burst factor.
     const double rate_Bps =
-        1.25 * static_cast<double>(cc_->cwnd_bytes()) / srtt_.to_seconds();
+        1.25 * static_cast<double>(cc_->cwnd_bytes()) / rtt_.srtt.to_seconds();
     const Duration gap = Duration::from_seconds(sp.sent_bytes / rate_Bps);
     const TimePoint now = stack_->sim().now();
     next_send_time_ = std::max(next_send_time_, now) + gap;
@@ -368,10 +351,9 @@ QuicConnection::AckFrame QuicConnection::build_ack() const {
   ack.largest = largest_recv_pn_;
   ack.ack_delay = stack_->sim().now() - largest_recv_at_;
   // Descending, newest ranges first, capped like a real ACK frame.
-  int count = 0;
-  for (auto it = recv_pn_ranges_.rbegin(); it != recv_pn_ranges_.rend() && count < 32;
-       ++it, ++count) {
-    ack.ranges.emplace_back(it->first, it->second);
+  for (auto it = recv_pn_ranges_.rbegin();
+       it != recv_pn_ranges_.rend() && ack.ranges.size() < 32; ++it) {
+    ack.ranges.emplace_back(it->start, it->end - 1);  // inclusive on the wire
   }
   return ack;
 }
@@ -446,40 +428,13 @@ void QuicConnection::on_datagram(const sim::Packet& pkt) {
 
   // --- record pn for ACK generation --------------------------------------
   any_received_ = true;
-  if (!any_received_ || payload->pn >= largest_recv_pn_) {
+  if (payload->pn >= largest_recv_pn_) {
     largest_recv_pn_ = payload->pn;
     largest_recv_at_ = now;
   }
-  {
-    const std::uint64_t pn = payload->pn;
-    auto it = recv_pn_ranges_.lower_bound(pn);
-    bool merged = false;
-    if (it != recv_pn_ranges_.begin()) {
-      auto prev = std::prev(it);
-      if (prev->second + 1 == pn) {
-        prev->second = pn;
-        merged = true;
-        // Possibly bridge to the next range.
-        if (it != recv_pn_ranges_.end() && it->first == pn + 1) {
-          prev->second = it->second;
-          recv_pn_ranges_.erase(it);
-        }
-      } else if (pn >= prev->first && pn <= prev->second) {
-        merged = true;  // duplicate
-      }
-    }
-    if (!merged) {
-      if (it != recv_pn_ranges_.end() && it->first == pn + 1) {
-        const std::uint64_t end = it->second;
-        recv_pn_ranges_.erase(it);
-        recv_pn_ranges_[pn] = end;
-      } else {
-        recv_pn_ranges_[pn] = pn;
-      }
-    }
-    // Bound state: permanently-missing pns would otherwise grow this map.
-    while (recv_pn_ranges_.size() > 64) recv_pn_ranges_.erase(recv_pn_ranges_.begin());
-  }
+  recv_pn_ranges_.insert(payload->pn, payload->pn + 1);
+  // Bound state: permanently-missing pns would otherwise grow the set.
+  while (recv_pn_ranges_.size() > 64) recv_pn_ranges_.pop_front();
 
   // --- frames -------------------------------------------------------------
   if (payload->max_data > 0) {
@@ -498,62 +453,17 @@ void QuicConnection::on_datagram(const sim::Packet& pkt) {
 
 void QuicConnection::deliver_stream(std::uint64_t offset, std::uint32_t len) {
   // Merge [offset, offset+len) and advance the delivered prefix.
-  const std::uint64_t start = offset;
-  const std::uint64_t end = offset + len;
-  auto it = stream_ooo_.lower_bound(start);
-  if (it != stream_ooo_.begin()) {
-    auto prev = std::prev(it);
-    if (prev->second >= start) it = prev;
-  }
-  std::uint64_t ms = start;
-  std::uint64_t me = end;
-  while (it != stream_ooo_.end() && it->first <= me) {
-    ms = std::min(ms, it->first);
-    me = std::max(me, it->second);
-    it = stream_ooo_.erase(it);
-  }
-  stream_ooo_[ms] = me;
-
-  auto front = stream_ooo_.begin();
-  if (front != stream_ooo_.end() && front->first <= stream_delivered_) {
-    const std::uint64_t new_delivered = std::max(stream_delivered_, front->second);
-    const std::uint64_t delta = new_delivered - stream_delivered_;
-    stream_delivered_ = new_delivered;
-    stream_ooo_.erase(front);
-    if (delta > 0) {
-      stats_.stream_bytes_delivered = stream_delivered_;
-      flow_bytes_received_ += delta;
-      maybe_send_max_data();
-      if (on_stream_data) on_stream_data(delta);
-    }
+  stream_ooo_.insert(offset, offset + len);
+  const std::uint64_t new_delivered = stream_ooo_.advance(stream_delivered_);
+  const std::uint64_t delta = new_delivered - stream_delivered_;
+  stream_delivered_ = new_delivered;
+  if (delta > 0) {
+    stats_.stream_bytes_delivered = stream_delivered_;
+    flow_bytes_received_ += delta;
+    maybe_send_max_data();
+    if (on_stream_data) on_stream_data(delta);
   }
 }
-
-namespace {
-
-/// Merges [start, end) into a range map; returns the number of bytes that
-/// were not previously covered (dedup for retransmitted data).
-std::uint64_t merge_range(std::map<std::uint64_t, std::uint64_t>& ranges, std::uint64_t start,
-                          std::uint64_t end) {
-  std::uint64_t covered_before = 0;
-  auto it = ranges.lower_bound(start);
-  if (it != ranges.begin()) {
-    auto prev = std::prev(it);
-    if (prev->second >= start) it = prev;
-  }
-  std::uint64_t ms = start;
-  std::uint64_t me = end;
-  while (it != ranges.end() && it->first <= me) {
-    covered_before += it->second - it->first;
-    ms = std::min(ms, it->first);
-    me = std::max(me, it->second);
-    it = ranges.erase(it);
-  }
-  ranges[ms] = me;
-  return (me - ms) - covered_before;
-}
-
-}  // namespace
 
 void QuicConnection::deliver_chunks(const Payload& payload) {
   for_each_chunk(payload, [this](const MsgChunk& chunk) {
@@ -569,7 +479,7 @@ void QuicConnection::deliver_chunks(const Payload& payload) {
     r.queued_at = chunk.queued_at;
     // Spurious retransmissions deliver the same chunk twice; range-merge
     // dedup keeps the byte count exact.
-    const std::uint64_t fresh = merge_range(r.ranges, chunk.offset, chunk.offset + chunk.len);
+    const std::uint64_t fresh = r.ranges.insert(chunk.offset, chunk.offset + chunk.len);
     r.received += fresh;
     flow_bytes_received_ += fresh;
     if (r.received >= r.total && r.total > 0) {
@@ -673,14 +583,11 @@ void QuicConnection::process_ack(const AckFrame& ack, TimePoint now) {
 void QuicConnection::update_rtt(Duration sample) {
   latest_rtt_ = sample;
   min_rtt_ = std::min(min_rtt_, sample);
-  if (srtt_.is_zero()) {
-    srtt_ = sample;
-    rttvar_ = sample / 2;
-  } else {
-    const Duration delta = (srtt_ > sample) ? (srtt_ - sample) : (sample - srtt_);
-    rttvar_ = rttvar_ * 0.75 + delta * 0.25;
-    srtt_ = srtt_ * 0.875 + sample * 0.125;
-  }
+  rtt_.update(sample);
+}
+
+Duration QuicConnection::base_rtt() const {
+  return rtt_.srtt.is_zero() ? config_.initial_rtt : rtt_.srtt;
 }
 
 void QuicConnection::on_packet_lost_internal(std::uint64_t pn, SentPacket& sp) {
@@ -701,26 +608,7 @@ void QuicConnection::on_packet_lost_internal(std::uint64_t pn, SentPacket& sp) {
     }
   }
 
-  // Re-queue the content for transmission under NEW packet numbers.
-  if (sp.stream_len > 0) {
-    stream_rtx_.emplace_back(sp.stream_offset, sp.stream_offset + sp.stream_len);
-  }
-  if (has_chunks(sp)) {
-    util::SmallVector<MsgChunk, 8> all;
-    for_each_chunk(sp, [this, &all](const MsgChunk& c) {
-      if (c.unreliable) {
-        // Datagrams are never retransmitted: count the drop, tell the app.
-        stats_.datagrams_lost++;
-        if (on_dgram_lost) on_dgram_lost(c.msg_id, c.total);
-        return;
-      }
-      all.push_back(c);
-    });
-    while (!all.empty()) {
-      msg_queue_.push_front(all.back());
-      all.pop_back();
-    }
-  }
+  requeue_lost_content(sp, /*stream_to_front=*/false);
   if (sp.max_data > 0 && sp.max_data >= last_max_data_sent_) {
     // Ensure the window update is re-advertised.
     last_max_data_sent_ = std::min(last_max_data_sent_, sp.max_data - 1);
@@ -731,8 +619,33 @@ void QuicConnection::on_packet_lost_internal(std::uint64_t pn, SentPacket& sp) {
   }
 }
 
+void QuicConnection::requeue_lost_content(const SentPacket& sp, bool stream_to_front) {
+  if (sp.stream_len > 0) {
+    const std::pair range{sp.stream_offset, sp.stream_offset + sp.stream_len};
+    if (stream_to_front) {
+      stream_rtx_.push_front(range);
+    } else {
+      stream_rtx_.push_back(range);
+    }
+  }
+  if (!has_chunks(sp)) return;
+  util::SmallVector<MsgChunk, 8> all;
+  for_each_chunk(sp, [this, &all](const MsgChunk& c) {
+    if (c.unreliable) {
+      stats_.datagrams_lost++;
+      if (on_dgram_lost) on_dgram_lost(c.msg_id, c.total);
+      return;
+    }
+    all.push_back(c);
+  });
+  while (!all.empty()) {
+    msg_queue_.push_front(all.back());
+    all.pop_back();
+  }
+}
+
 void QuicConnection::detect_losses(TimePoint now) {
-  const Duration rtt = std::max(srtt_.is_zero() ? config_.initial_rtt : srtt_, latest_rtt_);
+  const Duration rtt = std::max(base_rtt(), latest_rtt_);
   const Duration threshold =
       std::max(rtt * config_.time_threshold, config_.granularity);
   bool loss_event = false;
@@ -761,7 +674,7 @@ void QuicConnection::detect_losses(TimePoint now) {
     // mode reacts to every loss detection batch, which is what makes a
     // single QUIC connection "react more strongly to losses" than the
     // parallel TCP pool (§3.3).
-    const Duration eager_guard = (srtt_.is_zero() ? config_.initial_rtt : srtt_) * (1.0 / 3.0);
+    const Duration eager_guard = base_rtt() * (1.0 / 3.0);
     const bool react = config_.once_per_round_reduction
                            ? largest_lost_sent_at > congestion_recovery_start_
                            : now >= congestion_recovery_start_ + eager_guard;
@@ -775,8 +688,8 @@ void QuicConnection::detect_losses(TimePoint now) {
 }
 
 Duration QuicConnection::pto_interval() const {
-  const Duration base = srtt_.is_zero() ? config_.initial_rtt : srtt_;
-  Duration pto = base + std::max(rttvar_ * 4.0, config_.granularity) + config_.max_ack_delay;
+  Duration pto =
+      base_rtt() + std::max(rtt_.rttvar * 4.0, config_.granularity) + config_.max_ack_delay;
   for (int i = 0; i < pto_count_; ++i) pto = pto * 2.0;
   return pto;
 }
@@ -788,10 +701,10 @@ void QuicConnection::arm_loss_timer() {
     loss_timer_.cancel();
     return;
   }
-  const Duration rtt = std::max(srtt_.is_zero() ? config_.initial_rtt : srtt_, latest_rtt_);
+  const Duration rtt = std::max(base_rtt(), latest_rtt_);
   const Duration threshold = std::max(rtt * config_.time_threshold, config_.granularity);
 
-  if (config_.fast_forward) {
+  if (stack_->sim().fast_forward()) {
     // O(1) equivalent of the reference scans below. Two invariants make it
     // exact: every `sent_` entry is ack-eliciting (ack-only and MAX_DATA
     // control packets are never tracked), and `sent_at` is monotone in pn
@@ -856,24 +769,7 @@ void QuicConnection::on_loss_timer() {
     // Treat as lost for accounting (content re-queued, new pn assigned).
     stats_.packets_lost++;
     if (hooks.on_packet_lost) hooks.on_packet_lost(pn);
-    if (sp.stream_len > 0) {
-      stream_rtx_.emplace_front(sp.stream_offset, sp.stream_offset + sp.stream_len);
-    }
-    if (has_chunks(sp)) {
-      util::SmallVector<MsgChunk, 8> all;
-      for_each_chunk(sp, [this, &all](const MsgChunk& c) {
-        if (c.unreliable) {
-          stats_.datagrams_lost++;
-          if (on_dgram_lost) on_dgram_lost(c.msg_id, c.total);
-          return;
-        }
-        all.push_back(c);
-      });
-      while (!all.empty()) {
-        msg_queue_.push_front(all.back());
-        all.pop_back();
-      }
-    }
+    requeue_lost_content(sp, /*stream_to_front=*/true);
     if (sp.handshake && !established_ && is_client_) {
       send_handshake_packet();
     } else if (established_) {

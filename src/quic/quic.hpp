@@ -30,6 +30,7 @@
 #include "sim/host.hpp"
 #include "sim/packet_pool.hpp"
 #include "tcp/congestion.hpp"
+#include "util/interval_set.hpp"
 #include "util/small_vector.hpp"
 #include "util/units.hpp"
 
@@ -67,12 +68,6 @@ struct QuicConfig {
   /// for single-connection H3 downloads trailing the parallel-TCP Ookla
   /// tests ("reacting more strongly to losses", §3.3). false = quiche-era.
   bool once_per_round_reduction = false;
-
-  /// Algorithmic fast paths (O(1) loss-timer arming instead of full
-  /// `sent_` scans). Behaviour is provably identical either way — the knob
-  /// exists so the differential suite in tests/packet_path_test.cpp can pin
-  /// fast-forward output byte-for-byte against the reference scans.
-  bool fast_forward = true;
 };
 
 /// qlog-style event hooks, consumed by measure::LossAnalyzer & friends.
@@ -147,7 +142,7 @@ class QuicConnection {
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
   [[nodiscard]] bool established() const { return established_; }
-  [[nodiscard]] Duration srtt() const { return srtt_; }
+  [[nodiscard]] Duration srtt() const { return rtt_.srtt; }
   [[nodiscard]] std::uint64_t cwnd_bytes() const { return cc_->cwnd_bytes(); }
   [[nodiscard]] std::uint64_t bytes_in_flight() const { return bytes_in_flight_; }
   [[nodiscard]] std::uint64_t flow_window() const { return local_max_data_; }
@@ -247,6 +242,11 @@ class QuicConnection {
   void process_ack(const AckFrame& ack, TimePoint now);
   void detect_losses(TimePoint now);
   void on_packet_lost_internal(std::uint64_t pn, SentPacket& sp);
+  /// Re-queues a lost packet's content for new packet numbers: its stream
+  /// range at the front or back of `stream_rtx_`, its reliable message
+  /// chunks in order at the front of `msg_queue_`. Datagram chunks are
+  /// never re-sent; each is counted and reported to `on_dgram_lost`.
+  void requeue_lost_content(const SentPacket& sp, bool stream_to_front);
   void deliver_stream(std::uint64_t offset, std::uint32_t len);
   void deliver_chunks(const Payload& payload);
   void maybe_send();
@@ -260,6 +260,8 @@ class QuicConnection {
   void note_cc_event(const char* what);
   void update_rtt(Duration sample);
   void maybe_send_max_data();
+  /// Smoothed RTT, or the configured initial RTT before the first sample.
+  [[nodiscard]] Duration base_rtt() const;
   [[nodiscard]] Duration pto_interval() const;
   [[nodiscard]] bool has_data_to_send() const;
   [[nodiscard]] AckFrame build_ack() const;
@@ -271,7 +273,6 @@ class QuicConnection {
   QuicConfig config_;
   bool is_client_;
   bool established_ = false;
-  bool handshake_sent_ = false;
   std::unique_ptr<cc::CongestionController> cc_;
   std::uint64_t flow_id_ = 0;
   std::uint64_t cwnd_probe_id_ = 0;  ///< "quic.cwnd" sampler probe
@@ -281,7 +282,6 @@ class QuicConnection {
   std::map<std::uint64_t, SentPacket> sent_;
   std::uint64_t bytes_in_flight_ = 0;
   std::uint64_t largest_acked_ = 0;
-  bool anything_acked_ = false;
 
   // stream 0 sender
   std::uint64_t stream_length_ = 0;
@@ -299,7 +299,7 @@ class QuicConnection {
   std::uint64_t flow_bytes_sent_ = 0;  ///< stream+message bytes charged
 
   // --- receive state ---
-  std::map<std::uint64_t, std::uint64_t> recv_pn_ranges_;  ///< [start, end] inclusive
+  util::IntervalSet recv_pn_ranges_;  ///< received pns, newest 64 ranges
   std::uint64_t largest_recv_pn_ = 0;
   TimePoint largest_recv_at_;
   bool any_received_ = false;
@@ -307,12 +307,12 @@ class QuicConnection {
   sim::Timer ack_timer_;
 
   // stream 0 receiver
-  std::map<std::uint64_t, std::uint64_t> stream_ooo_;  ///< [start, end)
+  util::IntervalSet stream_ooo_;  ///< received beyond the delivered prefix
   std::uint64_t stream_delivered_ = 0;
 
   // message receiver
   struct MsgReassembly {
-    std::map<std::uint64_t, std::uint64_t> ranges;  ///< received [start, end)
+    util::IntervalSet ranges;  ///< received byte ranges
     std::uint64_t received = 0;
     std::uint64_t total = 0;
     TimePoint queued_at;
@@ -327,8 +327,7 @@ class QuicConnection {
   std::uint64_t last_max_data_sent_;
 
   // --- timers / RTT ---
-  Duration srtt_ = Duration::zero();
-  Duration rttvar_ = Duration::zero();
+  cc::RttEstimator rtt_;
   Duration latest_rtt_ = Duration::zero();
   Duration min_rtt_ = Duration::infinite();
   sim::Timer loss_timer_;
@@ -357,7 +356,6 @@ class QuicStack {
   [[nodiscard]] sim::Host& host() { return *host_; }
   [[nodiscard]] sim::Simulator& sim() { return host_->sim(); }
   [[nodiscard]] std::size_t connection_count() const { return connections_.size(); }
-  void gc();
 
  private:
   friend class QuicConnection;

@@ -102,6 +102,24 @@ class NewReno final : public CongestionController {
   std::uint64_t ack_accumulator_ = 0;  ///< bytes acked since last cwnd bump (CA)
 };
 
+/// RFC 6298 smoothed RTT and RTT variance (alpha 1/8, beta 1/4), shared by
+/// TCP's RTO and QUIC's loss timers. Zero `srtt` means no sample yet.
+struct RttEstimator {
+  Duration srtt = Duration::zero();
+  Duration rttvar = Duration::zero();
+
+  void update(Duration sample) {
+    if (srtt.is_zero()) {
+      srtt = sample;
+      rttvar = sample / 2;
+    } else {
+      const Duration delta = (srtt > sample) ? (srtt - sample) : (sample - srtt);
+      rttvar = rttvar * 0.75 + delta * 0.25;
+      srtt = srtt * 0.875 + sample * 0.125;
+    }
+  }
+};
+
 enum class CcAlgorithm { kCubic, kNewReno, kBbr };
 
 [[nodiscard]] std::unique_ptr<CongestionController> make_controller(CcAlgorithm algo,

@@ -156,9 +156,6 @@ TcpConnection::TcpConnection(TcpStack& stack, sim::Ipv4Addr remote_addr,
   cc_config.initial_window_segments = config_.initial_window_segments;
   cc_config.min_cwnd_bytes = 2ull * config_.mss;
   cc_ = cc::make_controller(config_.algorithm, cc_config);
-  // Simulator-wide knob: differential reference runs disable the analytic
-  // fast paths everywhere at once (see Simulator::set_fast_forward).
-  config_.fast_forward = config_.fast_forward && stack.sim().fast_forward();
   flow_id_ = stack.sim().next_flow_id();
 }
 
@@ -249,10 +246,8 @@ void TcpConnection::send_control(bool syn, bool ack, bool fin, std::uint64_t seq
     // pipe estimate stays inflated and recovery deadlocks into RTO. The
     // block budget is more generous than the 3-4 of a real 40-byte option
     // space; see DESIGN.md on this deliberate idealization.
-    int blocks = 0;
-    for (auto it = ooo_.rbegin(); it != ooo_.rend(); ++it) {
-      if (++blocks > 16) break;
-      hdr.sack.emplace_back(it->first, it->second);
+    for (auto it = ooo_.rbegin(); it != ooo_.rend() && hdr.sack.size() < 16; ++it) {
+      hdr.sack.emplace_back(it->start, it->end);
     }
   }
   pkt.size_bytes = config_.header_bytes + (hdr.sack.empty() ? 0 : 12);
@@ -325,8 +320,9 @@ void TcpConnection::maybe_send() {
   // 1. Retransmit segments marked lost (pipe accounting already excludes
   //    them from bytes_in_flight_). `lost_unsacked_` counts exactly the
   //    segments this scan is after, so fast-forward skips the whole walk on
-  //    the common all-clear ACK.
-  if (!config_.fast_forward || lost_unsacked_ > 0) {
+  //    the common all-clear ACK (Simulator::fast_forward off keeps the walk
+  //    as the reference).
+  if (!stack_->sim().fast_forward() || lost_unsacked_ > 0) {
     for (auto& [seq, seg] : in_flight_) {
       if (budget <= 0) break;
       if (seg.lost && !seg.sacked) {
@@ -361,7 +357,7 @@ void TcpConnection::maybe_send() {
 // ------------------------------------------------------------- receive path
 
 void TcpConnection::on_packet(const sim::Packet& pkt) {
-  if (dead_ || state_ == TcpState::kDone) {
+  if (state_ == TcpState::kDone) {
     // Classic half-dead behavior: answer stray in-window traffic with RST so
     // the peer tears down too (lost RSTs must not leave it retransmitting
     // into the void until its RTO gives up).
@@ -447,17 +443,9 @@ void TcpConnection::handle_handshake(const sim::Packet& pkt) {
 
 void TcpConnection::update_rtt(Duration sample) {
   if (sample <= Duration::zero()) return;
-  if (srtt_.is_zero()) {
-    srtt_ = sample;
-    rttvar_ = sample / 2;
-  } else {
-    const Duration delta =
-        (srtt_ > sample) ? (srtt_ - sample) : (sample - srtt_);
-    rttvar_ = rttvar_ * 0.75 + delta * 0.25;
-    srtt_ = srtt_ * 0.875 + sample * 0.125;
-  }
-  rto_ = std::clamp(srtt_ + std::max(rttvar_ * 4.0, Duration::millis(1)), config_.min_rto,
-                    config_.max_rto);
+  rtt_.update(sample);
+  rto_ = std::clamp(rtt_.srtt + std::max(rtt_.rttvar * 4.0, Duration::millis(1)),
+                    config_.min_rto, config_.max_rto);
   if (on_rtt_sample) on_rtt_sample(sample);
 }
 
@@ -498,7 +486,6 @@ void TcpConnection::handle_ack(const sim::Packet& pkt) {
         sack_advanced = true;
       }
     }
-    highest_sacked_ = std::max(highest_sacked_, end);
   }
 
   // --- cumulative ACK ---------------------------------------------------
@@ -606,14 +593,14 @@ void TcpConnection::detect_losses() {
   // send time and is never re-marked while still plausibly in flight.
   if (latest_acked_sent_time_ > TimePoint::epoch()) {
     const Duration reorder_window =
-        std::max(srtt_ * 0.25, Duration::millis(1));
+        std::max(rtt_.srtt * 0.25, Duration::millis(1));
     // `rack_scan_floor_` is a lower bound on the send time of every
     // candidate (!sacked && !lost) segment: if even the floor has not aged
     // past the reordering window, no candidate can have either, and the scan
     // provably finds nothing. Each scan that does run re-tightens the floor
     // to the exact minimum, so the walk amortizes to roughly once per
     // reordering window instead of once per ACK.
-    const bool scan = !config_.fast_forward ||
+    const bool scan = !stack_->sim().fast_forward() ||
                       (!rack_scan_floor_.is_infinite() &&
                        rack_scan_floor_ + reorder_window < latest_acked_sent_time_);
     if (scan) {
@@ -694,13 +681,8 @@ void TcpConnection::handle_data(const sim::Packet& pkt) {
 
   if (payload > 0) {
     if (seq == rcv_nxt_) {
-      rcv_nxt_ += payload;
-      // Merge any adjacent out-of-order ranges.
-      auto it = ooo_.begin();
-      while (it != ooo_.end() && it->first <= rcv_nxt_) {
-        rcv_nxt_ = std::max(rcv_nxt_, it->second);
-        it = ooo_.erase(it);
-      }
+      // Take in any out-of-order ranges the new data reaches.
+      rcv_nxt_ = ooo_.advance(rcv_nxt_ + payload);
       const std::uint64_t delivered_total = rcv_nxt_ - 1;  // exclude SYN
       const std::uint64_t delta = delivered_total - stats_.bytes_delivered;
       stats_.bytes_delivered = delivered_total;
@@ -710,22 +692,7 @@ void TcpConnection::handle_data(const sim::Packet& pkt) {
       if (on_data && delta > 0) on_data(delta);
     } else if (seq > rcv_nxt_) {
       out_of_order = true;
-      // Insert/merge [seq, seq+payload) into the out-of-order set.
-      const std::uint64_t start = seq;
-      const std::uint64_t end = seq + payload;
-      auto it = ooo_.lower_bound(start);
-      if (it != ooo_.begin()) {
-        auto prev = std::prev(it);
-        if (prev->second >= start) it = prev;
-      }
-      std::uint64_t merged_start = start;
-      std::uint64_t merged_end = end;
-      while (it != ooo_.end() && it->first <= merged_end) {
-        merged_start = std::min(merged_start, it->first);
-        merged_end = std::max(merged_end, it->second);
-        it = ooo_.erase(it);
-      }
-      ooo_[merged_start] = merged_end;
+      ooo_.insert(seq, seq + payload);
     } else {
       out_of_order = true;  // duplicate: trigger an immediate ACK
     }

@@ -16,7 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -25,6 +24,7 @@
 
 #include "sim/host.hpp"
 #include "tcp/congestion.hpp"
+#include "util/interval_set.hpp"
 #include "util/units.hpp"
 
 namespace slp::tcp {
@@ -52,13 +52,6 @@ struct TcpConfig {
   /// line-rate bursts from flooding shallow queues during recovery.
   int max_burst_segments = 10;
   std::uint32_t header_bytes = 40;  ///< IP+TCP overhead per segment
-  /// Algorithmic fast paths: skip the per-ACK retransmit and RACK scans of
-  /// `in_flight_` when cheap bookkeeping proves they cannot find anything
-  /// (a lost-segment counter and a conservative floor on candidate send
-  /// times). Behaviour is identical either way; the knob lets the
-  /// differential suite in tests/packet_path_test.cpp prove it byte-by-byte
-  /// against the reference full scans.
-  bool fast_forward = true;
 };
 
 enum class TcpState {
@@ -124,7 +117,7 @@ class TcpConnection {
   [[nodiscard]] std::uint64_t bytes_in_flight() const { return bytes_in_flight_; }
   [[nodiscard]] std::uint64_t cwnd_bytes() const { return cc_->cwnd_bytes(); }
   [[nodiscard]] std::uint64_t rcv_buffer_bytes() const { return rcv_buffer_; }
-  [[nodiscard]] Duration srtt() const { return srtt_; }
+  [[nodiscard]] Duration srtt() const { return rtt_.srtt; }
   [[nodiscard]] sim::Ipv4Addr remote_addr() const { return remote_addr_; }
   [[nodiscard]] std::uint16_t remote_port() const { return remote_port_; }
   [[nodiscard]] std::uint16_t local_port() const { return local_port_; }
@@ -205,7 +198,6 @@ class TcpConnection {
   /// been reached, and is re-tightened exactly on every scan that does run.
   TimePoint rack_scan_floor_ = TimePoint::infinite();
   std::uint64_t peer_rwnd_ = 65'535;
-  std::uint64_t highest_sacked_ = 0;
   /// RACK (RFC 8985, simplified): newest send time among acked/sacked
   /// segments. A segment is lost when something sent later was acked and a
   /// reordering window has passed — this never re-marks an in-flight
@@ -224,15 +216,14 @@ class TcpConnection {
   int syn_retries_ = 0;
 
   // --- RTT/RTO ---
-  Duration srtt_ = Duration::zero();
-  Duration rttvar_ = Duration::zero();
+  cc::RttEstimator rtt_;
   Duration rto_;
   int rto_backoff_ = 0;
   sim::Timer rto_timer_;
 
   // --- receiver ---
   std::uint64_t rcv_nxt_ = 0;  ///< next expected (0 until SYN consumed)
-  std::map<std::uint64_t, std::uint64_t> ooo_;  ///< out-of-order [start, end)
+  util::IntervalSet ooo_;  ///< out-of-order byte ranges
   std::uint64_t rcv_buffer_;
   bool manual_read_ = false;
   std::uint64_t unread_bytes_ = 0;
@@ -246,11 +237,9 @@ class TcpConnection {
   bool fin_delivered_ = false;
   int unacked_segments_ = 0;
   sim::Timer delack_timer_;
-  TimePoint last_tune_at_;
   std::uint64_t delivered_since_tune_ = 0;
 
   Stats stats_;
-  bool dead_ = false;  ///< detached from stack, callbacks disabled
 };
 
 /// Per-endpoint TCP stack: owns connections and demultiplexes segments.

@@ -82,6 +82,22 @@ TEST(NewReno, HalvesOnCongestion) {
   EXPECT_EQ(reno.cwnd_bytes(), before / 2);
 }
 
+TEST(CcRto, NewRenoAndCubicCollapseToMinCwnd) {
+  cc::CcConfig config;
+  config.min_cwnd_bytes = 3 * 1448;  // not the default, so the config is what's read
+  for (const cc::CcAlgorithm algo : {cc::CcAlgorithm::kNewReno, cc::CcAlgorithm::kCubic}) {
+    const auto ctl = cc::make_controller(algo, config);
+    SCOPED_TRACE(ctl->name());
+    ctl->on_ack(300'000, 50_ms, TimePoint::epoch() + 50_ms);
+    const std::uint64_t before = ctl->cwnd_bytes();
+    ASSERT_GT(before, config.min_cwnd_bytes);
+    ctl->on_rto(TimePoint::epoch() + 1_s);
+    EXPECT_EQ(ctl->cwnd_bytes(), config.min_cwnd_bytes);
+    EXPECT_LT(ctl->ssthresh_bytes(), before);  // the RTO is also a congestion event
+    EXPECT_TRUE(ctl->in_slow_start());
+  }
+}
+
 TEST(CcFactory, MakesBothAlgorithms) {
   EXPECT_EQ(cc::make_controller(cc::CcAlgorithm::kCubic)->name(), "cubic");
   EXPECT_EQ(cc::make_controller(cc::CcAlgorithm::kNewReno)->name(), "newreno");

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <memory>
@@ -10,9 +11,11 @@
 #include <utility>
 #include <vector>
 
+#include "sim/packet.hpp"
+#include "tcp/congestion.hpp"
 #include "util/flags.hpp"
 #include "util/inline_function.hpp"
-#include "sim/packet.hpp"
+#include "util/interval_set.hpp"
 #include "util/log.hpp"
 #include "util/ring.hpp"
 #include "util/rng.hpp"
@@ -604,6 +607,135 @@ TEST(Ring, MoveOnlyElementsAndSpilledPacketsSurviveGrowth) {
     ASSERT_EQ(p.tcp->sack.size(), 6u);
     EXPECT_EQ(p.tcp->sack[5], (std::pair<std::uint64_t, std::uint64_t>{500, 550}));
   }
+}
+
+// ------------------------------------------------------------- IntervalSet
+
+using Span = std::pair<std::uint64_t, std::uint64_t>;
+
+/// The set's ranges in the order its descending iteration yields them.
+std::vector<Span> descending(const util::IntervalSet& set) {
+  std::vector<Span> out;
+  for (auto it = set.rbegin(); it != set.rend(); ++it) out.emplace_back(it->start, it->end);
+  return out;
+}
+
+TEST(IntervalSet, TableOfInsertsAndAdvances) {
+  // An op is insert(a, b) expecting `result` newly covered units, or (when
+  // `advance` is set) advance(a) expecting `result` as the new cursor.
+  struct Op {
+    std::uint64_t a;
+    std::uint64_t b;
+    std::uint64_t result;
+    bool advance = false;
+  };
+  struct Case {
+    const char* name;
+    std::vector<Op> ops;
+    std::vector<Span> ranges;  ///< final contents, highest first
+  };
+  const std::vector<Case> cases = {
+      {"overlap", {{10, 20, 10}, {15, 30, 10}}, {{10, 30}}},
+      {"overlap_below", {{10, 20, 10}, {5, 12, 5}}, {{5, 20}}},
+      {"touching_above", {{10, 20, 10}, {20, 30, 10}}, {{10, 30}}},
+      {"touching_below", {{10, 20, 10}, {0, 10, 10}}, {{0, 20}}},
+      {"fill_bridges_two", {{0, 10, 10}, {20, 30, 10}, {10, 20, 10}}, {{0, 30}}},
+      {"overlapping_bridge", {{0, 10, 10}, {20, 30, 10}, {5, 25, 10}}, {{0, 30}}},
+      {"swallows_several", {{0, 5, 5}, {10, 15, 5}, {20, 25, 5}, {3, 22, 10}}, {{0, 25}}},
+      {"duplicate_returns_zero", {{10, 20, 10}, {10, 20, 0}, {12, 18, 0}}, {{10, 20}}},
+      {"duplicate_at_start_keeps_range", {{5, 10, 5}, {5, 6, 0}}, {{5, 10}}},
+      {"empty_insert_is_noop", {{7, 7, 0}, {9, 3, 0}}, {}},
+      {"gap_keeps_ranges_apart", {{10, 20, 10}, {21, 30, 9}}, {{21, 30}, {10, 20}}},
+      {"descending_order", {{30, 40, 10}, {10, 20, 10}, {50, 60, 10}, {0, 5, 5}},
+       {{50, 60}, {30, 40}, {10, 20}, {0, 5}}},
+      {"advance_before_first_range", {{5, 10, 5}, {4, 0, 4, true}}, {{5, 10}}},
+      {"advance_across_several",
+       {{2, 5, 3}, {6, 9, 3}, {12, 15, 3}, {6, 0, 9, true}},
+       {{12, 15}}},
+      {"advance_into_range_middle", {{10, 20, 10}, {15, 0, 20, true}}, {}},
+      {"advance_past_everything", {{1, 2, 1}, {4, 6, 2}, {100, 0, 100, true}}, {}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    util::IntervalSet set;
+    for (const Op& op : c.ops) {
+      const std::uint64_t got = op.advance ? set.advance(op.a) : set.insert(op.a, op.b);
+      EXPECT_EQ(got, op.result);
+    }
+    EXPECT_EQ(descending(set), c.ranges);
+    EXPECT_EQ(set.size(), c.ranges.size());
+    EXPECT_EQ(set.empty(), c.ranges.empty());
+  }
+}
+
+TEST(IntervalSet, PopFrontDropsTheLowestRange) {
+  util::IntervalSet set;
+  set.insert(40, 41);
+  set.insert(10, 11);
+  set.insert(20, 22);
+  set.pop_front();
+  EXPECT_EQ(descending(set), (std::vector<Span>{{40, 41}, {20, 22}}));
+}
+
+TEST(IntervalSet, RandomizedAgainstBitmapModel) {
+  // 10k seeded inserts and advances checked against a std::vector<bool>:
+  // every return value and, after every op, the full set of maximal runs.
+  constexpr std::uint64_t kUniverse = 1024;
+  Rng rng{2021};
+  util::IntervalSet set;
+  std::vector<bool> model(kUniverse + 1, false);  // the last slot stays false
+  const auto draw = [&rng](std::uint64_t lo, std::uint64_t hi) {
+    return static_cast<std::uint64_t>(
+        rng.uniform_int(static_cast<std::int64_t>(lo), static_cast<std::int64_t>(hi)));
+  };
+  for (int step = 0; step < 10'000; ++step) {
+    SCOPED_TRACE(step);
+    if (rng.chance(0.1)) {
+      const std::uint64_t from = draw(0, kUniverse - 1);
+      // Model: everything below the cursor goes, then the run it lands on.
+      std::uint64_t cursor = from;
+      for (std::uint64_t i = 0; i < cursor; ++i) model[i] = false;
+      while (model[cursor]) model[cursor++] = false;
+      ASSERT_EQ(set.advance(from), cursor);
+    } else {
+      const std::uint64_t start = draw(0, kUniverse - 1);
+      const std::uint64_t end = std::min(kUniverse, start + draw(1, 48));
+      std::uint64_t fresh = 0;
+      for (std::uint64_t i = start; i < end; ++i) {
+        if (!model[i]) ++fresh;
+        model[i] = true;
+      }
+      ASSERT_EQ(set.insert(start, end), fresh);
+    }
+    std::vector<Span> runs;
+    for (std::uint64_t i = 0; i < kUniverse; ++i) {
+      if (model[i] && (i == 0 || !model[i - 1])) runs.emplace_back(i, i);
+      if (model[i]) runs.back().second = i + 1;
+    }
+    std::reverse(runs.begin(), runs.end());
+    ASSERT_EQ(descending(set), runs);
+  }
+}
+
+// ------------------------------------------------------------- RttEstimator
+
+TEST(RttEstimator, FirstAndSecondSamplesFollowRfc6298) {
+  cc::RttEstimator rtt;
+  EXPECT_EQ(rtt.srtt, Duration::zero());
+  rtt.update(Duration::millis(100));
+  EXPECT_EQ(rtt.srtt, Duration::millis(100));
+  EXPECT_EQ(rtt.rttvar, Duration::millis(50));
+  rtt.update(Duration::millis(60));
+  // rttvar = 3/4 * 50 ms + 1/4 * |100 - 60| ms; srtt = 7/8 * 100 ms + 1/8 * 60 ms.
+  EXPECT_EQ(rtt.rttvar, Duration::millis(47) + Duration::micros(500));
+  EXPECT_EQ(rtt.srtt, Duration::millis(95));
+  // Odd nanosecond counts: each product truncates toward zero on its own.
+  cc::RttEstimator odd;
+  odd.update(Duration::nanos(333));
+  EXPECT_EQ(odd.rttvar, Duration::nanos(166));
+  odd.update(Duration::nanos(1000));
+  EXPECT_EQ(odd.rttvar, Duration::nanos(124 + 166));
+  EXPECT_EQ(odd.srtt, Duration::nanos(291 + 125));
 }
 
 TEST(Fnv1a, StableKnownValue) {
