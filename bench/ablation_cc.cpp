@@ -68,9 +68,10 @@ CcResult run_one(const bench::CommonArgs& args, std::uint64_t seed,
 
 int main(int argc, char** argv) {
   using namespace slp;
-  const auto args = bench::CommonArgs::parse(argc, argv);
-  bench::banner("Ablation: congestion control",
-                "single bulk TCP download over Starlink, per controller");
+  bench::Run run{argc, argv};
+  const auto& args = run.args();
+  run.start("Ablation: congestion control",
+            "single bulk TCP download over Starlink, per controller");
 
   struct Row {
     const char* name;
@@ -117,8 +118,6 @@ int main(int argc, char** argv) {
 
   // Merged by cell index, never completion order: the export is --jobs
   // invariant like everything else.
-  obs::Snapshot all_obs;
-  for (const CcResult& c : cells) obs::merge(all_obs, c.obs);
-  bench::write_obs(args, all_obs);
-  return 0;
+  for (const CcResult& c : cells) run.fold(c.obs);
+  return run.finish();
 }

@@ -89,8 +89,9 @@ FoldResult probe_phase_fold(const bench::CommonArgs& args, std::uint64_t seed,
 
 int main(int argc, char** argv) {
   using namespace slp;
-  const auto args = bench::CommonArgs::parse(argc, argv);
-  bench::banner("Ablation: handovers", "RTT structure on the 15-second scheduling grid");
+  bench::Run run{argc, argv};
+  const auto& args = run.args();
+  run.start("Ablation: handovers", "RTT structure on the 15-second scheduling grid");
 
   // One cell per (penalty, seed replication); folds append in cell order so
   // the output is --jobs invariant.
@@ -102,9 +103,8 @@ int main(int argc, char** argv) {
                             Duration::from_millis(penalties_ms[cell / seeds]));
   });
 
-  // Merge obs by cell index before the fold below moves cells out.
-  obs::Snapshot all_obs;
-  for (const FoldResult& c : cells) obs::merge(all_obs, c.obs);
+  // Fold obs by cell index before the fold below moves cells out.
+  for (const FoldResult& c : cells) run.fold(c.obs);
 
   for (std::size_t p = 0; p < 2; ++p) {
     const double penalty_ms = penalties_ms[p];
@@ -131,6 +131,5 @@ int main(int argc, char** argv) {
               "medians disperse and step by several ms at boundaries (the "
               "mechanism behind Figure 1's box width); without it only the "
               "geometry component remains.\n");
-  bench::write_obs(args, all_obs);
-  return 0;
+  return run.finish();
 }

@@ -13,15 +13,16 @@
 
 int main(int argc, char** argv) {
   using namespace slp;
-  const auto args = bench::CommonArgs::parse(argc, argv);
-  bench::banner("Ablation: ISLs", "bent-pipe (measured) vs ISL routing (model)");
+  bench::Run run{argc, argv};
+  const auto& args = run.args();
+  run.start("Ablation: ISLs", "bent-pipe (measured) vs ISL routing (model)");
 
   measure::PingCampaign::Config config;
   config.seed = args.seed;
   config.duration = Duration::hours(static_cast<std::int64_t>(12 * args.scale));
   config.cadence = Duration::minutes(5);
   config.epochs = false;
-  const auto pings = bench::run_sweep<measure::PingCampaign>(args, config);
+  const auto pings = run.sweep<measure::PingCampaign>(config);
 
   struct Target {
     const char* anchor_name;
@@ -54,6 +55,5 @@ int main(int argc, char** argv) {
   std::printf("\nExpected shape: ISL routing undercuts the bent-pipe + fiber "
               "detour substantially on transcontinental routes (laser at c in "
               "vacuum vs fiber at 2c/3 with path stretch).\n");
-  bench::write_obs(args, pings.obs);
-  return 0;
+  return run.finish();
 }

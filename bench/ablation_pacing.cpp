@@ -12,20 +12,19 @@
 
 int main(int argc, char** argv) {
   using namespace slp;
-  const auto args = bench::CommonArgs::parse(argc, argv);
-  bench::banner("Ablation: pacing", "messages-upload RTT with and without QUIC pacing");
+  bench::Run run{argc, argv};
+  const auto& args = run.args();
+  run.start("Ablation: pacing", "messages-upload RTT with and without QUIC pacing");
 
   stats::TextTable table{
       {"configuration", "median", "p95", "p99", "msg latency p99", "paper"}};
-  obs::Snapshot all_obs;
   for (const bool pacing : {false, true}) {
     measure::MessageCampaign::Config config;
     config.seed = args.seed;
     config.upload = true;
     config.sessions = args.scaled(4);
     config.pacing = pacing;
-    const auto result = bench::run_sweep<measure::MessageCampaign>(args, config);
-    obs::merge(all_obs, result.obs);
+    const auto result = run.sweep<measure::MessageCampaign>(config);
     using stats::TextTable;
     table.add_row({pacing ? "pacing on" : "pacing off (quiche)",
                    TextTable::num(result.rtt_ms.median(), 0),
@@ -40,6 +39,5 @@ int main(int argc, char** argv) {
               "upload inflation is dominated by the burst's own serialization, and\n"
               "pacing moves the tail only slightly. Consistent with the paper's\n"
               "modest effect (+16 ms on the median vs downloads).\n");
-  bench::write_obs(args, all_obs);
-  return 0;
+  return run.finish();
 }

@@ -11,20 +11,19 @@
 
 int main(int argc, char** argv) {
   using namespace slp;
-  const auto args = bench::CommonArgs::parse(argc, argv);
-  bench::banner("Ablation: parallel connections",
-                "Starlink download throughput vs TCP connection count");
+  bench::Run run{argc, argv};
+  const auto& args = run.args();
+  run.start("Ablation: parallel connections",
+            "Starlink download throughput vs TCP connection count");
 
   stats::TextTable table{{"connections", "p25", "median", "p75", "note"}};
-  obs::Snapshot all_obs;
   for (const int connections : {1, 2, 4, 8, 16}) {
     measure::SpeedtestCampaign::Config config;
     config.seed = args.seed;
     config.access = measure::AccessKind::kStarlink;
     config.tests = args.scaled(8);
     config.connections = connections;
-    const auto result = bench::run_sweep<measure::SpeedtestCampaign>(args, config);
-    obs::merge(all_obs, result.obs);
+    const auto result = run.sweep<measure::SpeedtestCampaign>(config);
     using stats::TextTable;
     table.add_row({std::to_string(connections),
                    TextTable::num(result.mbps.percentile(25), 0),
@@ -37,6 +36,5 @@ int main(int argc, char** argv) {
   std::printf("%s", table.str().c_str());
   std::printf("\nExpected shape: throughput grows with the pool and saturates; "
               "the 1-connection row sits noticeably below, explaining the H3 gap.\n");
-  bench::write_obs(args, all_obs);
-  return 0;
+  return run.finish();
 }

@@ -11,12 +11,12 @@
 
 int main(int argc, char** argv) {
   using namespace slp;
-  const auto args = bench::CommonArgs::parse(argc, argv);
-  bench::banner("Ablation: PEP", "SatCom with and without the splitting proxy");
+  bench::Run run{argc, argv};
+  const auto& args = run.args();
+  run.start("Ablation: PEP", "SatCom with and without the splitting proxy");
 
   stats::TextTable table{{"configuration", "ookla down median", "web onLoad median",
                           "conn setup mean", "note"}};
-  obs::Snapshot all_obs;
   for (const bool pep : {true, false}) {
     measure::SpeedtestCampaign::Config st_config;
     st_config.seed = args.seed;
@@ -29,10 +29,8 @@ int main(int argc, char** argv) {
     web_config.visits = args.scaled(12);
     web_config.satcom_pep = pep;
 
-    const auto st = bench::run_sweep<measure::SpeedtestCampaign>(args, st_config);
-    const auto web = bench::run_sweep<measure::WebCampaign>(args, web_config);
-    obs::merge(all_obs, st.obs);
-    obs::merge(all_obs, web.obs);
+    const auto st = run.sweep<measure::SpeedtestCampaign>(st_config);
+    const auto web = run.sweep<measure::WebCampaign>(web_config);
     using stats::TextTable;
     table.add_row({pep ? "PEP enabled (paper)" : "PEP disabled",
                    TextTable::num(st.mbps.median(), 0),
@@ -45,6 +43,5 @@ int main(int argc, char** argv) {
               "(slow start over 600 ms) while connection setup stays ~3 RTT "
               "either way — PEPs cannot fix handshakes, which is why SatCom "
               "web QoE is poor even with them.\n");
-  bench::write_obs(args, all_obs);
-  return 0;
+  return run.finish();
 }

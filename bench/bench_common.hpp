@@ -1,11 +1,33 @@
-// bench_common.hpp — shared scaffolding for the table/figure regenerators,
-// and the front end of the sweep examples (examples/sweep_cli, fleet_cli).
+// bench_common.hpp — the one front end of every bench and example main.
 //
 // Every bench binary prints:
 //   * a banner naming the paper asset it regenerates;
 //   * the measured rows/series;
 //   * the paper's published value next to each measured one, so shape
 //     agreement is a one-glance check (EXPERIMENTS.md records the pairs).
+//
+// Every main goes through one bench::Run, in four steps:
+//
+//   bench::Run run{argc, argv};              // 1. parse argv and the common flags
+//   const auto fleet = bench::parse_fleet(run.flags());  //  ... and its own
+//   run.start("Figure 5", "throughput");     // 2. reject bad flags, print banner
+//   const auto r = run.sweep<measure::SpeedtestCampaign>(config);  // 3. run, fold
+//   return run.finish();                     // 4. write the exports
+//
+// Step 3 repeats once per campaign; each sweep's obs::Snapshot is folded
+// into the run's in call order, and finish() exports the fold. Cells a main
+// runs itself (runner::run_indexed pools, single audits) go through fold().
+// The examples that take none of the common flags construct their Run with
+// Run::own_flags_only and export nothing, but check their flags the same way.
+//
+// Flag contract: flags are `--key=value` (a bare `--key` means "true"; a
+// repeated key keeps its first value). start() is called once every flag has
+// been read and before anything is simulated. If any flag was never read
+// (`--help` included), did not parse as what it was read as
+// (`--scale=abc`, `--seeds=2.5`, `--upload=maybe`, `--duration=5x`), or was
+// rejected by the main (an unknown `--grid` access, `--log-level`,
+// `--fleet-mix` or `--app` name), start() prints one "error: ..." line to
+// stderr and exits 2.
 //
 // Common flags: --seed=N, --scale=F (scales campaign sizes; 1.0 = the
 // defaults documented in DESIGN.md, larger = closer to paper scale),
@@ -37,17 +59,15 @@
 //                           format; examples/scenarios/*.scn) onto every cell
 //   --scenario-offset=DUR   shift the whole timeline later by DUR
 // Durations accept unit suffixes: 90s, 15m, 2h (bare numbers = seconds).
-//
-// The common flags cover the sweep and fleet examples too: sweep_cli and
-// fleet_cli parse with CommonArgs, set their campaign Configs with apply()
-// and export with write_obs(). The other examples only use warn_unused().
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "fleet/fleet.hpp"
 #include "fleet/run_env.hpp"
@@ -94,14 +114,6 @@ inline std::vector<std::string> boxplot_row(const std::string& name,
           paper_median};
 }
 
-/// Typo guard: call after every flag has been read (Flags tracks used keys
-/// lazily, so benches with extra flags read them first, then warn once).
-inline void warn_unused(const Flags& flags) {
-  for (const auto& key : flags.unused()) {
-    std::fprintf(stderr, "warning: unknown flag --%s\n", key.c_str());
-  }
-}
-
 /// Shared fleet flags, honoured by every figure bench that takes --fleet
 /// (fig1-fig8 except fig2b, and fleet_scale), all through this one parser
 /// (EXPERIMENTS.md "Continental campaigns"). With only --fleet=N it yields
@@ -129,12 +141,9 @@ inline fleet::Fleet::Config parse_fleet(const Flags& flags) {
   try {
     fc.demand = fleet::named_mix(mix);
   } catch (const std::invalid_argument&) {
-    std::fprintf(stderr, "error: --fleet-mix=%s (known:", mix.c_str());
-    for (const auto name : fleet::mix_names()) {
-      std::fprintf(stderr, " %.*s", static_cast<int>(name.size()), name.data());
-    }
-    std::fprintf(stderr, ")\n");
-    std::exit(2);
+    std::string known = "unknown mix (known:";
+    for (const auto name : fleet::mix_names()) known += " " + std::string{name};
+    flags.reject("fleet-mix", known + ")");
   }
   const bool continental = flags.get_bool("continental", false);
   if (continental) fc.placement = fleet::Placement::continental_europe();
@@ -168,50 +177,6 @@ struct CommonArgs {
   /// --fast-forward=0 runs the packet-level reference paths (same exports,
   /// several times slower; see EXPERIMENTS.md "Performance baseline").
   bool fast_forward = true;
-
-  static CommonArgs parse(int argc, char** argv) {
-    const Flags flags = Flags::parse(argc, argv);
-    CommonArgs args = parse(flags);
-    warn_unused(flags);
-    return args;
-  }
-
-  /// Same, from an existing Flags set — for benches with extra flags, which
-  /// read theirs afterwards and then call warn_unused themselves.
-  static CommonArgs parse(const Flags& flags) {
-    CommonArgs args;
-    args.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-    args.scale = flags.get_double("scale", 1.0);
-    args.seeds = std::max(1, static_cast<int>(flags.get_int("seeds", 1)));
-    args.jobs = std::max(0, static_cast<int>(flags.get_int("jobs", 1)));
-    args.metrics = flags.get("metrics", "");
-    args.trace = flags.get("trace", "");
-    args.breakdown = flags.get("breakdown", "");
-    args.flight = flags.get("flight", "");
-    args.provenance = flags.get_bool("provenance", false) || !args.breakdown.empty() ||
-                      !args.flight.empty();
-    args.profile = flags.get_bool("profile", false);
-    args.sample_interval =
-        std::max(Duration::zero(), flags.get_duration("sample-interval", Duration::zero()));
-    args.fast_forward = flags.get_bool("fast-forward", true);
-    const std::string scenario_path = flags.get("scenario", "");
-    const Duration scenario_offset = flags.get_duration("scenario-offset", Duration::zero());
-    if (!scenario_path.empty()) {
-      try {
-        auto scn = scenario::Scenario::load(scenario_path);
-        if (scenario_offset != Duration::zero()) scn.shift(scenario_offset);
-        args.scenario = std::make_shared<const scenario::Scenario>(std::move(scn));
-        std::printf("scenario: %s (%zu events) from %s\n", args.scenario->name.c_str(),
-                    args.scenario->events.size(), scenario_path.c_str());
-      } catch (const scenario::ScenarioError& e) {
-        std::fprintf(stderr, "error: --scenario=%s: %s\n", scenario_path.c_str(), e.what());
-        std::exit(2);
-      }
-    }
-    Logger::instance().set_level(
-        parse_log_level(flags.get("log-level", "warn"), LogLevel::kWarn));
-    return args;
-  }
 
   [[nodiscard]] int scaled(int base) const {
     return std::max(1, static_cast<int>(base * scale));
@@ -252,46 +217,139 @@ inline void write_text_file(const std::string& path, const std::string& body) {
   }
 }
 
-/// Writes the --metrics/--trace outputs a bench collected. A snapshot taken
-/// with obs off still yields a valid (mostly empty) document, so benches can
-/// call this unconditionally.
-inline void write_obs(const CommonArgs& args, const obs::Snapshot& snap) {
-  if (!args.metrics.empty()) {
-    write_text_file(args.metrics, obs::metrics_json(snap));
-    std::printf("\nmetrics -> %s (%zu counters, %zu series, %llu cells)\n",
-                args.metrics.c_str(), snap.counters.size(), snap.series.size(),
-                static_cast<unsigned long long>(snap.cells));
+/// The front end of one bench or example invocation (lifecycle and flag
+/// contract: the file header).
+class Run {
+ public:
+  /// Step 1: parses argv and the common flags; --scenario is loaded (and
+  /// echoed) here, and a scenario that does not load exits 2.
+  Run(int argc, char** argv) : Run{argc, argv, /*common=*/true} {}
+  /// For a main that takes none of the common flags (quickstart,
+  /// emulate_starlink, cloud_gaming, video_streaming, starlink_cli): it reads
+  /// only its own, and finish() exports nothing.
+  [[nodiscard]] static Run own_flags_only(int argc, char** argv) {
+    return Run{argc, argv, /*common=*/false};
   }
-  if (!args.trace.empty()) {
-    const bool jsonl = args.trace.size() >= 6 &&
-                       args.trace.compare(args.trace.size() - 6, 6, ".jsonl") == 0;
-    write_text_file(args.trace,
-                    jsonl ? obs::trace_jsonl(snap.events) : obs::trace_json(snap.events));
-    std::printf("trace   -> %s (%zu events)\n", args.trace.c_str(), snap.events.size());
-  }
-  if (!args.breakdown.empty()) {
-    write_text_file(args.breakdown, obs::breakdown_json(snap));
-    std::printf("breakdown -> %s (%zu flow groups, %llu cells)\n", args.breakdown.c_str(),
-                snap.breakdown_flows.groups().size(),
-                static_cast<unsigned long long>(snap.cells));
-  }
-  if (!args.flight.empty()) {
-    write_text_file(args.flight, obs::flight_json(snap));
-    std::printf("flights -> %s (%zu dumps)\n", args.flight.c_str(), snap.flights.size());
-  }
-}
 
-/// Runs `config` once per seed cell (runner/sweep.hpp) and folds the results
-/// in cell-id order — the drop-in replacement for `Campaign::run(config)`
-/// in every regenerator. With --seeds=1 (the default) the output is exactly
-/// the single-seed campaign, whatever --jobs says. The bench's env flags
-/// (CommonArgs::apply) reach every cell; the merged Result carries the
-/// folded snapshot.
-template <typename Campaign>
-[[nodiscard]] typename Campaign::Result run_sweep(const CommonArgs& args,
-                                                  typename Campaign::Config config) {
-  args.apply(config);
-  return runner::run_merged<Campaign>(args.sweep(), config);
-}
+  [[nodiscard]] const Flags& flags() const { return flags_; }
+  /// The parsed common flags. Mutable so a main can override one before its
+  /// first sweep (fig2b forces provenance on; sweep_cli has its own
+  /// --seeds/--jobs defaults).
+  [[nodiscard]] CommonArgs& args() { return args_; }
+
+  /// Step 2, once every flag has been read: an unread, unparseable or
+  /// rejected flag exits 2 with one "error:" line; then the banner.
+  void start(const std::string& asset, const std::string& what) const {
+    start();
+    banner(asset, what);
+  }
+  /// Same, without a banner (the examples print their own headings).
+  void start() const {
+    const std::vector<std::string> problems = flags_.problems();
+    if (problems.empty()) return;
+    std::string line = "error: " + problems.front();
+    for (std::size_t i = 1; i < problems.size(); ++i) line += "; " + problems[i];
+    std::fprintf(stderr, "%s\n", line.c_str());
+    std::exit(2);
+  }
+
+  /// Step 3: runs `config` once per seed cell (runner/sweep.hpp) under the
+  /// flags' run environment (CommonArgs::apply) and folds the cells in
+  /// cell-id order; the sweep's snapshot is then folded into the run's. With
+  /// --seeds=1 the result is exactly the single-seed campaign, whatever
+  /// --jobs says. The seed stays the caller's.
+  template <typename Campaign>
+  typename Campaign::Result sweep(typename Campaign::Config config) {
+    args_.apply(config);
+    return sweep_as_is<Campaign>(config);
+  }
+  /// sweep() for a Config whose run environment the caller set and then
+  /// overrode (fig8: a scenario per variant, provenance for its game runs).
+  template <typename Campaign>
+  typename Campaign::Result sweep_as_is(const typename Campaign::Config& config) {
+    typename Campaign::Result result = runner::run_merged<Campaign>(args_.sweep(), config);
+    fold(result.obs);
+    return result;
+  }
+  /// Folds the snapshot of cells a main ran itself into the run's; fold
+  /// them in cell order so the exports stay --jobs invariant.
+  void fold(const obs::Snapshot& snap) { obs::merge(snapshot_, snap); }
+
+  /// Step 4: writes the --metrics/--trace/--breakdown/--flight exports of
+  /// everything folded, each echoed on stdout, and returns the exit status.
+  /// A snapshot taken with obs off still yields a valid (mostly empty)
+  /// document, so every bench exports whatever it ran.
+  [[nodiscard]] int finish() const {
+    if (!args_.metrics.empty()) {
+      write_text_file(args_.metrics, obs::metrics_json(snapshot_));
+      std::printf("\nmetrics -> %s (%zu counters, %zu series, %llu cells)\n",
+                  args_.metrics.c_str(), snapshot_.counters.size(), snapshot_.series.size(),
+                  static_cast<unsigned long long>(snapshot_.cells));
+    }
+    if (!args_.trace.empty()) {
+      const bool jsonl = args_.trace.ends_with(".jsonl");
+      const auto& events = snapshot_.events;
+      write_text_file(args_.trace, jsonl ? obs::trace_jsonl(events) : obs::trace_json(events));
+      std::printf("trace   -> %s (%zu events)\n", args_.trace.c_str(), events.size());
+    }
+    if (!args_.breakdown.empty()) {
+      write_text_file(args_.breakdown, obs::breakdown_json(snapshot_));
+      std::printf("breakdown -> %s (%zu flow groups, %llu cells)\n", args_.breakdown.c_str(),
+                  snapshot_.breakdown_flows.groups().size(),
+                  static_cast<unsigned long long>(snapshot_.cells));
+    }
+    if (!args_.flight.empty()) {
+      write_text_file(args_.flight, obs::flight_json(snapshot_));
+      std::printf("flights -> %s (%zu dumps)\n", args_.flight.c_str(),
+                  snapshot_.flights.size());
+    }
+    return 0;
+  }
+
+ private:
+  Run(int argc, char** argv, bool common) : flags_{Flags::parse(argc, argv)} {
+    if (common) args_ = parse_common(flags_);
+  }
+
+  static CommonArgs parse_common(const Flags& flags) {
+    CommonArgs args;
+    args.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
+    args.scale = flags.get_double("scale", 1.0);
+    args.seeds = std::max(1, static_cast<int>(flags.get_int("seeds", 1)));
+    args.jobs = std::max(0, static_cast<int>(flags.get_int("jobs", 1)));
+    args.metrics = flags.get("metrics", "");
+    args.trace = flags.get("trace", "");
+    args.breakdown = flags.get("breakdown", "");
+    args.flight = flags.get("flight", "");
+    args.provenance = flags.get_bool("provenance", false) || !args.breakdown.empty() ||
+                      !args.flight.empty();
+    args.profile = flags.get_bool("profile", false);
+    args.sample_interval =
+        std::max(Duration::zero(), flags.get_duration("sample-interval", Duration::zero()));
+    args.fast_forward = flags.get_bool("fast-forward", true);
+    const std::string scenario_path = flags.get("scenario", "");
+    const Duration scenario_offset = flags.get_duration("scenario-offset", Duration::zero());
+    if (!scenario_path.empty()) {
+      try {
+        auto scn = scenario::Scenario::load(scenario_path);
+        if (scenario_offset != Duration::zero()) scn.shift(scenario_offset);
+        args.scenario = std::make_shared<const scenario::Scenario>(std::move(scn));
+        std::printf("scenario: %s (%zu events) from %s\n", args.scenario->name.c_str(),
+                    args.scenario->events.size(), scenario_path.c_str());
+      } catch (const scenario::ScenarioError& e) {
+        std::fprintf(stderr, "error: --scenario=%s: %s\n", scenario_path.c_str(), e.what());
+        std::exit(2);
+      }
+    }
+    const auto level = parse_log_level(flags.get("log-level", "warn"));
+    if (!level) flags.reject("log-level", "want trace|debug|info|warn|error|off");
+    Logger::instance().set_level(level.value_or(LogLevel::kWarn));
+    return args;
+  }
+
+  Flags flags_;
+  CommonArgs args_;
+  obs::Snapshot snapshot_;
+};
 
 }  // namespace slp::bench

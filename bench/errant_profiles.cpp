@@ -13,26 +13,27 @@
 
 int main(int argc, char** argv) {
   using namespace slp;
-  const auto args = bench::CommonArgs::parse(argc, argv);
-  bench::banner("ERRANT artifact", "data-driven emulation profiles + netem export");
+  bench::Run run{argc, argv};
+  const auto& args = run.args();
+  run.start("ERRANT artifact", "data-driven emulation profiles + netem export");
 
   // Gather Starlink samples: throughput from speedtests, RTT from pings.
   measure::SpeedtestCampaign::Config down_cfg;
   down_cfg.seed = args.seed;
   down_cfg.tests = args.scaled(8);
-  const auto down = bench::run_sweep<measure::SpeedtestCampaign>(args, down_cfg);
+  const auto down = run.sweep<measure::SpeedtestCampaign>(down_cfg);
 
   measure::SpeedtestCampaign::Config up_cfg;
   up_cfg.seed = args.seed + 1;
   up_cfg.tests = args.scaled(8);
   up_cfg.download = false;
-  const auto up = bench::run_sweep<measure::SpeedtestCampaign>(args, up_cfg);
+  const auto up = run.sweep<measure::SpeedtestCampaign>(up_cfg);
 
   measure::PingCampaign::Config ping_cfg;
   ping_cfg.seed = args.seed + 2;
   ping_cfg.duration = Duration::hours(6);
   ping_cfg.epochs = false;
-  const auto pings = bench::run_sweep<measure::PingCampaign>(args, ping_cfg);
+  const auto pings = run.sweep<measure::PingCampaign>(ping_cfg);
   stats::Samples eu_rtts;
   for (const auto& anchor : pings.anchors) {
     if (anchor.european) eu_rtts.merge(anchor.rtt_ms);
@@ -41,7 +42,7 @@ int main(int argc, char** argv) {
   measure::MessageCampaign::Config msg_cfg;
   msg_cfg.seed = args.seed + 3;
   msg_cfg.sessions = 2;
-  const auto messages = bench::run_sweep<measure::MessageCampaign>(args, msg_cfg);
+  const auto messages = run.sweep<measure::MessageCampaign>(msg_cfg);
 
   const emu::ErrantProfile starlink = emu::ErrantProfile::fit(
       "starlink", down.mbps, up.mbps, eu_rtts, messages.loss.loss_ratio);
@@ -85,12 +86,5 @@ int main(int argc, char** argv) {
                 params.delay_one_way.to_millis(), params.jitter.to_millis(),
                 params.loss_ratio * 100.0);
   }
-
-  obs::Snapshot all_obs;
-  obs::merge(all_obs, down.obs);
-  obs::merge(all_obs, up.obs);
-  obs::merge(all_obs, pings.obs);
-  obs::merge(all_obs, messages.obs);
-  bench::write_obs(args, all_obs);
-  return 0;
+  return run.finish();
 }

@@ -20,20 +20,19 @@
 
 namespace {
 
-int run_multivantage(const slp::bench::CommonArgs& args, const slp::Flags& flags) {
+int run_multivantage(slp::bench::Run& run) {
   using namespace slp;
-  bench::banner("Figure 1 (multi-vantage)",
-                "the 11 anchor metros as measured terminals in one fleet");
-
+  const auto& args = run.args();
   measure::MultiVantageCampaign::Config config;
   config.seed = args.seed;
-  config.duration = flags.get_duration(
+  config.duration = run.flags().get_duration(
       "duration", Duration::hours(static_cast<std::int64_t>(24 * args.scale)));
   config.cadence = Duration::minutes(5);
-  config.fleet = bench::parse_fleet(flags);
-  bench::warn_unused(flags);
+  config.fleet = bench::parse_fleet(run.flags());
+  run.start("Figure 1 (multi-vantage)",
+            "the 11 anchor metros as measured terminals in one fleet");
 
-  const auto result = bench::run_sweep<measure::MultiVantageCampaign>(args, config);
+  const auto result = run.sweep<measure::MultiVantageCampaign>(config);
 
   std::printf("fleet: %d terminals, %llu hot cells, %llu supercells "
               "(%llu terminals aggregated)\n\n",
@@ -59,19 +58,16 @@ int run_multivantage(const slp::bench::CommonArgs& args, const slp::Flags& flags
               static_cast<unsigned long long>(lost));
   std::printf("Take-away: every metro sees the same ~frame+propagation access floor; "
               "contention moves the capacity column, not the RTT floor.\n");
-  bench::write_obs(args, result.obs);
-  return 0;
+  return run.finish();
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace slp;
-  const Flags flags = Flags::parse(argc, argv);
-  const auto args = bench::CommonArgs::parse(flags);
-  if (flags.get_bool("multivantage", false)) return run_multivantage(args, flags);
-
-  bench::banner("Figure 1", "RTT distribution towards the 11 anchors (ping)");
+  bench::Run run{argc, argv};
+  const auto& args = run.args();
+  if (run.flags().get_bool("multivantage", false)) return run_multivantage(run);
 
   measure::PingCampaign::Config config;
   config.seed = args.seed;
@@ -80,9 +76,9 @@ int main(int argc, char** argv) {
   config.duration = Duration::hours(static_cast<std::int64_t>(48 * args.scale));
   config.cadence = Duration::minutes(5);
   config.epochs = false;  // Figure 1 aggregates; epochs belong to Figure 2
-  config.fleet = bench::parse_fleet(flags);
-  bench::warn_unused(flags);
-  const auto result = bench::run_sweep<measure::PingCampaign>(args, config);
+  config.fleet = bench::parse_fleet(run.flags());
+  run.start("Figure 1", "RTT distribution towards the 11 anchors (ping)");
+  const auto result = run.sweep<measure::PingCampaign>(config);
 
   // The paper's published per-anchor reference points (median / min).
   const char* paper[] = {
@@ -105,6 +101,5 @@ int main(int argc, char** argv) {
                   static_cast<double>(result.pings_sent));
   std::printf("Paper take-away: minimum latency ~20 ms for close destinations; "
               "distant anchors exit through the same European PoPs.\n");
-  bench::write_obs(args, result.obs);
-  return 0;
+  return run.finish();
 }

@@ -13,15 +13,14 @@
 
 int main(int argc, char** argv) {
   using namespace slp;
-  const Flags flags = Flags::parse(argc, argv);
-  const auto args = bench::CommonArgs::parse(flags);
+  bench::Run run{argc, argv};
+  const auto& args = run.args();
   // --fleet=N replaces the synthetic shared-cell load under the ping rounds
   // with N simulated terminals contending for real per-cell capacity
   // (src/fleet/); 0 keeps the paper-calibrated LoadProcess. The other
   // fleet flags (bench_common.hpp) shape that fleet.
-  const fleet::Fleet::Config fleet_config = bench::parse_fleet(flags);
-  bench::warn_unused(flags);
-  bench::banner("Figure 2", "RTT to European anchors over the campaign timeline");
+  const fleet::Fleet::Config fleet_config = bench::parse_fleet(run.flags());
+  run.start("Figure 2", "RTT to European anchors over the campaign timeline");
   if (fleet_config.enabled()) {
     std::printf("shared-cell load: real contention from a %d-terminal fleet\n",
                 fleet_config.size);
@@ -35,7 +34,7 @@ int main(int argc, char** argv) {
   config.cadence = Duration::minutes(static_cast<std::int64_t>(120 / args.scale));
   config.epochs = true;
   config.fleet = fleet_config;
-  const auto result = bench::run_sweep<measure::PingCampaign>(args, config);
+  const auto result = run.sweep<measure::PingCampaign>(config);
 
   // One row per ~6-day stride of 6h bins to keep the series readable.
   stats::TextTable table{{"day", "min", "p25", "median", "p75", "p95", "samples"}};
@@ -101,6 +100,5 @@ int main(int argc, char** argv) {
                 "subsample): chi2=%.1f p=%.3f (paper: same median across hours)\n",
                 groups.size(), moods.chi2, moods.p_value);
   }
-  bench::write_obs(args, result.obs);
-  return 0;
+  return run.finish();
 }

@@ -19,16 +19,17 @@
 
 int main(int argc, char** argv) {
   using namespace slp;
-  auto args = bench::CommonArgs::parse(argc, argv);
+  bench::Run run{argc, argv};
+  auto& args = run.args();
   args.provenance = true;  // the decomposition IS the figure
-  bench::banner("Figure 2b", "RTT decomposition of the European-anchor timeline");
+  run.start("Figure 2b", "RTT decomposition of the European-anchor timeline");
 
   measure::PingCampaign::Config config;
   config.seed = args.seed;
   config.duration = Duration::days(146);
   config.cadence = Duration::minutes(static_cast<std::int64_t>(120 / args.scale));
   config.epochs = true;
-  const auto result = bench::run_sweep<measure::PingCampaign>(args, config);
+  const auto result = run.sweep<measure::PingCampaign>(config);
 
   // --- timeline with dominant cause per bin -----------------------------
   using stats::TextTable;
@@ -82,7 +83,5 @@ int main(int argc, char** argv) {
   std::printf("%s", table.str().c_str());
   std::printf("\n(components sum exactly to \"measured\" per packet; \"share\" is the\n"
               " fraction of total end-to-end latency each stage accounts for)\n");
-
-  bench::write_obs(args, result.obs);
-  return 0;
+  return run.finish();
 }

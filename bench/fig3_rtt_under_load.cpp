@@ -27,22 +27,20 @@ void print_row(slp::stats::TextTable& table, const std::string& name,
 
 int main(int argc, char** argv) {
   using namespace slp;
-  const Flags flags = Flags::parse(argc, argv);
-  const auto args = bench::CommonArgs::parse(flags);
+  bench::Run run{argc, argv};
+  const auto& args = run.args();
   // --fleet=N replaces the synthetic shared-cell load under the H3 transfers
   // with N simulated terminals contending for real per-cell capacity
   // (src/fleet/); 0 keeps the paper-calibrated LoadProcess. The other
   // fleet flags (bench_common.hpp) shape that fleet.
-  const fleet::Fleet::Config fleet_config = bench::parse_fleet(flags);
-  bench::warn_unused(flags);
-  bench::banner("Figure 3 / §3.1", "RTT under load: H3 bulk and messages, both directions");
+  const fleet::Fleet::Config fleet_config = bench::parse_fleet(run.flags());
+  run.start("Figure 3 / §3.1", "RTT under load: H3 bulk and messages, both directions");
   if (fleet_config.enabled()) {
     std::printf("shared-cell load: real contention from a %d-terminal fleet\n",
                 fleet_config.size);
   }
 
   stats::TextTable table{{"workload", "samples", "median", "p95", "p99", "paper med/p95/p99"}};
-  obs::Snapshot all_obs;
 
   {
     measure::H3Campaign::Config config;
@@ -50,8 +48,7 @@ int main(int argc, char** argv) {
     config.download = true;
     config.transfers = args.scaled(6);
     config.fleet = fleet_config;
-    const auto down = bench::run_sweep<measure::H3Campaign>(args, config);
-    obs::merge(all_obs, down.obs);
+    const auto down = run.sweep<measure::H3Campaign>(config);
     print_row(table, "H3 download", down.rtt_ms, "95 / 175 / 210");
   }
   {
@@ -61,8 +58,7 @@ int main(int argc, char** argv) {
     config.transfers = args.scaled(3);
     config.fleet = fleet_config;
     config.bytes = 40ull * 1000 * 1000;  // uploads at ~17 Mbit/s take a while
-    const auto up = bench::run_sweep<measure::H3Campaign>(args, config);
-    obs::merge(all_obs, up.obs);
+    const auto up = run.sweep<measure::H3Campaign>(config);
     print_row(table, "H3 upload", up.rtt_ms, "104 / 237 / 310");
   }
   {
@@ -70,8 +66,7 @@ int main(int argc, char** argv) {
     config.seed = args.seed + 2;
     config.upload = false;
     config.sessions = args.scaled(4);
-    const auto down = bench::run_sweep<measure::MessageCampaign>(args, config);
-    obs::merge(all_obs, down.obs);
+    const auto down = run.sweep<measure::MessageCampaign>(config);
     print_row(table, "messages download", down.rtt_ms, "50 / 71 / 87");
   }
   {
@@ -79,8 +74,7 @@ int main(int argc, char** argv) {
     config.seed = args.seed + 3;
     config.upload = true;
     config.sessions = args.scaled(4);
-    const auto up = bench::run_sweep<measure::MessageCampaign>(args, config);
-    obs::merge(all_obs, up.obs);
+    const auto up = run.sweep<measure::MessageCampaign>(config);
     print_row(table, "messages upload", up.rtt_ms, "66 / 87 / 143");
   }
 
@@ -88,6 +82,5 @@ int main(int argc, char** argv) {
   std::printf("\nPaper take-aways to check: uploads inflate more than downloads "
               "(asymmetric draining); messages stay mostly under 100 ms, with the "
               "upload tail driven by quiche's missing pacing (25 kB bursts).\n");
-  bench::write_obs(args, all_obs);
-  return 0;
+  return run.finish();
 }

@@ -30,19 +30,18 @@ void print_cdf(const char* name, const slp::stats::IntHistogram& bursts) {
 
 int main(int argc, char** argv) {
   using namespace slp;
-  const Flags flags = Flags::parse(argc, argv);
-  const auto args = bench::CommonArgs::parse(flags);
+  bench::Run run{argc, argv};
+  const auto& args = run.args();
   // --fleet=N puts simulated neighbour contention under all four transfers
   // (plus the continental/aggregation knobs, bench_common.hpp).
-  const fleet::Fleet::Config fleet_config = bench::parse_fleet(flags);
-  bench::warn_unused(flags);
-  bench::banner("Figure 4", "loss burst length distributions (H3 vs messages)");
+  const fleet::Fleet::Config fleet_config = bench::parse_fleet(run.flags());
+  run.start("Figure 4", "loss burst length distributions (H3 vs messages)");
 
   measure::H3Campaign::Config h3_down_cfg;
   h3_down_cfg.seed = args.seed;
   h3_down_cfg.transfers = args.scaled(6);
   h3_down_cfg.fleet = fleet_config;
-  const auto h3_down = bench::run_sweep<measure::H3Campaign>(args, h3_down_cfg);
+  const auto h3_down = run.sweep<measure::H3Campaign>(h3_down_cfg);
 
   measure::H3Campaign::Config h3_up_cfg;
   h3_up_cfg.seed = args.seed + 1;
@@ -50,21 +49,21 @@ int main(int argc, char** argv) {
   h3_up_cfg.transfers = args.scaled(3);
   h3_up_cfg.bytes = 40ull * 1000 * 1000;
   h3_up_cfg.fleet = fleet_config;
-  const auto h3_up = bench::run_sweep<measure::H3Campaign>(args, h3_up_cfg);
+  const auto h3_up = run.sweep<measure::H3Campaign>(h3_up_cfg);
 
   measure::MessageCampaign::Config msg_down_cfg;
   msg_down_cfg.seed = args.seed + 2;
   msg_down_cfg.upload = false;
   msg_down_cfg.sessions = args.scaled(6);
   msg_down_cfg.fleet = fleet_config;
-  const auto msg_down = bench::run_sweep<measure::MessageCampaign>(args, msg_down_cfg);
+  const auto msg_down = run.sweep<measure::MessageCampaign>(msg_down_cfg);
 
   measure::MessageCampaign::Config msg_up_cfg;
   msg_up_cfg.seed = args.seed + 3;
   msg_up_cfg.upload = true;
   msg_up_cfg.sessions = args.scaled(6);
   msg_up_cfg.fleet = fleet_config;
-  const auto msg_up = bench::run_sweep<measure::MessageCampaign>(args, msg_up_cfg);
+  const auto msg_up = run.sweep<measure::MessageCampaign>(msg_up_cfg);
 
   std::printf("(a) H3 transfers — paper: uploads mostly single-packet events; "
               ">75%% of download events span several packets\n");
@@ -75,12 +74,5 @@ int main(int argc, char** argv) {
               "occasionally >100 packets\n");
   print_cdf("messages download", msg_down.loss.burst_lengths);
   print_cdf("messages upload", msg_up.loss.burst_lengths);
-
-  obs::Snapshot all_obs;
-  obs::merge(all_obs, h3_down.obs);
-  obs::merge(all_obs, h3_up.obs);
-  obs::merge(all_obs, msg_down.obs);
-  obs::merge(all_obs, msg_up.obs);
-  bench::write_obs(args, all_obs);
-  return 0;
+  return run.finish();
 }

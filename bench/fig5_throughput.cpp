@@ -12,63 +12,56 @@
 
 namespace {
 
-slp::stats::Samples speedtest(const slp::bench::CommonArgs& args, std::uint64_t seed,
+slp::stats::Samples speedtest(slp::bench::Run& run, std::uint64_t seed,
                               slp::measure::AccessKind access, bool download, int tests,
-                              const slp::fleet::Fleet::Config& fleet,
-                              slp::obs::Snapshot& all_obs) {
+                              const slp::fleet::Fleet::Config& fleet) {
   slp::measure::SpeedtestCampaign::Config config;
   config.seed = seed;
   config.access = access;
   config.download = download;
   config.tests = tests;
   config.fleet = fleet;  // ignored for SatCom (synthetic load stays)
-  auto result = slp::bench::run_sweep<slp::measure::SpeedtestCampaign>(args, config);
-  slp::obs::merge(all_obs, result.obs);
-  return std::move(result.mbps);
+  return std::move(run.sweep<slp::measure::SpeedtestCampaign>(config).mbps);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace slp;
-  const Flags flags = Flags::parse(argc, argv);
-  const auto args = bench::CommonArgs::parse(flags);
+  bench::Run run{argc, argv};
+  const auto& args = run.args();
   // --fleet=N replaces the synthetic shared-cell load under the Starlink
   // tests with N simulated terminals contending for real per-cell capacity
   // (src/fleet/); 0 keeps the paper-calibrated LoadProcess. The other
   // fleet flags (bench_common.hpp) shape that fleet.
-  const fleet::Fleet::Config fleet_config = bench::parse_fleet(flags);
-  bench::warn_unused(flags);
-  bench::banner("Figure 5", "throughput distributions (Ookla TCP vs QUIC H3)");
+  const fleet::Fleet::Config fleet_config = bench::parse_fleet(run.flags());
+  run.start("Figure 5", "throughput distributions (Ookla TCP vs QUIC H3)");
   if (fleet_config.enabled()) {
     std::printf("shared-cell load: real contention from a %d-terminal fleet\n",
                 fleet_config.size);
   }
 
   const int tests = args.scaled(16);
-  obs::Snapshot all_obs;
   stats::TextTable table{
       {"experiment", "min", "p5", "p25", "median", "p75", "p95", "paper median"}};
 
   table.add_row(bench::boxplot_row(
       "starlink ookla down",
-      speedtest(args, args.seed, measure::AccessKind::kStarlink, true, tests, fleet_config,
-                all_obs),
+      speedtest(run, args.seed, measure::AccessKind::kStarlink, true, tests, fleet_config),
       "178 (max 386)"));
   table.add_row(bench::boxplot_row(
       "starlink ookla up",
-      speedtest(args, args.seed + 1, measure::AccessKind::kStarlink, false, tests, fleet_config,
-                all_obs),
+      speedtest(run, args.seed + 1, measure::AccessKind::kStarlink, false, tests, fleet_config),
       "17 (max 64)"));
   table.add_row(bench::boxplot_row(
       "satcom ookla down",
-      speedtest(args, args.seed + 2, measure::AccessKind::kSatCom, true,
-                std::max(2, tests / 2), {}, all_obs),
+      speedtest(run, args.seed + 2, measure::AccessKind::kSatCom, true, std::max(2, tests / 2),
+                {}),
       "82"));
   table.add_row(bench::boxplot_row(
       "satcom ookla up",
-      speedtest(args, args.seed + 3, measure::AccessKind::kSatCom, false,
-                std::max(2, tests / 2), {}, all_obs),
+      speedtest(run, args.seed + 3, measure::AccessKind::kSatCom, false,
+                std::max(2, tests / 2), {}),
       "4.5"));
 
   {
@@ -77,8 +70,7 @@ int main(int argc, char** argv) {
     config.download = true;
     config.transfers = args.scaled(8);
     config.fleet = fleet_config;
-    const auto h3 = bench::run_sweep<measure::H3Campaign>(args, config);
-    obs::merge(all_obs, h3.obs);
+    const auto h3 = run.sweep<measure::H3Campaign>(config);
     table.add_row(bench::boxplot_row("starlink H3 down", h3.goodput_mbps, "100-150"));
   }
   {
@@ -88,8 +80,7 @@ int main(int argc, char** argv) {
     config.transfers = args.scaled(4);
     config.bytes = 40ull * 1000 * 1000;
     config.fleet = fleet_config;
-    const auto h3 = bench::run_sweep<measure::H3Campaign>(args, config);
-    obs::merge(all_obs, h3.obs);
+    const auto h3 = run.sweep<measure::H3Campaign>(config);
     table.add_row(bench::boxplot_row("starlink H3 up", h3.goodput_mbps, "~17, stable"));
   }
 
@@ -97,6 +88,5 @@ int main(int argc, char** argv) {
   std::printf("\nPaper take-aways to check: Starlink beats SatCom both ways; "
               "single-connection QUIC downloads sit below the multi-connection "
               "TCP tests; uploads agree across protocols.\n");
-  bench::write_obs(args, all_obs);
-  return 0;
+  return run.finish();
 }

@@ -15,14 +15,13 @@
 
 int main(int argc, char** argv) {
   using namespace slp;
-  const Flags flags = Flags::parse(argc, argv);
-  const auto args = bench::CommonArgs::parse(flags);
+  bench::Run run{argc, argv};
+  const auto& args = run.args();
   // --fleet=N loads the Starlink cells with simulated neighbours for the
   // Starlink rows (plus the continental/aggregation knobs, bench_common.hpp);
   // SatCom/wired accesses ignore it.
-  const fleet::Fleet::Config fleet_config = bench::parse_fleet(flags);
-  bench::warn_unused(flags);
-  bench::banner("Figure 6", "web QoE: onLoad and SpeedIndex across accesses");
+  const fleet::Fleet::Config fleet_config = bench::parse_fleet(run.flags());
+  run.start("Figure 6", "web QoE: onLoad and SpeedIndex across accesses");
 
   struct Row {
     const char* name;
@@ -47,7 +46,7 @@ int main(int argc, char** argv) {
     config.access = row.access;
     config.visits = row.visits;
     config.fleet = fleet_config;
-    const auto result = bench::run_sweep<measure::WebCampaign>(args, config);
+    const auto result = run.sweep<measure::WebCampaign>(config);
     results.push_back(result);
     using stats::TextTable;
     auto table_row = [&](const stats::Samples& s, const char* paper) {
@@ -78,9 +77,5 @@ int main(int argc, char** argv) {
   }
   std::printf("\nPaper take-away: Starlink is 75-80%% faster than SatCom on "
               "QoE metrics and close to wired.\n");
-
-  obs::Snapshot all_obs;
-  for (const auto& result : results) obs::merge(all_obs, result.obs);
-  bench::write_obs(args, all_obs);
-  return 0;
+  return run.finish();
 }

@@ -88,17 +88,16 @@ void report(const std::string& name, const measure::RoadTripCampaign::Result& r)
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Flags flags = Flags::parse(argc, argv);
-  const auto args = bench::CommonArgs::parse(flags);
+  bench::Run run{argc, argv};
+  const auto& args = run.args();
+  const Flags& flags = run.flags();
   const std::string only_route = flags.get("route", "");
   const double speed = flags.get_double("speed", 1.0);
   const Duration cadence = flags.get_duration("cadence", Duration::seconds(1));
   const Duration duration = flags.get_duration("duration", Duration::zero());
   const bool obstructions = flags.get_bool("obstructions", true);
   const fleet::Fleet::Config fleet_config = bench::parse_fleet(flags);
-  bench::warn_unused(flags);
-
-  bench::banner("Figure 7 (extension)", "RTT and loss in motion: the road-trip campaigns");
+  run.start("Figure 7 (extension)", "RTT and loss in motion: the road-trip campaigns");
 
   std::vector<std::string> routes;
   if (only_route.empty()) {
@@ -107,7 +106,6 @@ int main(int argc, char** argv) {
     routes = {only_route};
   }
 
-  obs::Snapshot all_obs;
   std::uint64_t seed_offset = 0;
   for (const std::string& name : routes) {
     measure::RoadTripCampaign::Config config;
@@ -118,14 +116,11 @@ int main(int argc, char** argv) {
     config.duration = duration;
     config.obstructions = obstructions;
     config.fleet = fleet_config;
-    const auto result = bench::run_sweep<measure::RoadTripCampaign>(args, config);
-    obs::merge(all_obs, result.obs);
-    report(name, result);
+    report(name, run.sweep<measure::RoadTripCampaign>(config));
   }
 
   std::printf("\nShape to check: the highway's fast bins carry the loss and the "
               "long outages (tree lines + tunnels force re-acquisitions at "
               "speed); the rural loop stays close to the stationary baseline.\n");
-  bench::write_obs(args, all_obs);
-  return 0;
+  return run.finish();
 }

@@ -107,8 +107,9 @@ double boundary_ratio(const stats::KeyedSamples& by_phase, std::uint64_t lag) {
          (static_cast<double>(lag + 2) / 15.0);
 }
 
-void run_abr(const bench::CommonArgs& args, const fleet::Fleet::Config& fleet,
-             int sessions, Duration duration, Duration storm_blip, obs::Snapshot& all_obs) {
+void run_abr(bench::Run& run, const fleet::Fleet::Config& fleet, int sessions,
+             Duration duration, Duration storm_blip) {
+  const bench::CommonArgs& args = run.args();
   measure::AbrCampaign::Config config;
   config.seed = args.seed;
   args.apply(config);
@@ -138,8 +139,7 @@ void run_abr(const bench::CommonArgs& args, const fleet::Fleet::Config& fleet,
   for (const Variant& variant : variants(args, horizon, storm_blip)) {
     measure::AbrCampaign::Config cfg = config;
     cfg.scenario = variant.scenario;
-    const auto r = runner::run_merged<measure::AbrCampaign>(args.sweep(), cfg);
-    obs::merge(all_obs, r.obs);
+    const auto r = run.sweep_as_is<measure::AbrCampaign>(cfg);
 
     std::printf("\n--- %s ---\n", variant.label.c_str());
     stats::TextTable table{{"metric", "min", "p5", "p25", "median", "p75", "p95", "paper"}};
@@ -167,8 +167,9 @@ void run_abr(const bench::CommonArgs& args, const fleet::Fleet::Config& fleet,
   }
 }
 
-void run_vc(const bench::CommonArgs& args, const fleet::Fleet::Config& fleet,
-            int calls, Duration duration, Duration storm_blip, obs::Snapshot& all_obs) {
+void run_vc(bench::Run& run, const fleet::Fleet::Config& fleet, int calls,
+            Duration duration, Duration storm_blip) {
+  const bench::CommonArgs& args = run.args();
   measure::VcCampaign::Config config;
   config.seed = args.seed;
   args.apply(config);
@@ -184,8 +185,7 @@ void run_vc(const bench::CommonArgs& args, const fleet::Fleet::Config& fleet,
   for (const Variant& variant : variants(args, horizon, storm_blip)) {
     measure::VcCampaign::Config cfg = config;
     cfg.scenario = variant.scenario;
-    const auto r = runner::run_merged<measure::VcCampaign>(args.sweep(), cfg);
-    obs::merge(all_obs, r.obs);
+    const auto r = run.sweep_as_is<measure::VcCampaign>(cfg);
 
     std::printf("\n--- %s ---\n", variant.label.c_str());
     stats::TextTable table{{"metric", "min", "p5", "p25", "median", "p75", "p95", "paper"}};
@@ -206,9 +206,9 @@ void run_vc(const bench::CommonArgs& args, const fleet::Fleet::Config& fleet,
   }
 }
 
-void run_game(const bench::CommonArgs& args, const fleet::Fleet::Config& fleet,
-              int matches, Duration duration, Duration storm_blip,
-              obs::Snapshot& all_obs) {
+void run_game(bench::Run& run, const fleet::Fleet::Config& fleet, int matches,
+              Duration duration, Duration storm_blip) {
+  const bench::CommonArgs& args = run.args();
   measure::GameCampaign::Config config;
   config.seed = args.seed;
   args.apply(config);
@@ -251,8 +251,7 @@ void run_game(const bench::CommonArgs& args, const fleet::Fleet::Config& fleet,
   for (const Variant& variant : vars) {
     measure::GameCampaign::Config cfg = config;
     cfg.scenario = variant.scenario;
-    const auto r = runner::run_merged<measure::GameCampaign>(args.sweep(), cfg);
-    obs::merge(all_obs, r.obs);
+    const auto r = run.sweep_as_is<measure::GameCampaign>(cfg);
 
     std::printf("\n--- %s ---\n", variant.label.c_str());
     stats::TextTable table{{"metric", "min", "p5", "p25", "median", "p75", "p95", "paper"}};
@@ -293,33 +292,22 @@ void run_game(const bench::CommonArgs& args, const fleet::Fleet::Config& fleet,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Flags flags = Flags::parse(argc, argv);
-  const auto args = bench::CommonArgs::parse(flags);
+  bench::Run run{argc, argv};
+  const Flags& flags = run.flags();
   const std::string app = flags.get("app", "all");
-  const int sessions = static_cast<int>(flags.get_int("sessions", args.scaled(2)));
+  const int sessions = static_cast<int>(flags.get_int("sessions", run.args().scaled(2)));
   const Duration duration = flags.get_duration("duration", Duration::zero());
   const Duration storm_blip = flags.get_duration("storm-blip", Duration::seconds(2));
   const fleet::Fleet::Config fleet = bench::parse_fleet(flags);
-  bench::warn_unused(flags);
-
   if (app != "all" && app != "abr" && app != "vc" && app != "game") {
-    std::fprintf(stderr, "error: --app=%s (known: abr vc game all)\n", app.c_str());
-    return 2;
+    flags.reject("app", "unknown app (known: abr vc game all)");
   }
+  run.start("Figure 8 (extension)",
+            "application QoE: ABR video, videoconferencing, game traffic");
 
-  bench::banner("Figure 8 (extension)",
-                "application QoE: ABR video, videoconferencing, game traffic");
-
-  obs::Snapshot all_obs;
-  if (app == "all" || app == "abr") {
-    run_abr(args, fleet, sessions, duration, storm_blip, all_obs);
-  }
-  if (app == "all" || app == "vc") {
-    run_vc(args, fleet, sessions, duration, storm_blip, all_obs);
-  }
-  if (app == "all" || app == "game") {
-    run_game(args, fleet, sessions, duration, storm_blip, all_obs);
-  }
+  if (app == "all" || app == "abr") run_abr(run, fleet, sessions, duration, storm_blip);
+  if (app == "all" || app == "vc") run_vc(run, fleet, sessions, duration, storm_blip);
+  if (app == "all" || app == "game") run_game(run, fleet, sessions, duration, storm_blip);
 
   std::printf("\nShape to check: QoE impairments are not uniform in time. Under "
               "the handover storm they snap to the 15 s grid — rebuffer onsets "
@@ -329,6 +317,5 @@ int main(int argc, char** argv) {
               "still tracks the per-slot handover_stall penalty (high- vs "
               "low-stall buckets). Clear sky is the control: rare, "
               "near-uniform jitter spikes.\n");
-  bench::write_obs(args, all_obs);
-  return 0;
+  return run.finish();
 }

@@ -20,13 +20,12 @@
 
 int main(int argc, char** argv) {
   using namespace slp;
-  const Flags flags = Flags::parse(argc, argv);
-  const auto args = bench::CommonArgs::parse(flags);
+  bench::Run run{argc, argv};
+  const auto& args = run.args();
+  const Flags& flags = run.flags();
   const int terminals = static_cast<int>(flags.get_int("terminals", 10000));
   const Duration duration = flags.get_duration("duration", Duration::hours(1));
   const double demand_scale = flags.get_double("demand-scale", 1.0);
-
-  bench::banner("Fleet scale", "multi-terminal contention: placement, demand, per-cell PF");
 
   fleet::FleetCampaign::Config config;
   config.seed = args.seed;
@@ -36,7 +35,7 @@ int main(int argc, char** argv) {
   config.fleet.placement.cell_km = flags.get_double("cell-km", config.fleet.placement.cell_km);
   config.fleet.demand.scale_down = demand_scale;
   config.fleet.demand.scale_up = demand_scale;
-  bench::warn_unused(flags);
+  run.start("Fleet scale", "multi-terminal contention: placement, demand, per-cell PF");
 
   std::printf("fleet: %d terminals, %.0f s simulated, %d seed cell(s), %d job(s), "
               "%d shard(s)%s\n\n",
@@ -44,7 +43,7 @@ int main(int argc, char** argv) {
               config.fleet.shards,
               config.fleet.aggregate_idle ? ", idle cells aggregated" : "");
 
-  const auto result = bench::run_sweep<fleet::FleetCampaign>(args, config);
+  const auto result = run.sweep<fleet::FleetCampaign>(config);
 
   std::printf("placement: %llu background terminals, %llu hot cells",
               static_cast<unsigned long long>(result.terminals),
@@ -89,6 +88,5 @@ int main(int argc, char** argv) {
   std::printf("\n(the paper's Figure 5 medians are end-to-end goodput; the capacity the\n"
               " arbiter leaves the foreground should sit near/above them)\n");
 
-  bench::write_obs(args, result.obs);
-  return 0;
+  return run.finish();
 }

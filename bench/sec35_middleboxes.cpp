@@ -39,22 +39,21 @@ void print_audit(const char* name, const slp::measure::MiddleboxAudit::Result& r
 
 int main(int argc, char** argv) {
   using namespace slp;
-  const auto args = bench::CommonArgs::parse(argc, argv);
+  bench::Run run{argc, argv};
+  const auto& args = run.args();
   if (args.seeds > 1) {
-    std::fprintf(stderr, "error: --seeds=%d: the middlebox audit runs one cell per access "
-                         "(no multi-seed merge)\n", args.seeds);
-    return 2;
+    run.flags().reject("seeds", "the middlebox audit runs one cell per access "
+                                "(no multi-seed merge)");
   }
-  bench::banner("§3.5", "middleboxes (traceroute, Tracebox) and TD (Wehe)");
+  run.start("§3.5", "middleboxes (traceroute, Tracebox) and TD (Wehe)");
 
-  obs::Snapshot all_obs;
   {
     measure::MiddleboxAudit::Config config;
     config.seed = args.seed;
     config.access = measure::AccessKind::kStarlink;
     args.apply(config);
     const auto result = measure::MiddleboxAudit::run(config);
-    obs::merge(all_obs, result.obs);
+    run.fold(result.obs);
     print_audit("Starlink (paper: 2 NATs, checksums only, no PEP, no TD)", result);
   }
   {
@@ -63,9 +62,8 @@ int main(int argc, char** argv) {
     config.access = measure::AccessKind::kSatCom;
     args.apply(config);
     const auto result = measure::MiddleboxAudit::run(config);
-    obs::merge(all_obs, result.obs);
+    run.fold(result.obs);
     print_audit("SatCom control (PEPs are the norm on GEO links)", result);
   }
-  bench::write_obs(args, all_obs);
-  return 0;
+  return run.finish();
 }

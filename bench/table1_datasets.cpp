@@ -5,11 +5,12 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
+#include "sim/simulator.hpp"
 
 int main(int argc, char** argv) {
   using namespace slp;
-  const auto args = bench::CommonArgs::parse(argc, argv);
-  bench::banner("Table 1", "overview of the datasets (paper vs reproduction)");
+  bench::Run run{argc, argv};
+  run.start("Table 1", "overview of the datasets (paper vs reproduction)");
 
   stats::TextTable table{{"measure", "network", "paper duration", "paper target",
                           "reproduction (scale=1)"}};
@@ -29,10 +30,9 @@ int main(int argc, char** argv) {
   std::printf("\nIncrease --scale to push any bench toward paper-scale sample"
               " counts; all campaigns are seeded and reproducible.\n");
 
-  // This bench runs no simulation; the obs flags still produce valid
-  // (empty) documents so tooling can treat every bench uniformly.
-  obs::Snapshot empty;
-  empty.cells = 1;
-  bench::write_obs(args, empty);
-  return 0;
+  // This bench runs no simulation. It folds the one empty cell an idle
+  // simulator yields, so the obs flags still write valid documents and
+  // tooling can treat every bench uniformly.
+  run.fold(sim::Simulator{}.take_obs());
+  return run.finish();
 }

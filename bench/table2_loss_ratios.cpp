@@ -30,33 +30,34 @@ void duration_rows(const char* name, const slp::measure::LossAnalyzer::Report& r
 
 int main(int argc, char** argv) {
   using namespace slp;
-  const auto args = bench::CommonArgs::parse(argc, argv);
-  bench::banner("Table 2 / §3.2", "QUIC packet loss ratios and loss-event durations");
+  bench::Run run{argc, argv};
+  const auto& args = run.args();
+  run.start("Table 2 / §3.2", "QUIC packet loss ratios and loss-event durations");
 
   measure::H3Campaign::Config h3_down_cfg;
   h3_down_cfg.seed = args.seed;
   h3_down_cfg.download = true;
   h3_down_cfg.transfers = args.scaled(6);
-  const auto h3_down = bench::run_sweep<measure::H3Campaign>(args, h3_down_cfg);
+  const auto h3_down = run.sweep<measure::H3Campaign>(h3_down_cfg);
 
   measure::H3Campaign::Config h3_up_cfg;
   h3_up_cfg.seed = args.seed + 1;
   h3_up_cfg.download = false;
   h3_up_cfg.transfers = args.scaled(3);
   h3_up_cfg.bytes = 40ull * 1000 * 1000;
-  const auto h3_up = bench::run_sweep<measure::H3Campaign>(args, h3_up_cfg);
+  const auto h3_up = run.sweep<measure::H3Campaign>(h3_up_cfg);
 
   measure::MessageCampaign::Config msg_down_cfg;
   msg_down_cfg.seed = args.seed + 2;
   msg_down_cfg.upload = false;
   msg_down_cfg.sessions = args.scaled(5);
-  const auto msg_down = bench::run_sweep<measure::MessageCampaign>(args, msg_down_cfg);
+  const auto msg_down = run.sweep<measure::MessageCampaign>(msg_down_cfg);
 
   measure::MessageCampaign::Config msg_up_cfg;
   msg_up_cfg.seed = args.seed + 3;
   msg_up_cfg.upload = true;
   msg_up_cfg.sessions = args.scaled(5);
-  const auto msg_up = bench::run_sweep<measure::MessageCampaign>(args, msg_up_cfg);
+  const auto msg_up = run.sweep<measure::MessageCampaign>(msg_up_cfg);
 
   using stats::TextTable;
   stats::TextTable table{{"", "H3 down", "H3 up", "messages down", "messages up"}};
@@ -75,12 +76,5 @@ int main(int argc, char** argv) {
 
   std::printf("\nPaper take-away: loaded-link losses are frequent but short "
               "(congestion); unloaded losses are rare but long (medium).\n");
-
-  obs::Snapshot all_obs;
-  obs::merge(all_obs, h3_down.obs);
-  obs::merge(all_obs, h3_up.obs);
-  obs::merge(all_obs, msg_down.obs);
-  obs::merge(all_obs, msg_up.obs);
-  bench::write_obs(args, all_obs);
-  return 0;
+  return run.finish();
 }

@@ -88,10 +88,10 @@ void report(const char* name, const GameResult& result) {
 
 int main(int argc, char** argv) {
   using namespace slp;
-  const Flags flags = Flags::parse(argc, argv);
-  const auto seconds = flags.get_int("seconds", 30);
-  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 7));
-  bench::warn_unused(flags);
+  bench::Run run = bench::Run::own_flags_only(argc, argv);
+  const auto seconds = run.flags().get_int("seconds", 30);
+  const auto seed = static_cast<std::uint64_t>(run.flags().get_int("seed", 7));
+  run.start();
 
   std::printf("Cloud gaming check (GeForce Now budget: 80 ms, paper §3.1)\n\n");
   {
@@ -110,5 +110,5 @@ int main(int argc, char** argv) {
   }
   std::printf("\nThe paper's observation: Starlink's latency is compatible with "
               "cloud gaming; geostationary satellite access is not.\n");
-  return 0;
+  return run.finish();
 }

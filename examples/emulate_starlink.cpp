@@ -18,9 +18,9 @@
 int main(int argc, char** argv) {
   using namespace slp;
   using sim::make_addr;
-  const Flags flags = Flags::parse(argc, argv);
-  Rng rng{static_cast<std::uint64_t>(flags.get_int("seed", 5))};
-  bench::warn_unused(flags);
+  bench::Run run = bench::Run::own_flags_only(argc, argv);
+  Rng rng{static_cast<std::uint64_t>(run.flags().get_int("seed", 5))};
+  run.start();
 
   // A hand-specified Starlink profile at the paper's headline numbers (the
   // errant_profiles bench shows how to *fit* one from campaign data).
@@ -104,5 +104,5 @@ int main(int argc, char** argv) {
   }
   std::printf("\nUse emu::ErrantProfile::fit() on campaign output to regenerate "
               "the data-driven model (see bench/errant_profiles).\n");
-  return 0;
+  return run.finish();
 }

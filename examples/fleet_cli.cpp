@@ -63,40 +63,37 @@ bool apply_mix(const std::string& name, fleet::DemandModel::Config& demand) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Flags flags = Flags::parse(argc, argv);
-  const bench::CommonArgs args = bench::CommonArgs::parse(flags);
+  bench::Run run{argc, argv};
+  const Flags& flags = run.flags();
+  const bench::CommonArgs& args = run.args();
   const int tests = std::max<int>(1, static_cast<int>(flags.get_int("tests", 3)));
   const bool download = flags.get_bool("download", true);
   const auto grid_labels = flags.get_list("grid", {"leo", "geo", "wired"});
   const auto size_list = flags.get_double_list("sizes", {1, 1000, 5000});
   const auto mix_labels = flags.get_list("mixes", {"balanced"});
   const Duration fleet_duration = flags.get_duration("duration", Duration::minutes(10));
-  bench::warn_unused(flags);
-
   std::vector<measure::AccessKind> accesses;
   for (const std::string& label : grid_labels) {
-    const auto kind = measure::parse_access(label);
-    if (!kind) {
-      std::fprintf(stderr, "unknown access '%s' (want leo|geo|wired)\n", label.c_str());
-      return 1;
+    if (const auto kind = measure::parse_access(label)) {
+      accesses.push_back(*kind);
+    } else {
+      flags.reject("grid", "unknown access '" + label + "' (want leo|geo|wired)");
     }
-    accesses.push_back(*kind);
   }
   for (const std::string& mix : mix_labels) {
     fleet::DemandModel::Config probe;
     if (!apply_mix(mix, probe)) {
-      std::fprintf(stderr, "unknown mix '%s' (want balanced|web-heavy|bulk-heavy|idle)\n",
-                   mix.c_str());
-      return 1;
+      flags.reject("mixes",
+                   "unknown mix '" + mix + "' (want balanced|web-heavy|bulk-heavy|idle)");
     }
   }
+  run.start();
 
   std::printf("fleet sweep: %zu access x %zu sizes x %zu mixes, %d seeds/row, %d tests\n\n",
               accesses.size(), size_list.size(), mix_labels.size(), args.seeds, tests);
 
   stats::TextTable table{{"access", "fleet", "mix", "speedtest p50", "p95", "cell util p50",
                           "p95", "handovers"}};
-  obs::Snapshot all_obs;
   fleet::FleetCampaign::Result last_leo;  // richest cell, rendered as ECDFs below
   bool have_leo = false;
   std::uint64_t row = 0;
@@ -110,7 +107,6 @@ int main(int argc, char** argv) {
       for (std::size_t mi = 0; mi < mixes; ++mi) {
         ++row;
         measure::SpeedtestCampaign::Config config;
-        args.apply(config);
         config.seed = runner::cell_seed(args.seed, row);
         config.access = kind;
         config.tests = tests;
@@ -119,20 +115,17 @@ int main(int argc, char** argv) {
           config.fleet.size = static_cast<int>(size_list[si]);
           apply_mix(mix_labels[mi], config.fleet.demand);
         }
-        const auto speed = runner::run_merged<measure::SpeedtestCampaign>(args.sweep(), config);
-        obs::merge(all_obs, speed.obs);
+        const auto speed = run.sweep<measure::SpeedtestCampaign>(config);
 
         std::string util_p50 = "-";
         std::string util_p95 = "-";
         std::string handovers = "-";
         if (leo && config.fleet.size > 1) {
           fleet::FleetCampaign::Config fc;
-          args.apply(fc);
           fc.seed = config.seed;
           fc.fleet = config.fleet;
           fc.duration = fleet_duration;
-          const auto contention = runner::run_merged<fleet::FleetCampaign>(args.sweep(), fc);
-          obs::merge(all_obs, contention.obs);
+          const auto contention = run.sweep<fleet::FleetCampaign>(fc);
           util_p50 = stats::TextTable::num(contention.cell_util_down.pooled_quantile(0.50), 3);
           util_p95 = stats::TextTable::num(contention.cell_util_down.pooled_quantile(0.95), 3);
           handovers = std::to_string(contention.handovers);
@@ -162,6 +155,5 @@ int main(int argc, char** argv) {
                     .c_str());
   }
 
-  bench::write_obs(args, all_obs);
-  return 0;
+  return run.finish();
 }

@@ -14,12 +14,12 @@
 
 int main(int argc, char** argv) {
   using namespace slp;
-  const Flags flags = Flags::parse(argc, argv);
+  bench::Run run = bench::Run::own_flags_only(argc, argv);
 
   // 1. Build the world: one call gives you the whole measurement universe.
   measure::TestbedConfig config;
-  config.seed = static_cast<std::uint64_t>(flags.get_int("seed", 42));
-  bench::warn_unused(flags);
+  config.seed = static_cast<std::uint64_t>(run.flags().get_int("seed", 42));
+  run.start();
   measure::Testbed bed{config};
   std::printf("Testbed up: %zu nodes, %zu links, %zu anchors\n\n",
               bed.net().node_count(), bed.net().link_count(), bed.anchors().size());
@@ -69,5 +69,5 @@ int main(int argc, char** argv) {
   bed.sim().run();
 
   std::printf("\nDone. Explore bench/ for every figure and table of the paper.\n");
-  return 0;
+  return run.finish();
 }

@@ -26,13 +26,17 @@ namespace {
 
 using namespace slp;
 
-int cmd_ping(measure::Testbed& bed, measure::AccessKind access, const Flags& flags) {
+// Each command reads its own flags, then calls run.start() — which rejects
+// any flag left unread — before it simulates anything.
+
+int cmd_ping(bench::Run& run, measure::Testbed& bed, measure::AccessKind access) {
   const auto anchor_index =
-      static_cast<std::size_t>(flags.get_int("anchor", 0)) % bed.anchors().size();
+      static_cast<std::size_t>(run.flags().get_int("anchor", 0)) % bed.anchors().size();
   const auto& anchor = bed.anchor(anchor_index);
   apps::PingApp::Config config;
   config.target = anchor.host->addr();
-  config.count = static_cast<int>(flags.get_int("count", 5));
+  config.count = static_cast<int>(run.flags().get_int("count", 5));
+  run.start();
   apps::PingApp ping{bed.client(access), config};
   std::printf("PING %s (%s) from %s\n", anchor.name.c_str(),
               sim::addr_to_string(anchor.host->addr()).c_str(),
@@ -51,17 +55,18 @@ int cmd_ping(measure::Testbed& bed, measure::AccessKind access, const Flags& fla
   };
   ping.start();
   bed.sim().run();
-  return 0;
+  return run.finish();
 }
 
-int cmd_speedtest(measure::Testbed& bed, measure::AccessKind access, const Flags& flags) {
+int cmd_speedtest(bench::Run& run, measure::Testbed& bed, measure::AccessKind access) {
+  apps::Speedtest::Config config;
+  config.server = bed.ookla_server().addr();
+  config.download = !run.flags().get_bool("upload", false);
+  config.connections = static_cast<int>(run.flags().get_int("connections", 8));
+  run.start();
   tcp::TcpStack client_stack{bed.client(access)};
   tcp::TcpStack server_stack{bed.ookla_server()};
   apps::SpeedtestServer server{server_stack};
-  apps::Speedtest::Config config;
-  config.server = bed.ookla_server().addr();
-  config.download = !flags.get_bool("upload", false);
-  config.connections = static_cast<int>(flags.get_int("connections", 8));
   apps::Speedtest test{client_stack, config};
   std::printf("Speedtest (%s, %s, %d connections)...\n",
               std::string{measure::to_string(access)}.c_str(),
@@ -73,24 +78,28 @@ int cmd_speedtest(measure::Testbed& bed, measure::AccessKind access, const Flags
   };
   test.start();
   bed.sim().run();
-  return 0;
+  return run.finish();
 }
 
-int cmd_h3(measure::Testbed& bed, const Flags& flags) {
+int cmd_h3(bench::Run& run, measure::Testbed& bed) {
+  const Flags& flags = run.flags();
+  const auto mb = static_cast<std::uint64_t>(flags.get_int("mb", 100));
+  const bool download = !flags.get_bool("upload", false);
+  const bool want_qlog = flags.get_bool("qlog", false);
+  const std::string path = flags.get("qlog-file", "h3.qlog.json");
+  run.start();
   quic::QuicStack client_stack{bed.client(measure::AccessKind::kStarlink)};
   quic::QuicStack server_stack{bed.campus_server()};
-  const auto mb = static_cast<std::uint64_t>(flags.get_int("mb", 100));
   apps::H3Server::Config server_config;
   server_config.object_bytes = mb * 1'000'000;
   apps::H3Server server{server_stack, server_config};
   apps::H3Client::Config config;
   config.server = bed.campus_server().addr();
-  config.download = !flags.get_bool("upload", false);
+  config.download = download;
   config.bytes = mb * 1'000'000;
   apps::H3Client h3{client_stack, config};
   h3.start();
   quic::QlogTrace trace;
-  const bool want_qlog = flags.get_bool("qlog", false);
   if (want_qlog) trace.attach(h3.connection(), "h3-transfer");
   std::printf("H3 %s of %llu MB over Starlink...\n", config.download ? "GET" : "PUT",
               static_cast<unsigned long long>(mb));
@@ -101,15 +110,15 @@ int cmd_h3(measure::Testbed& bed, const Flags& flags) {
   };
   bed.sim().run();
   if (want_qlog) {
-    const std::string path = flags.get("qlog-file", "h3.qlog.json");
     std::ofstream out{path};
     trace.write_json(out);
     std::printf("  qlog with %zu events written to %s\n", trace.size(), path.c_str());
   }
-  return 0;
+  return run.finish();
 }
 
-int cmd_traceroute(measure::Testbed& bed, measure::AccessKind access) {
+int cmd_traceroute(bench::Run& run, measure::Testbed& bed, measure::AccessKind access) {
+  run.start();
   mbox::Traceroute::Config config;
   config.target = bed.campus_server().addr();
   mbox::Traceroute traceroute{bed.client(access), config};
@@ -129,14 +138,15 @@ int cmd_traceroute(measure::Testbed& bed, measure::AccessKind access) {
   };
   traceroute.start();
   bed.sim().run();
-  return 0;
+  return run.finish();
 }
 
-int cmd_wehe(measure::Testbed& bed, measure::AccessKind access, const Flags& flags) {
-  mbox::WeheServer server{bed.campus_server()};
+int cmd_wehe(bench::Run& run, measure::Testbed& bed, measure::AccessKind access) {
   mbox::WeheClient::Config config;
   config.server = bed.campus_server().addr();
-  config.repetitions = static_cast<int>(flags.get_int("reps", 3));
+  config.repetitions = static_cast<int>(run.flags().get_int("reps", 3));
+  run.start();
+  mbox::WeheServer server{bed.campus_server()};
   mbox::WeheClient wehe{bed.client(access), config};
   std::printf("Wehe differential replay (%d repetitions) over %s...\n", config.repetitions,
               std::string{measure::to_string(access)}.c_str());
@@ -148,42 +158,34 @@ int cmd_wehe(measure::Testbed& bed, measure::AccessKind access, const Flags& fla
   };
   wehe.start();
   bed.sim().run();
-  return 0;
+  return run.finish();
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace slp;
-  const Flags flags = Flags::parse(argc, argv);
+  bench::Run run = bench::Run::own_flags_only(argc, argv);
+  const Flags& flags = run.flags();
   if (flags.positional().empty()) {
     std::printf("usage: starlink_cli <ping|speedtest|h3|traceroute|wehe> [flags]\n"
                 "flags: --access=starlink|satcom|wired --seed=N, plus per-command "
                 "flags (see the file header)\n");
     return 1;
   }
-  const std::string access_name = flags.get("access", "starlink");
-  const auto access = measure::parse_access(access_name);
-  if (!access) {
-    std::fprintf(stderr, "error: --access=%s (want starlink|leo|satcom|geo|wired)\n",
-                 access_name.c_str());
-    return 2;
-  }
+  const auto access = measure::parse_access(flags.get("access", "starlink"));
+  if (!access) flags.reject("access", "want starlink|leo|satcom|geo|wired");
   measure::TestbedConfig config;
   config.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
   measure::Testbed bed{config};
 
   const std::string& command = flags.positional()[0];
-  const int status = [&] {
-    if (command == "ping") return cmd_ping(bed, *access, flags);
-    if (command == "speedtest") return cmd_speedtest(bed, *access, flags);
-    if (command == "h3") return cmd_h3(bed, flags);
-    if (command == "traceroute") return cmd_traceroute(bed, *access);
-    if (command == "wehe") return cmd_wehe(bed, *access, flags);
-    std::fprintf(stderr, "unknown command: %s\n", command.c_str());
-    return 1;
-  }();
-  // Per-command flags are read while the command runs, so warn afterwards.
-  bench::warn_unused(flags);
-  return status;
+  const auto kind = access.value_or(measure::AccessKind::kStarlink);  // checked by start()
+  if (command == "ping") return cmd_ping(run, bed, kind);
+  if (command == "speedtest") return cmd_speedtest(run, bed, kind);
+  if (command == "h3") return cmd_h3(run, bed);
+  if (command == "traceroute") return cmd_traceroute(run, bed, kind);
+  if (command == "wehe") return cmd_wehe(run, bed, kind);
+  std::fprintf(stderr, "unknown command: %s\n", command.c_str());
+  return 1;
 }

@@ -40,8 +40,9 @@ struct GridCell {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Flags flags = Flags::parse(argc, argv);
-  bench::CommonArgs args = bench::CommonArgs::parse(flags);
+  bench::Run run{argc, argv};
+  const Flags& flags = run.flags();
+  bench::CommonArgs& args = run.args();
   // This tool's own defaults: 4 replications per grid cell, on every core.
   args.seeds = std::max<int>(1, static_cast<int>(flags.get_int("seeds", 4)));
   args.jobs = std::max<int>(0, static_cast<int>(flags.get_int("jobs", 0)));
@@ -49,17 +50,15 @@ int main(int argc, char** argv) {
   const bool download = flags.get_bool("download", true);
   const auto grid_labels = flags.get_list("grid", {"leo", "geo", "wired"});
   const auto loads = flags.get_double_list("loads", {1, 4, 8});
-  bench::warn_unused(flags);
-
   std::vector<GridCell> grid_cells;
   for (const std::string& label : grid_labels) {
-    const auto kind = measure::parse_access(label);
-    if (!kind) {
-      std::fprintf(stderr, "unknown access '%s' (want leo|geo|wired)\n", label.c_str());
-      return 1;
+    if (const auto kind = measure::parse_access(label)) {
+      grid_cells.push_back(GridCell{label, *kind});
+    } else {
+      flags.reject("grid", "unknown access '" + label + "' (want leo|geo|wired)");
     }
-    grid_cells.push_back(GridCell{label, *kind});
   }
+  run.start();
 
   std::printf("sweep: %zu access x %zu load levels, %d seeds/cell, %s direction\n",
               grid_cells.size(), loads.size(), args.seeds, download ? "download" : "upload");
@@ -85,11 +84,10 @@ int main(int argc, char** argv) {
       });
 
   stats::TextTable table{{"access", "connections", "tests", "p25", "median", "p75", "p95"}};
-  obs::Snapshot all_obs;
   for (std::size_t g = 0; g < grid; ++g) {
     measure::SpeedtestCampaign::Result merged = std::move(cells[g * seeds]);
     for (std::size_t s = 1; s < seeds; ++s) merge(merged, cells[g * seeds + s]);
-    obs::merge(all_obs, merged.obs);
+    run.fold(merged.obs);
     using stats::TextTable;
     table.add_row({grid_cells[g / loads.size()].name,
                    TextTable::num(loads[g % loads.size()], 0),
@@ -105,6 +103,5 @@ int main(int argc, char** argv) {
               pool.workers(), static_cast<unsigned long long>(pool.tasks_completed()),
               static_cast<unsigned long long>(pool.tasks_stolen()),
               pool.task_seconds_total(), pool.task_seconds_max());
-  bench::write_obs(args, all_obs);
-  return 0;
+  return run.finish();
 }

@@ -16,10 +16,10 @@
 
 int main(int argc, char** argv) {
   using namespace slp;
-  const Flags flags = Flags::parse(argc, argv);
-  const auto minutes = flags.get_int("minutes", 3);
-  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 11));
-  bench::warn_unused(flags);
+  bench::Run run = bench::Run::own_flags_only(argc, argv);
+  const auto minutes = run.flags().get_int("minutes", 3);
+  const auto seed = static_cast<std::uint64_t>(run.flags().get_int("seed", 11));
+  run.start();
 
   std::printf("ABR video over Starlink (paper §3.3: 4K needs 15-25 Mbit/s)\n\n");
   for (const double mbps : {15.0, 25.0, 60.0, 120.0}) {
@@ -59,5 +59,5 @@ int main(int argc, char** argv) {
   }
   std::printf("\nExpected: 15-60 Mbit/s rungs stream cleanly on Starlink; rungs "
               "near/above the downlink share rebuffer.\n");
-  return 0;
+  return run.finish();
 }

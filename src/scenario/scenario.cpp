@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 namespace slp::scenario {
@@ -49,10 +48,8 @@ Duration need_duration(int line, std::string_view key, std::string_view value) {
 }
 
 double need_double(int line, std::string_view key, std::string_view value) {
-  const std::string buf{value};
-  char* end = nullptr;
-  const double v = std::strtod(buf.c_str(), &end);
-  if (end == buf.c_str() || *end != '\0') {
+  double v = 0.0;
+  if (!parse_number(value, v)) {
     fail(line, std::string{key} + "=" + std::string{value} + " is not a number");
   }
   return v;
@@ -236,17 +233,6 @@ Scenario& Scenario::rain(TimePoint start, TimePoint end, double attenuation_db, 
   ev.end = end;
   ev.attenuation_db = attenuation_db;
   ev.ramp = ramp;
-  events.push_back(ev);
-  return *this;
-}
-
-Scenario& Scenario::satellite_fail(TimePoint start, TimePoint end, int plane, int slot) {
-  Event ev;
-  ev.kind = EventKind::kSatelliteFail;
-  ev.start = start;
-  ev.end = end;
-  ev.plane = plane;
-  ev.slot = slot;
   events.push_back(ev);
   return *this;
 }

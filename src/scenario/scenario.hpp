@@ -90,7 +90,6 @@ struct Scenario {
   // Programmatic builders (chainable). Call validate() when done.
   Scenario& rain(TimePoint start, TimePoint end, double attenuation_db,
                  Duration ramp = Duration::zero());
-  Scenario& satellite_fail(TimePoint start, TimePoint end, int plane, int slot);
   Scenario& plane_fail(TimePoint start, TimePoint end, int plane);
   Scenario& gateway_outage(TimePoint start, TimePoint end, int gateway);
   Scenario& pop_outage(TimePoint start, TimePoint end);

@@ -21,7 +21,6 @@ void Host::send(Packet pkt) {
   // time) keep their tag; everything else starts its journey here.
   if (sim().provenance() && !pkt.prov) attach_provenance(pkt, sim().now());
   stats_.sent++;
-  if (capture_) capture_(pkt, /*outbound=*/true);
   uplink().send(std::move(pkt));
 }
 
@@ -99,7 +98,6 @@ void Host::handle_packet(Packet&& pkt, Interface& in) {
     return;
   }
   stats_.received++;
-  if (capture_) capture_(pkt, /*outbound=*/false);
 
   if (pkt.proto == Protocol::kIcmp && pkt.icmp) {
     deliver_icmp(pkt);

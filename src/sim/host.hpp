@@ -52,12 +52,6 @@ class Host : public Node {
   std::uint64_t add_error_listener(PacketHandler handler);
   void remove_error_listener(std::uint64_t id);
 
-  /// Observes every packet entering/leaving this host (packet capture).
-  /// `outbound` is true for locally-originated packets.
-  void set_capture(std::function<void(const Packet&, bool outbound)> tap) {
-    capture_ = std::move(tap);
-  }
-
   void handle_packet(Packet&& pkt, Interface& in) override;
 
   struct Stats {
@@ -77,7 +71,6 @@ class Host : public Node {
   std::map<std::uint64_t, PacketHandler> error_listeners_;
   std::uint64_t next_listener_id_ = 1;
   std::uint16_t next_ephemeral_ = 49152;
-  std::function<void(const Packet&, bool)> capture_;
   Stats stats_;
 };
 

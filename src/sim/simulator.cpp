@@ -93,27 +93,13 @@ void Simulator::run_profiled(TimePoint deadline) {
   }
 }
 
-void Simulator::run() {
-  stopped_ = false;
-  if (profile_) {
-    run_profiled(TimePoint::infinite());
-    return;
-  }
-  while (!queue_.empty() && !stopped_) {
-    auto [at, fn] = queue_.pop();
-    if (sampler_ != nullptr) sample_up_to(at);
-    now_ = at;
-    ++events_processed_;
-    fn();
-  }
-}
+void Simulator::run() { run_until(TimePoint::infinite()); }
 
 void Simulator::run_until(TimePoint deadline) {
   stopped_ = false;
   if (profile_) {
     run_profiled(deadline);
   } else {
-    const ProfileScope scope{obs::WallProfile::current()};
     while (!queue_.empty() && !stopped_ && queue_.next_time() <= deadline) {
       auto [at, fn] = queue_.pop();
       if (sampler_ != nullptr) sample_up_to(at);
@@ -122,7 +108,8 @@ void Simulator::run_until(TimePoint deadline) {
       fn();
     }
   }
-  if (!stopped_ && now_ < deadline) {
+  // run() has no deadline: its clock stays on the last event.
+  if (!stopped_ && now_ < deadline && !deadline.is_infinite()) {
     if (sampler_ != nullptr) sampler_->sample_until(deadline);
     now_ = deadline;
   }

@@ -38,7 +38,8 @@ class Simulator {
   }
   void cancel(EventId id) { queue_.cancel(id); }
 
-  /// Runs until the queue drains or stop() is called.
+  /// Runs until the queue drains or stop() is called; the clock stays on
+  /// the last event (run_until with no deadline).
   void run();
   /// Runs events with timestamp <= deadline; the clock lands on `deadline`.
   void run_until(TimePoint deadline);
@@ -90,7 +91,7 @@ class Simulator {
   /// Emits any sample-grid points the clock is about to pass. Kept out of
   /// line so the run loop's fast path is a single null check.
   void sample_up_to(TimePoint at);
-  /// The profile-on run loop shared by run() and run_until(): times every
+  /// The profile-on run loop of run_until() (and so of run()): times every
   /// callback into profile_ and stops after the last event at or before
   /// `deadline`.
   void run_profiled(TimePoint deadline);

@@ -38,8 +38,10 @@ void KeyedSamples::Slot::add(double x, std::uint64_t k) {
 }
 
 void KeyedSamples::merge(const KeyedSamples& other) {
-  if (other.groups_.empty()) return;
+  // Adopt the edges first, even from a group-less operand, so a fold into
+  // a default-constructed KeyedSamples is the identity.
   if (groups_.empty() && edges_.empty()) edges_ = other.edges_;
+  if (other.groups_.empty()) return;
   const bool compatible = edges_ == other.edges_;
   for (const auto& [key, from] : other.groups_) {
     Group& into = group(key);

@@ -1,32 +1,6 @@
 #include "stats/histogram.hpp"
 
-#include <algorithm>
-#include <cassert>
-
 namespace slp::stats {
-
-Histogram::Histogram(double lo, double hi, std::size_t bins) : lo_{lo}, counts_(bins, 0) {
-  assert(hi > lo && bins > 0);
-  width_ = (hi - lo) / static_cast<double>(bins);
-}
-
-void Histogram::add(double x, std::uint64_t weight) {
-  auto bin = static_cast<std::ptrdiff_t>((x - lo_) / width_);
-  bin = std::clamp<std::ptrdiff_t>(bin, 0, static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  counts_[static_cast<std::size_t>(bin)] += weight;
-  total_ += weight;
-}
-
-double Histogram::edge(std::size_t i) const { return lo_ + width_ * static_cast<double>(i); }
-
-double Histogram::center(std::size_t i) const {
-  return lo_ + width_ * (static_cast<double>(i) + 0.5);
-}
-
-double Histogram::fraction(std::size_t bin) const {
-  if (total_ == 0) return 0.0;
-  return static_cast<double>(counts_.at(bin)) / static_cast<double>(total_);
-}
 
 double IntHistogram::cdf(std::uint64_t value) const {
   if (total_ == 0) return 0.0;

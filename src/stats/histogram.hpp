@@ -1,36 +1,10 @@
-// histogram.hpp — fixed-width and integer-count histograms.
+// histogram.hpp — integer-count histograms.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <map>
-#include <vector>
 
 namespace slp::stats {
-
-/// Fixed-width binning over [lo, hi); out-of-range values are clamped into
-/// the first/last bin so the total count always equals the sample count.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x, std::uint64_t weight = 1);
-
-  [[nodiscard]] std::size_t bins() const { return counts_.size(); }
-  [[nodiscard]] std::uint64_t count(std::size_t bin) const { return counts_.at(bin); }
-  [[nodiscard]] std::uint64_t total() const { return total_; }
-  /// Left edge of bin i.
-  [[nodiscard]] double edge(std::size_t i) const;
-  /// Midpoint of bin i.
-  [[nodiscard]] double center(std::size_t i) const;
-  [[nodiscard]] double fraction(std::size_t bin) const;
-
- private:
-  double lo_;
-  double width_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
-};
 
 /// Sparse histogram over non-negative integers; used for loss-burst lengths
 /// where the support is tiny but unbounded.

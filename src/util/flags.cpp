@@ -1,9 +1,5 @@
 #include "util/flags.hpp"
 
-#include <cstdio>
-#include <cstdlib>
-#include <stdexcept>
-
 namespace slp {
 
 Flags Flags::parse(int argc, const char* const* argv) {
@@ -25,61 +21,72 @@ Flags Flags::parse(int argc, const char* const* argv) {
   return flags;
 }
 
-bool Flags::has(std::string_view key) const {
+const std::string* Flags::find(std::string_view key) const {
   const auto it = values_.find(key);
-  if (it == values_.end()) return false;
-  used_[it->first] = true;
-  return true;
+  if (it == values_.end()) return nullptr;
+  used_.insert(it->first);
+  return &it->second;
 }
 
-std::string Flags::get(std::string_view key, std::string_view def) const {
+void Flags::bad_value(std::string_view key, std::string_view what) const {
   const auto it = values_.find(key);
-  if (it == values_.end()) return std::string{def};
-  used_[it->first] = true;
-  return it->second;
+  const std::string value = it == values_.end() ? "" : it->second;
+  errors_.try_emplace(std::string{key},
+                      "--" + std::string{key} + "=" + value + std::string{what});
+}
+
+void Flags::reject(std::string_view key, std::string_view why) const {
+  bad_value(key, ": " + std::string{why});
+}
+
+bool Flags::has(std::string_view key) const { return find(key) != nullptr; }
+
+std::string Flags::get(std::string_view key, std::string_view def) const {
+  const std::string* value = find(key);
+  return value == nullptr ? std::string{def} : *value;
 }
 
 std::int64_t Flags::get_int(std::string_view key, std::int64_t def) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return def;
-  used_[it->first] = true;
-  return std::strtoll(it->second.c_str(), nullptr, 10);
+  const std::string* value = find(key);
+  if (value == nullptr) return def;
+  std::int64_t parsed = def;
+  if (!parse_integer(*value, parsed)) bad_value(key, " is not an integer");
+  return parsed;
 }
 
 double Flags::get_double(std::string_view key, double def) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return def;
-  used_[it->first] = true;
-  return std::strtod(it->second.c_str(), nullptr);
+  const std::string* value = find(key);
+  if (value == nullptr) return def;
+  double parsed = def;
+  if (!parse_number(*value, parsed)) bad_value(key, " is not a number");
+  return parsed;
 }
 
 bool Flags::get_bool(std::string_view key, bool def) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return def;
-  used_[it->first] = true;
-  return it->second == "true" || it->second == "1" || it->second == "yes";
+  const std::string* value = find(key);
+  if (value == nullptr) return def;
+  if (*value == "true" || *value == "1" || *value == "yes") return true;
+  if (*value == "false" || *value == "0" || *value == "no") return false;
+  bad_value(key, " is not a boolean (want 1|0|true|false|yes|no)");
+  return def;
 }
 
 Duration Flags::get_duration(std::string_view key, Duration def) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return def;
-  used_[it->first] = true;
-  Duration parsed;
-  if (!parse_duration(it->second, parsed)) {
-    std::fprintf(stderr, "warning: --%s=%s is not a duration (want e.g. 90s, 15m, 2h)\n",
-                 it->first.c_str(), it->second.c_str());
-    return def;
+  const std::string* value = find(key);
+  if (value == nullptr) return def;
+  Duration parsed = def;
+  if (!parse_duration(*value, parsed)) {
+    bad_value(key, " is not a duration (want e.g. 90s, 15m, 2h)");
   }
   return parsed;
 }
 
 std::vector<std::string> Flags::get_list(std::string_view key,
                                          std::vector<std::string> def) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return def;
-  used_[it->first] = true;
+  const std::string* value = find(key);
+  if (value == nullptr) return def;
   std::vector<std::string> out;
-  std::string_view rest{it->second};
+  std::string_view rest{*value};
   while (!rest.empty()) {
     const std::size_t comma = rest.find(',');
     const std::string_view item = rest.substr(0, comma);
@@ -92,11 +99,12 @@ std::vector<std::string> Flags::get_list(std::string_view key,
 
 std::vector<double> Flags::get_double_list(std::string_view key,
                                            std::vector<double> def) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return def;
+  if (find(key) == nullptr) return def;
   std::vector<double> out;
   for (const std::string& item : get_list(key, {})) {
-    out.push_back(std::strtod(item.c_str(), nullptr));
+    double parsed = 0.0;
+    if (!parse_number(item, parsed)) reject(key, item + " is not a number");
+    out.push_back(parsed);
   }
   return out;
 }
@@ -107,6 +115,16 @@ std::vector<std::string> Flags::unused() const {
     (void)value;
     if (!used_.contains(key)) result.push_back(key);
   }
+  return result;
+}
+
+std::vector<std::string> Flags::problems() const {
+  std::vector<std::string> result;
+  for (const auto& [key, message] : errors_) {
+    (void)key;
+    result.push_back(message);
+  }
+  for (const std::string& key : unused()) result.push_back("unknown flag --" + key);
   return result;
 }
 

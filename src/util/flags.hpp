@@ -1,12 +1,17 @@
 // flags.hpp — tiny --key=value command-line parser for benches & examples.
 //
 // Not a general argument library: benches accept a handful of overrides
-// (seed, scale, output verbosity) and anything unknown is reported, so typos
-// do not silently fall back to defaults.
+// (seed, scale, output verbosity). Nothing is forgiven: a value that does
+// not parse as the type it is read as, or that a caller rejects, and a flag
+// nobody read are all listed by problems(), so a typo never silently falls
+// back to a default. The getters return `def` for such a value; callers
+// check problems() before using any of them (bench::Run does, for every
+// bench and example).
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -17,21 +22,23 @@ namespace slp {
 
 class Flags {
  public:
-  /// Parses argv of the form `--key=value` or bare `--flag` (value "true").
-  /// Non-flag positional arguments are collected separately.
+  /// Parses argv of the form `--key=value` or bare `--flag` (value "true");
+  /// a repeated key keeps its first value. Non-flag positional arguments are
+  /// collected separately.
   static Flags parse(int argc, const char* const* argv);
 
   [[nodiscard]] bool has(std::string_view key) const;
 
   [[nodiscard]] std::string get(std::string_view key, std::string_view def) const;
+  /// A base-10 integer ("12", "-3"); anything else is a problem.
   [[nodiscard]] std::int64_t get_int(std::string_view key, std::int64_t def) const;
+  /// A finite number ("0.25", "1e3"; parse_number, units.hpp).
   [[nodiscard]] double get_double(std::string_view key, double def) const;
+  /// 1|true|yes or 0|false|no; a bare `--flag` is true.
   [[nodiscard]] bool get_bool(std::string_view key, bool def) const;
 
   /// Human duration value (`--ramp=90s`, `--window=15m`, `--span=2h`); a bare
-  /// number means seconds (parse_duration, units.hpp). A present-but-invalid
-  /// value warns on stderr and falls back to `def` rather than silently
-  /// misreading a typo as zero.
+  /// number means seconds (parse_duration, units.hpp).
   [[nodiscard]] Duration get_duration(std::string_view key, Duration def) const;
 
   /// Comma-separated list value (`--grid=leo,geo,wired`); `def` when absent.
@@ -44,13 +51,27 @@ class Flags {
 
   [[nodiscard]] const std::vector<std::string>& positional() const { return positional_; }
 
-  /// Keys that were supplied but never queried; call after all get()s to warn
-  /// about typos.
+  /// Records that --key's value is not acceptable, e.g. an unknown name for
+  /// an enumerated flag; `why` follows "--key=value: " in problems().
+  void reject(std::string_view key, std::string_view why) const;
+
+  /// Keys that were supplied but never queried.
   [[nodiscard]] std::vector<std::string> unused() const;
 
+  /// Everything wrong with the command line so far, one message per flag:
+  /// values that did not parse or were rejected, then "unknown flag --KEY"
+  /// for every key never read. Call after every flag has been read.
+  [[nodiscard]] std::vector<std::string> problems() const;
+
  private:
+  /// The value of --key, marking the key read; null when absent.
+  [[nodiscard]] const std::string* find(std::string_view key) const;
+  /// Records "--key=value <what>" once per key (the first problem wins).
+  void bad_value(std::string_view key, std::string_view what) const;
+
   std::map<std::string, std::string, std::less<>> values_;
-  mutable std::map<std::string, bool, std::less<>> used_;
+  mutable std::set<std::string, std::less<>> used_;
+  mutable std::map<std::string, std::string, std::less<>> errors_;
   std::vector<std::string> positional_;
 };
 

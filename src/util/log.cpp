@@ -72,14 +72,14 @@ std::string_view to_string(LogLevel level) {
   return "?";
 }
 
-LogLevel parse_log_level(std::string_view name, LogLevel def) {
+std::optional<LogLevel> parse_log_level(std::string_view name) {
   if (name == "trace") return LogLevel::kTrace;
   if (name == "debug") return LogLevel::kDebug;
   if (name == "info") return LogLevel::kInfo;
   if (name == "warn") return LogLevel::kWarn;
   if (name == "error") return LogLevel::kError;
   if (name == "off") return LogLevel::kOff;
-  return def;
+  return std::nullopt;
 }
 
 }  // namespace slp

@@ -17,6 +17,7 @@
 #include <atomic>
 #include <cstdint>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string_view>
 
@@ -48,8 +49,8 @@ class Logger {
 [[nodiscard]] std::string_view to_string(LogLevel level);
 
 /// "trace"/"debug"/"info"/"warn"/"error"/"off" (case-sensitive) -> level;
-/// anything else returns `def`.
-[[nodiscard]] LogLevel parse_log_level(std::string_view name, LogLevel def);
+/// anything else -> nullopt.
+[[nodiscard]] std::optional<LogLevel> parse_log_level(std::string_view name);
 
 }  // namespace slp
 

@@ -1,5 +1,7 @@
 #include "util/units.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <iomanip>
 #include <sstream>
@@ -25,6 +27,23 @@ bool parse_duration(std::string_view text, Duration& out) {
   else if (unit == "d") to_seconds = 86400.0;
   else return false;
   out = Duration::from_seconds(value * to_seconds);
+  return true;
+}
+
+bool parse_number(std::string_view text, double& out) {
+  const std::string buf{text};  // strtod needs NUL termination
+  char* end = nullptr;
+  const double value = std::strtod(buf.c_str(), &end);
+  if (buf.empty() || *end != '\0' || !std::isfinite(value)) return false;
+  out = value;
+  return true;
+}
+
+bool parse_integer(std::string_view text, std::int64_t& out) {
+  std::int64_t value = 0;
+  const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
+  if (text.empty() || ec != std::errc{} || end != text.data() + text.size()) return false;
+  out = value;
   return true;
 }
 

@@ -176,6 +176,13 @@ class DataRate {
 /// Shared by Flags::get_duration and the scenario file parser.
 [[nodiscard]] bool parse_duration(std::string_view text, Duration& out);
 
+/// Parses the whole of `text` as one finite number (strtod syntax: "4",
+/// "0.25", "1e3"). Returns false, leaving `out` untouched, on empty input,
+/// trailing junk, nan or inf. Shared by Flags and the scenario file parser.
+[[nodiscard]] bool parse_number(std::string_view text, double& out);
+/// Same for a base-10 integer that fits an int64 ("12", "-3"; not "1.5").
+[[nodiscard]] bool parse_integer(std::string_view text, std::int64_t& out);
+
 namespace literals {
 constexpr Duration operator""_ns(unsigned long long v) { return Duration::nanos(static_cast<std::int64_t>(v)); }
 constexpr Duration operator""_us(unsigned long long v) { return Duration::micros(static_cast<std::int64_t>(v)); }

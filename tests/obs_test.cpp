@@ -433,6 +433,28 @@ TEST(Snapshot, MetricsJsonIsByteIdenticalForSameData) {
   EXPECT_NE(metrics_json(m1).find("\"cells\": 2"), std::string::npos);
 }
 
+TEST(Snapshot, MergeIntoEmptyIsTheIdentity) {
+  // Provenance on but no flow ever tagged: the breakdown has its bucket
+  // edges and no groups. Folding it into a fresh Snapshot must keep them.
+  Options opts;
+  opts.metrics = true;
+  opts.trace = true;
+  opts.provenance = true;
+  Recorder rec{opts};
+  rec.registry().counter("c").add(2);
+  rec.registry().gauge("g").set(1.5);
+  rec.trace().instant("cat", "ev", TimePoint::from_ns(100));
+  const Snapshot cell = rec.take_snapshot();
+  ASSERT_TRUE(cell.breakdown_flows.groups().empty());
+  ASSERT_FALSE(cell.breakdown_components.edges().empty());
+  Snapshot folded;
+  merge(folded, cell);
+  EXPECT_EQ(metrics_json(folded), metrics_json(cell));
+  EXPECT_EQ(trace_json(folded.events), trace_json(cell.events));
+  EXPECT_EQ(breakdown_json(folded), breakdown_json(cell));
+  EXPECT_EQ(flight_json(folded), flight_json(cell));
+}
+
 // --------------------------------------------------------------- profile
 
 TEST(WallProfile, RecordsLog2Buckets) {
@@ -452,6 +474,19 @@ TEST(Simulator, ObsOffByDefault) {
   sim::Simulator sim;
   EXPECT_EQ(sim.obs(), nullptr);
   EXPECT_EQ(sim.wall_profile(), nullptr);
+}
+
+TEST(Simulator, RunLeavesTheClockOnTheLastEvent) {
+  for (const bool profiled : {false, true}) {
+    sim::Simulator sim;
+    Options opts;
+    opts.profile = profiled;
+    sim.enable_obs(opts);
+    sim.schedule_in(Duration::seconds(3), [] {});
+    sim.run();
+    EXPECT_EQ(sim.now(), TimePoint::epoch() + Duration::seconds(3)) << profiled;
+    EXPECT_EQ(sim.events_processed(), 1u);
+  }
 }
 
 TEST(Simulator, ProfileCountsCallbacks) {

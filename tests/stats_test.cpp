@@ -289,20 +289,6 @@ TEST(Ecdf, EmptyIsSafe) {
 
 // ------------------------------------------------------------ Histogram
 
-TEST(Histogram, BinningAndClamping) {
-  Histogram h{0.0, 10.0, 10};
-  h.add(0.5);
-  h.add(9.5);
-  h.add(-3.0);   // clamps into first bin
-  h.add(100.0);  // clamps into last bin
-  EXPECT_EQ(h.count(0), 2u);
-  EXPECT_EQ(h.count(9), 2u);
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_DOUBLE_EQ(h.fraction(0), 0.5);
-  EXPECT_DOUBLE_EQ(h.edge(1), 1.0);
-  EXPECT_DOUBLE_EQ(h.center(0), 0.5);
-}
-
 TEST(IntHistogram, CdfOverSparseSupport) {
   IntHistogram h;
   h.add(1, 75);

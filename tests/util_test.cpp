@@ -359,11 +359,78 @@ TEST(Flags, GetDurationParsesSuffixesAndFallsBack) {
   EXPECT_EQ(f.get_duration("window", Duration::zero()), Duration::minutes(15));
   EXPECT_EQ(f.get_duration("ramp", Duration::zero()), Duration::seconds(90));
   EXPECT_EQ(f.get_duration("bare", Duration::zero()), Duration::seconds(3));
-  // Invalid values warn and fall back to the default instead of misparsing.
+  // An invalid value returns the default and is reported, never misparsed.
   EXPECT_EQ(f.get_duration("bad", Duration::seconds(5)), Duration::seconds(5));
   EXPECT_EQ(f.get_duration("absent", Duration::hours(1)), Duration::hours(1));
   // get_duration marks its keys used, including the malformed one.
   EXPECT_TRUE(f.unused().empty());
+  EXPECT_EQ(f.problems(),
+            std::vector<std::string>{"--bad=soon is not a duration (want e.g. 90s, 15m, 2h)"});
+}
+
+TEST(Flags, UnparseableValuesAreProblemsNotZeros) {
+  const char* argv[] = {"prog",          "--scale=abc", "--seeds=2.5", "--jobs=4x",
+                        "--upload=maybe", "--loads=1,x", "--ok=3"};
+  const Flags f = Flags::parse(7, argv);
+  EXPECT_DOUBLE_EQ(f.get_double("scale", 1.0), 1.0);
+  EXPECT_EQ(f.get_int("seeds", 1), 1);
+  EXPECT_EQ(f.get_int("seeds", 1), 1);  // a second read adds no second problem
+  EXPECT_EQ(f.get_int("jobs", 1), 1);
+  EXPECT_TRUE(f.get_bool("upload", true));
+  EXPECT_EQ(f.get_double_list("loads", {}).size(), 2u);
+  EXPECT_EQ(f.get_int("ok", 0), 3);
+  EXPECT_EQ(f.problems(), (std::vector<std::string>{
+                              "--jobs=4x is not an integer",
+                              "--loads=1,x: x is not a number",
+                              "--scale=abc is not a number",
+                              "--seeds=2.5 is not an integer",
+                              "--upload=maybe is not a boolean (want 1|0|true|false|yes|no)",
+                          }));
+}
+
+TEST(Flags, StrictValuesStillParse) {
+  const char* argv[] = {"prog", "--a=-3", "--b=1e3", "--c=no", "--d=0", "--e", "--f=0.5,2"};
+  const Flags f = Flags::parse(7, argv);
+  EXPECT_EQ(f.get_int("a", 0), -3);
+  EXPECT_DOUBLE_EQ(f.get_double("b", 0.0), 1000.0);
+  EXPECT_FALSE(f.get_bool("c", true));
+  EXPECT_FALSE(f.get_bool("d", true));
+  EXPECT_TRUE(f.get_bool("e", false));
+  EXPECT_EQ(f.get_double_list("f", {}), (std::vector<double>{0.5, 2.0}));
+  EXPECT_TRUE(f.problems().empty());
+}
+
+TEST(Flags, RejectedAndUnreadFlagsAreProblems) {
+  const char* argv[] = {"prog", "--grid=leo,mars", "--help", "--typo=1"};
+  const Flags f = Flags::parse(4, argv);
+  (void)f.get_list("grid", {});
+  f.reject("grid", "unknown access 'mars'");
+  EXPECT_EQ(f.problems(), (std::vector<std::string>{"--grid=leo,mars: unknown access 'mars'",
+                                                    "unknown flag --help",
+                                                    "unknown flag --typo"}));
+}
+
+TEST(ParseNumber, WholeFiniteNumbersOnly) {
+  double d = -1.0;
+  ASSERT_TRUE(parse_number("0.25", d));
+  EXPECT_DOUBLE_EQ(d, 0.25);
+  ASSERT_TRUE(parse_number("-1e3", d));
+  EXPECT_DOUBLE_EQ(d, -1000.0);
+  for (const char* bad : {"", "abc", "1.5x", "4 ", "nan", "inf"}) {
+    d = 7.0;
+    EXPECT_FALSE(parse_number(bad, d)) << bad;
+    EXPECT_DOUBLE_EQ(d, 7.0) << bad;  // untouched on failure
+  }
+  std::int64_t i = -1;
+  ASSERT_TRUE(parse_integer("-42", i));
+  EXPECT_EQ(i, -42);
+  ASSERT_TRUE(parse_integer("9007199254740993", i));  // above 2^53: exact
+  EXPECT_EQ(i, 9007199254740993);
+  for (const char* bad : {"", "1.5", "1e3", "12x", "+", "99999999999999999999"}) {
+    i = 7;
+    EXPECT_FALSE(parse_integer(bad, i)) << bad;
+    EXPECT_EQ(i, 7) << bad;
+  }
 }
 
 // ---------------------------------------------------------- InlineFunction
@@ -747,13 +814,14 @@ TEST(Fnv1a, StableKnownValue) {
 // ------------------------------------------------------------------ Logger
 
 TEST(Logger, ParsesLevelNames) {
-  EXPECT_EQ(parse_log_level("trace", LogLevel::kWarn), LogLevel::kTrace);
-  EXPECT_EQ(parse_log_level("debug", LogLevel::kWarn), LogLevel::kDebug);
-  EXPECT_EQ(parse_log_level("info", LogLevel::kWarn), LogLevel::kInfo);
-  EXPECT_EQ(parse_log_level("warn", LogLevel::kError), LogLevel::kWarn);
-  EXPECT_EQ(parse_log_level("error", LogLevel::kWarn), LogLevel::kError);
-  EXPECT_EQ(parse_log_level("off", LogLevel::kWarn), LogLevel::kOff);
-  EXPECT_EQ(parse_log_level("bogus", LogLevel::kInfo), LogLevel::kInfo);
+  EXPECT_EQ(parse_log_level("trace"), LogLevel::kTrace);
+  EXPECT_EQ(parse_log_level("debug"), LogLevel::kDebug);
+  EXPECT_EQ(parse_log_level("info"), LogLevel::kInfo);
+  EXPECT_EQ(parse_log_level("warn"), LogLevel::kWarn);
+  EXPECT_EQ(parse_log_level("error"), LogLevel::kError);
+  EXPECT_EQ(parse_log_level("off"), LogLevel::kOff);
+  EXPECT_FALSE(parse_log_level("bogus").has_value());
+  EXPECT_FALSE(parse_log_level("Warn").has_value());
 }
 
 TEST(Logger, ConcurrentWritesDoNotInterleave) {
