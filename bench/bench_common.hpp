@@ -26,8 +26,9 @@
 // (`--help` included), did not parse as what it was read as
 // (`--scale=abc`, `--seeds=2.5`, `--upload=maybe`, `--duration=5x`), or was
 // rejected by the main (an unknown `--grid` access, `--log-level`,
-// `--fleet-mix` or `--app` name), start() prints one "error: ..." line to
-// stderr and exits 2.
+// `--fleet-mix` or `--app` name), or a positional argument was never read
+// (only starlink_cli reads one, its command), start() prints one
+// "error: ..." line to stderr and exits 2.
 //
 // Common flags: --seed=N, --scale=F (scales campaign sizes; 1.0 = the
 // defaults documented in DESIGN.md, larger = closer to paper scale),
@@ -114,6 +115,20 @@ inline std::vector<std::string> boxplot_row(const std::string& name,
           paper_median};
 }
 
+/// fleet::named_mix(name) for the value of --key; an unknown name rejects
+/// --key (listing the known ones) and yields the stock mix.
+inline fleet::DemandModel::Config named_mix(const Flags& flags, std::string_view key,
+                                            const std::string& name) {
+  try {
+    return fleet::named_mix(name);
+  } catch (const std::invalid_argument&) {
+    std::string known = "unknown mix '" + name + "' (known:";
+    for (const auto mix : fleet::mix_names()) known += " " + std::string{mix};
+    flags.reject(key, known + ")");
+    return {};
+  }
+}
+
 /// Shared fleet flags, honoured by every figure bench that takes --fleet
 /// (fig1-fig8 except fig2b, and fleet_scale), all through this one parser
 /// (EXPERIMENTS.md "Continental campaigns"). With only --fleet=N it yields
@@ -131,20 +146,14 @@ inline std::vector<std::string> boxplot_row(const std::string& name,
 ///                         directly)
 ///   --fleet-cell-km=F     base cell size for the fleet grid
 ///   --fleet-mix=NAME      named traffic mix for the neighbour terminals:
-///                         default | streaming | realtime | mixed
-///                         (fleet::named_mix; "default" is byte-identical to
-///                         the pre-mix behaviour)
+///                         default | streaming | realtime | mixed |
+///                         web-heavy | bulk-heavy | idle (fleet::named_mix;
+///                         "default" is byte-identical to the pre-mix
+///                         behaviour)
 inline fleet::Fleet::Config parse_fleet(const Flags& flags) {
   fleet::Fleet::Config fc;
   fc.size = static_cast<int>(flags.get_int("fleet", 0));
-  const std::string mix = flags.get("fleet-mix", "default");
-  try {
-    fc.demand = fleet::named_mix(mix);
-  } catch (const std::invalid_argument&) {
-    std::string known = "unknown mix (known:";
-    for (const auto name : fleet::mix_names()) known += " " + std::string{name};
-    flags.reject("fleet-mix", known + ")");
-  }
+  fc.demand = named_mix(flags, "fleet-mix", flags.get("fleet-mix", "default"));
   const bool continental = flags.get_bool("continental", false);
   if (continental) fc.placement = fleet::Placement::continental_europe();
   fc.placement.cell_km = flags.get_double("fleet-cell-km", fc.placement.cell_km);

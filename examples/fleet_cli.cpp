@@ -8,7 +8,7 @@
 // per-cell utilization distribution, and the final cell's per-cell and
 // per-terminal ECDFs are rendered in full.
 //
-//   ./fleet_cli --sizes=1,1000,5000 --mixes=balanced,web-heavy --seeds=4
+//   ./fleet_cli --sizes=1,1000,5000 --mixes=default,web-heavy --seeds=4
 //   ./fleet_cli --grid=leo,wired --tests=2 --jobs=8 --metrics=fleet.json
 //   ./fleet_cli --grid=leo --sizes=100 --scenario=examples/scenarios/load_surge.scn
 //
@@ -29,38 +29,7 @@
 #include "stats/ecdf.hpp"
 #include "stats/table.hpp"
 
-namespace {
-
 using namespace slp;
-
-/// Named demand mixes: fractions over {bulk, speedtest, web, idle}.
-bool apply_mix(const std::string& name, fleet::DemandModel::Config& demand) {
-  if (name == "balanced") return true;  // the DemandModel defaults
-  if (name == "web-heavy") {
-    demand.bulk.fraction = 0.05;
-    demand.speedtest.fraction = 0.03;
-    demand.web.fraction = 0.70;
-    demand.idle.fraction = 0.22;
-    return true;
-  }
-  if (name == "bulk-heavy") {
-    demand.bulk.fraction = 0.30;
-    demand.speedtest.fraction = 0.05;
-    demand.web.fraction = 0.30;
-    demand.idle.fraction = 0.35;
-    return true;
-  }
-  if (name == "idle") {
-    demand.bulk.fraction = 0.02;
-    demand.speedtest.fraction = 0.01;
-    demand.web.fraction = 0.17;
-    demand.idle.fraction = 0.80;
-    return true;
-  }
-  return false;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   bench::Run run{argc, argv};
@@ -70,7 +39,7 @@ int main(int argc, char** argv) {
   const bool download = flags.get_bool("download", true);
   const auto grid_labels = flags.get_list("grid", {"leo", "geo", "wired"});
   const auto size_list = flags.get_double_list("sizes", {1, 1000, 5000});
-  const auto mix_labels = flags.get_list("mixes", {"balanced"});
+  const auto mix_labels = flags.get_list("mixes", {"default"});
   const Duration fleet_duration = flags.get_duration("duration", Duration::minutes(10));
   std::vector<measure::AccessKind> accesses;
   for (const std::string& label : grid_labels) {
@@ -80,12 +49,9 @@ int main(int argc, char** argv) {
       flags.reject("grid", "unknown access '" + label + "' (want leo|geo|wired)");
     }
   }
+  std::vector<fleet::DemandModel::Config> demands;
   for (const std::string& mix : mix_labels) {
-    fleet::DemandModel::Config probe;
-    if (!apply_mix(mix, probe)) {
-      flags.reject("mixes",
-                   "unknown mix '" + mix + "' (want balanced|web-heavy|bulk-heavy|idle)");
-    }
+    demands.push_back(bench::named_mix(flags, "mixes", mix));
   }
   run.start();
 
@@ -113,7 +79,7 @@ int main(int argc, char** argv) {
         config.download = download;
         if (leo) {
           config.fleet.size = static_cast<int>(size_list[si]);
-          apply_mix(mix_labels[mi], config.fleet.demand);
+          config.fleet.demand = demands[mi];
         }
         const auto speed = run.sweep<measure::SpeedtestCampaign>(config);
 

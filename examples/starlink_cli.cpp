@@ -167,7 +167,8 @@ int main(int argc, char** argv) {
   using namespace slp;
   bench::Run run = bench::Run::own_flags_only(argc, argv);
   const Flags& flags = run.flags();
-  if (flags.positional().empty()) {
+  const std::string* command = flags.positional(0);  // the one positional
+  if (command == nullptr) {
     std::printf("usage: starlink_cli <ping|speedtest|h3|traceroute|wehe> [flags]\n"
                 "flags: --access=starlink|satcom|wired --seed=N, plus per-command "
                 "flags (see the file header)\n");
@@ -179,13 +180,12 @@ int main(int argc, char** argv) {
   config.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
   measure::Testbed bed{config};
 
-  const std::string& command = flags.positional()[0];
   const auto kind = access.value_or(measure::AccessKind::kStarlink);  // checked by start()
-  if (command == "ping") return cmd_ping(run, bed, kind);
-  if (command == "speedtest") return cmd_speedtest(run, bed, kind);
-  if (command == "h3") return cmd_h3(run, bed);
-  if (command == "traceroute") return cmd_traceroute(run, bed, kind);
-  if (command == "wehe") return cmd_wehe(run, bed, kind);
-  std::fprintf(stderr, "unknown command: %s\n", command.c_str());
+  if (*command == "ping") return cmd_ping(run, bed, kind);
+  if (*command == "speedtest") return cmd_speedtest(run, bed, kind);
+  if (*command == "h3") return cmd_h3(run, bed);
+  if (*command == "traceroute") return cmd_traceroute(run, bed, kind);
+  if (*command == "wehe") return cmd_wehe(run, bed, kind);
+  std::fprintf(stderr, "unknown command: %s\n", command->c_str());
   return 1;
 }

@@ -2,8 +2,9 @@
 //
 // Runs the Ookla-style speedtest campaign for every cell of
 //   {access technologies} x {load levels (parallel TCP connections)}
-// with N independent seed replications per cell, all scheduled on one
-// work-stealing pool, and prints one aggregate throughput table.
+// with N independent seed replications per cell, all served from the one
+// shared task queue of a runner::Pool, and prints one aggregate throughput
+// table.
 //
 //   ./sweep_cli --seeds=8 --jobs=8
 //   ./sweep_cli --grid=leo,wired --loads=1,8 --tests=6 --seeds=4
@@ -98,10 +99,5 @@ int main(int argc, char** argv) {
                    TextTable::num(merged.mbps.percentile(95), 1)});
   }
   std::printf("%s", table.str().c_str());
-  std::printf("\npool: %d workers, %llu tasks, %llu stolen, %.2fs cell time "
-              "(max cell %.2fs)\n",
-              pool.workers(), static_cast<unsigned long long>(pool.tasks_completed()),
-              static_cast<unsigned long long>(pool.tasks_stolen()),
-              pool.task_seconds_total(), pool.task_seconds_max());
   return run.finish();
 }

@@ -85,9 +85,6 @@ class HierarchicalGrid {
   [[nodiscard]] CellId super_of(CellId base_cell) const {
     return coarse_.cell_of(base_.center_of(base_cell));
   }
-  [[nodiscard]] leo::GeoPoint super_center(CellId super) const {
-    return coarse_.center_of(super);
-  }
 
   /// Tag bit distinguishing supercell keys from base-cell keys when both
   /// land in one stats::KeyedSamples (ring indices never reach bit 31, so

@@ -116,44 +116,49 @@ DemandModel::Demand DemandModel::expected_at(TimePoint t) const {
   return {e.down * f, e.up * f};
 }
 
-DemandModel::Config named_mix(std::string_view name) {
-  DemandModel::Config c;  // the stock bulk/speedtest/web/idle mix
-  if (name == "default") return c;
-  if (name == "streaming") {
+namespace {
+
+// The named mixes' class shares: {bulk, speedtest, web, video, vc, game, idle}.
+// "default" keeps DemandModel::Config's own shares.
+struct NamedMix {
+  std::string_view name;
+  double shares[7];
+};
+constexpr NamedMix kNamedMixes[] = {
     // Evening peak: a third of the fleet watching ABR video, web and idle
     // trimmed to make room. Bulk/speedtest untouched so the heavy-hitter
     // tail that shapes Figure 5 survives.
-    c.video.fraction = 0.30;
-    c.web.fraction = 0.30;
-    c.idle.fraction = 0.25;
-    return c;
-  }
-  if (name == "realtime") {
+    {"streaming", {0.10, 0.05, 0.30, 0.30, 0.00, 0.00, 0.25}},
     // Call/game heavy: latency-sensitive sessions dominate, speedtests and
     // bulk pull back. This is the mix fig8 uses to stress jitter buffers.
-    c.vc.fraction = 0.20;
-    c.game.fraction = 0.25;
-    c.web.fraction = 0.25;
-    c.bulk.fraction = 0.05;
-    c.idle.fraction = 0.25;
-    return c;
-  }
-  if (name == "mixed") {
+    {"realtime", {0.05, 0.05, 0.25, 0.00, 0.20, 0.25, 0.25}},
     // All six application classes active in plausible shares.
-    c.bulk.fraction = 0.08;
-    c.speedtest.fraction = 0.02;
-    c.web.fraction = 0.30;
-    c.video.fraction = 0.20;
-    c.vc.fraction = 0.10;
-    c.game.fraction = 0.10;
-    c.idle.fraction = 0.20;
+    {"mixed", {0.08, 0.02, 0.30, 0.20, 0.10, 0.10, 0.20}},
+    // Reweightings of the stock bulk/speedtest/web/idle classes.
+    {"web-heavy", {0.05, 0.03, 0.70, 0.00, 0.00, 0.00, 0.22}},
+    {"bulk-heavy", {0.30, 0.05, 0.30, 0.00, 0.00, 0.00, 0.35}},
+    {"idle", {0.02, 0.01, 0.17, 0.00, 0.00, 0.00, 0.80}},
+};
+
+}  // namespace
+
+DemandModel::Config named_mix(std::string_view name) {
+  DemandModel::Config c;  // the stock bulk/speedtest/web/idle mix
+  if (name == "default") return c;
+  for (const NamedMix& mix : kNamedMixes) {
+    if (mix.name != name) continue;
+    DemandModel::ClassProfile* profiles[] = {&c.bulk, &c.speedtest, &c.web, &c.video,
+                                             &c.vc,   &c.game,      &c.idle};
+    for (int i = 0; i < 7; ++i) profiles[i]->fraction = mix.shares[i];
     return c;
   }
   throw std::invalid_argument("unknown fleet mix: " + std::string(name));
 }
 
 std::vector<std::string_view> mix_names() {
-  return {"default", "streaming", "realtime", "mixed"};
+  std::vector<std::string_view> names{"default"};
+  for (const NamedMix& mix : kNamedMixes) names.push_back(mix.name);
+  return names;
 }
 
 }  // namespace slp::fleet

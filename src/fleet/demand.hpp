@@ -149,12 +149,10 @@ class DemandModel {
   Demand expected_;
 };
 
-/// Named fleet traffic mixes for the `--fleet-mix` flag. Presets:
-///   "default"   — the stock bulk/speedtest/web/idle mix (fig-bench baseline)
-///   "streaming" — evening-peak video: a third of the fleet watching ABR
-///   "realtime"  — call/game heavy: vc + game sessions dominate
-///   "mixed"     — all six application classes active in plausible shares
-/// Throws std::invalid_argument for unknown names.
+/// Named fleet traffic mixes, for the benches' `--fleet-mix` and fleet_cli's
+/// `--mixes`: "default" (the stock bulk/speedtest/web/idle mix), "streaming",
+/// "realtime", "mixed", "web-heavy", "bulk-heavy" and "idle" (demand.cpp
+/// gives their class shares). Throws std::invalid_argument for unknown names.
 [[nodiscard]] DemandModel::Config named_mix(std::string_view name);
 
 /// The preset names, for flag validation and help text.

@@ -6,6 +6,7 @@
 
 #include "obs/profile.hpp"
 #include "obs/recorder.hpp"
+#include "runner/sweep.hpp"
 
 namespace slp::fleet {
 
@@ -502,14 +503,14 @@ void Fleet::tick() {
     // loop — byte-identical output for any shard count.
     if (pool_ == nullptr) pool_ = std::make_unique<runner::Pool>(config_.shards);
     tick_scratch_.resize(n);
-    Cell* cells = cells_.data();
-    CellTick* ticks = tick_scratch_.data();
-    pool_->run_ranges(n, pool_->workers() * 4,
-                      [this, now, cells, ticks](std::size_t begin, std::size_t end) {
-                        for (std::size_t i = begin; i < end; ++i) {
-                          step_cell(cells[i], now, ticks[i]);
-                        }
-                      });
+    const std::size_t ranges = std::min(n, static_cast<std::size_t>(pool_->workers()) * 4);
+    static_cast<void>(runner::run_indexed(*pool_, ranges, [&](std::size_t r) {
+      const std::size_t end = n * (r + 1) / ranges;
+      for (std::size_t i = n * r / ranges; i < end; ++i) {
+        step_cell(cells_[i], now, tick_scratch_[i]);
+      }
+      return end;  // run_indexed wants a slot value; the scratch holds the results
+    }));
     for (std::size_t i = 0; i < n; ++i) fold_cell(cells_[i], tick_scratch_[i]);
   }
   // Aggregated supercells: one O(1) analytic term each, keyed with the

@@ -46,13 +46,13 @@
 //     boundary, moving the cell's count between the aggregate and a live
 //     arbiter (lazy Placement ranges make the membership free).
 //
-//   * `shards`: hot-cell epochs are partitioned by cell-id order across a
-//     private runner::Pool. Per-cell state (arbiter, scheduler, ambient
-//     RNG streams) is disjoint by construction, workers write per-cell
-//     slots, and the fold into the keyed distributions happens on the sim
-//     thread in cell-id order afterwards — so any shard count produces
-//     byte-identical output to the serial loop (shards == 1 *is* the
-//     serial loop).
+//   * `shards`: hot-cell epochs step contiguous cell-id ranges through
+//     runner::run_indexed on a private runner::Pool. Per-cell state
+//     (arbiter, scheduler, ambient RNG streams) is disjoint by
+//     construction, workers write per-cell slots, and the fold into the
+//     keyed distributions happens on the sim thread in cell-id order
+//     afterwards — so any shard count produces byte-identical output to
+//     the serial loop (shards == 1 *is* the serial loop).
 //
 // Determinism: placement draws from one forked label stream; demand is
 // counter-based (no state, no draw order); per-cell ambient processes and
@@ -131,7 +131,6 @@ class Fleet final : public leo::CellShareModel {
   [[nodiscard]] const Config& config() const { return config_; }
   [[nodiscard]] const Placement& placement() const { return placement_; }
   [[nodiscard]] const DemandModel& demand_model() const { return demand_; }
-  [[nodiscard]] const HierarchicalGrid& hier_grid() const { return hier_; }
   [[nodiscard]] CellId foreground_cell() const { return foreground_cell_id_; }
   /// Hot (arbiter-backed) cells.
   [[nodiscard]] std::size_t cell_count() const { return cells_.size(); }

@@ -106,9 +106,6 @@ class Placement {
   [[nodiscard]] std::vector<Terminal> materialize(const CellRange& range) const;
   [[nodiscard]] std::vector<Terminal> materialize(CellId cell) const;
 
-  /// The per-cell stream base (one draw from the generate() rng).
-  [[nodiscard]] std::uint64_t stream_seed() const { return stream_seed_; }
-
  private:
   Placement(Config config, CellGrid grid) : config_{std::move(config)}, grid_{grid} {}
 

@@ -30,14 +30,17 @@ namespace slp::geo {
 
 class Pep : public sim::Node {
  public:
+  /// The relay has no buffer cap of its own; TCP receive windows give the
+  /// backpressure. Downstream, the server leg reads manually and releases
+  /// bytes only once the client leg has acked them, so its receive window
+  /// (net_leg's buffers) caps what the relay holds. Upstream, the slow
+  /// satellite leg feeds the fast server leg, whose send queue takes the
+  /// bytes straight away.
   struct Config {
     /// Satellite-leg TCP: tuned for the long fat pipe.
     tcp::TcpConfig sat_leg;
     /// Server-leg TCP: standard.
     tcp::TcpConfig net_leg;
-    /// Per-flow relay buffer cap: data acked from one leg but not yet acked
-    /// by the other counts against this.
-    std::uint64_t relay_buffer_bytes = 4 * 1024 * 1024;
     bool enabled = true;  ///< false = pure wire (ablation)
 
     Config() {

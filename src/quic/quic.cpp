@@ -86,7 +86,10 @@ QuicConnection::QuicConnection(QuicStack& stack, sim::Ipv4Addr remote_addr,
   cc_config.mss = config_.max_payload;
   cc_config.initial_window_segments = config_.initial_window_segments;
   cc_config.min_cwnd_bytes = 2ull * config_.max_payload;
-  cc_config.hystart = config_.hystart;
+  // quiche (at the paper's commit) has no HyStart: plain slow start
+  // overshoots the queue, and the resulting loss + slow cubic reconvergence
+  // is the single-connection penalty of §3.3.
+  cc_config.hystart = false;
   cc_ = cc::make_controller(config_.algorithm, cc_config);
   flow_id_ = stack.sim().next_flow_id();
   if (auto* rec = stack.sim().obs(); rec != nullptr && rec->sampler() != nullptr) {

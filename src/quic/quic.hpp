@@ -57,10 +57,6 @@ struct QuicConfig {
 
   /// quiche (at the paper's commit) does not pace; flip for the ablation.
   bool pacing = false;
-  /// quiche (at the paper's commit) has no HyStart either: plain slow start
-  /// overshoots the queue, and the resulting loss + slow cubic reconvergence
-  /// is the single-connection penalty of §3.3.
-  bool hystart = false;
   /// Packets released per send opportunity (ack clocking smooths bursts).
   int max_burst_packets = 10;
   /// RFC 9002 reduces the window at most once per round trip. quiche at the

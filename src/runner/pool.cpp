@@ -1,30 +1,16 @@
 #include "runner/pool.hpp"
 
-#include <algorithm>
-#include <chrono>
 #include <utility>
 
 namespace slp::runner {
-
-namespace {
-
-// Which pool (if any) the current thread belongs to, and its worker index.
-// Lets nested submit() calls target the submitting worker's own deque.
-thread_local Pool* tl_pool = nullptr;
-thread_local std::size_t tl_worker = 0;
-
-}  // namespace
 
 Pool::Pool(int workers) {
   if (workers <= 0) {
     const unsigned hw = std::thread::hardware_concurrency();
     workers = hw == 0 ? 1 : static_cast<int>(hw);
   }
-  queues_.resize(static_cast<std::size_t>(workers));
   threads_.reserve(static_cast<std::size_t>(workers));
-  for (std::size_t i = 0; i < queues_.size(); ++i) {
-    threads_.emplace_back([this, i] { run_worker(i); });
-  }
+  for (int i = 0; i < workers; ++i) threads_.emplace_back([this] { run_worker(); });
 }
 
 Pool::~Pool() {
@@ -40,9 +26,7 @@ Pool::~Pool() {
 void Pool::submit(std::function<void()> fn) {
   {
     std::lock_guard lock{mutex_};
-    const std::size_t target =
-        tl_pool == this ? tl_worker : (next_queue_++ % queues_.size());
-    queues_[target].deque.push_front(std::move(fn));
+    tasks_.push_front(std::move(fn));
     ++pending_;
   }
   work_cv_.notify_one();
@@ -58,97 +42,25 @@ void Pool::drain() {
   }
 }
 
-void Pool::run_ranges(std::size_t n, int chunks,
-                      const std::function<void(std::size_t, std::size_t)>& fn) {
-  if (n == 0) return;
-  const std::size_t parts = std::min<std::size_t>(std::max(1, chunks), n);
-  const std::size_t base = n / parts;
-  const std::size_t extra = n % parts;
-  std::size_t begin = 0;
-  for (std::size_t p = 0; p < parts; ++p) {
-    const std::size_t end = begin + base + (p < extra ? 1 : 0);
-    submit([fn, begin, end] { fn(begin, end); });
-    begin = end;
-  }
-  drain();
-}
-
-std::uint64_t Pool::tasks_completed() const {
-  std::lock_guard lock{mutex_};
-  return completed_;
-}
-
-std::uint64_t Pool::tasks_stolen() const {
-  std::lock_guard lock{mutex_};
-  return stolen_;
-}
-
-double Pool::task_seconds_total() const {
-  std::lock_guard lock{mutex_};
-  return task_seconds_total_;
-}
-
-double Pool::task_seconds_max() const {
-  std::lock_guard lock{mutex_};
-  return task_seconds_max_;
-}
-
-bool Pool::take(std::size_t me, std::function<void()>& out, bool& stolen) {
-  // Own deque first: front, LIFO — the task most recently pushed here.
-  if (!queues_[me].deque.empty()) {
-    out = std::move(queues_[me].deque.front());
-    queues_[me].deque.pop_front();
-    stolen = false;
-    return true;
-  }
-  // Steal from the back of the most loaded victim.
-  std::size_t victim = queues_.size();
-  std::size_t best = 0;
-  for (std::size_t i = 0; i < queues_.size(); ++i) {
-    if (i != me && queues_[i].deque.size() > best) {
-      best = queues_[i].deque.size();
-      victim = i;
-    }
-  }
-  if (victim == queues_.size()) return false;
-  out = std::move(queues_[victim].deque.back());
-  queues_[victim].deque.pop_back();
-  stolen = true;
-  return true;
-}
-
-void Pool::run_worker(std::size_t me) {
-  tl_pool = this;
-  tl_worker = me;
+void Pool::run_worker() {
   std::unique_lock lock{mutex_};
   for (;;) {
-    std::function<void()> task;
-    bool stolen = false;
-    if (take(me, task, stolen)) {
-      if (stolen) ++stolen_;
-      lock.unlock();
-      const auto t0 = std::chrono::steady_clock::now();
-      try {
-        task();
-      } catch (...) {
-        lock.lock();
-        if (!first_error_) first_error_ = std::current_exception();
-        lock.unlock();
-      }
-      const double secs =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-      task = nullptr;  // destroy captures outside the lock
+    work_cv_.wait(lock, [this] { return shutdown_ || !tasks_.empty(); });
+    if (tasks_.empty()) return;  // shut down, and drained before that
+    std::function<void()> task = std::move(tasks_.front());
+    tasks_.pop_front();
+    lock.unlock();
+    try {
+      task();
+    } catch (...) {
       lock.lock();
-      ++completed_;
-      task_seconds_total_ += secs;
-      task_seconds_max_ = std::max(task_seconds_max_, secs);
-      if (--pending_ == 0) drain_cv_.notify_all();
-      continue;
+      if (!first_error_) first_error_ = std::current_exception();
+      lock.unlock();
     }
-    if (shutdown_) break;
-    work_cv_.wait(lock);
+    task = nullptr;  // destroy captures outside the lock
+    lock.lock();
+    if (--pending_ == 0) drain_cv_.notify_all();
   }
-  tl_pool = nullptr;
 }
 
 }  // namespace slp::runner

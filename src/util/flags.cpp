@@ -1,5 +1,7 @@
 #include "util/flags.hpp"
 
+#include <algorithm>
+
 namespace slp {
 
 Flags Flags::parse(int argc, const char* const* argv) {
@@ -37,6 +39,12 @@ void Flags::bad_value(std::string_view key, std::string_view what) const {
 
 void Flags::reject(std::string_view key, std::string_view why) const {
   bad_value(key, ": " + std::string{why});
+}
+
+const std::string* Flags::positional(std::size_t index) const {
+  if (index >= positional_.size()) return nullptr;
+  positionals_read_ = std::max(positionals_read_, index + 1);
+  return &positional_[index];
 }
 
 bool Flags::has(std::string_view key) const { return find(key) != nullptr; }
@@ -125,6 +133,9 @@ std::vector<std::string> Flags::problems() const {
     result.push_back(message);
   }
   for (const std::string& key : unused()) result.push_back("unknown flag --" + key);
+  for (std::size_t i = positionals_read_; i < positional_.size(); ++i) {
+    result.push_back("unexpected argument '" + positional_[i] + "'");
+  }
   return result;
 }
 

@@ -2,11 +2,11 @@
 //
 // Not a general argument library: benches accept a handful of overrides
 // (seed, scale, output verbosity). Nothing is forgiven: a value that does
-// not parse as the type it is read as, or that a caller rejects, and a flag
-// nobody read are all listed by problems(), so a typo never silently falls
-// back to a default. The getters return `def` for such a value; callers
-// check problems() before using any of them (bench::Run does, for every
-// bench and example).
+// not parse as the type it is read as, or that a caller rejects, a flag
+// nobody read and a positional argument nobody read are all listed by
+// problems(), so a typo never silently falls back to a default. The getters
+// return `def` for such a value; callers check problems() before using any
+// of them (bench::Run does, for every bench and example).
 #pragma once
 
 #include <cstdint>
@@ -24,7 +24,7 @@ class Flags {
  public:
   /// Parses argv of the form `--key=value` or bare `--flag` (value "true");
   /// a repeated key keeps its first value. Non-flag positional arguments are
-  /// collected separately.
+  /// collected separately; one that is never read is a problem.
   static Flags parse(int argc, const char* const* argv);
 
   [[nodiscard]] bool has(std::string_view key) const;
@@ -49,7 +49,9 @@ class Flags {
   [[nodiscard]] std::vector<double> get_double_list(std::string_view key,
                                                     std::vector<double> def) const;
 
-  [[nodiscard]] const std::vector<std::string>& positional() const { return positional_; }
+  /// Positional argument `index` (0-based), marking it and every earlier one
+  /// read; null when there are not that many.
+  [[nodiscard]] const std::string* positional(std::size_t index) const;
 
   /// Records that --key's value is not acceptable, e.g. an unknown name for
   /// an enumerated flag; `why` follows "--key=value: " in problems().
@@ -60,7 +62,8 @@ class Flags {
 
   /// Everything wrong with the command line so far, one message per flag:
   /// values that did not parse or were rejected, then "unknown flag --KEY"
-  /// for every key never read. Call after every flag has been read.
+  /// for every key never read, then "unexpected argument 'ARG'" for every
+  /// positional never read. Call after every flag has been read.
   [[nodiscard]] std::vector<std::string> problems() const;
 
  private:
@@ -73,6 +76,7 @@ class Flags {
   mutable std::set<std::string, std::less<>> used_;
   mutable std::map<std::string, std::string, std::less<>> errors_;
   std::vector<std::string> positional_;
+  mutable std::size_t positionals_read_ = 0;
 };
 
 }  // namespace slp

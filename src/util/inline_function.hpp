@@ -33,7 +33,7 @@ class InlineFunction {
     using Fn = std::remove_cvref_t<F>;
     if constexpr (fits_inline<Fn>()) {
       if constexpr (sizeof(Fn) < kInlineBytes) {
-        // The fixed-size memcpy in steal() reads the whole buffer; zero the
+        // The fixed-size memcpy in adopt() reads the whole buffer; zero the
         // tail once here so every byte it copies is initialized.
         std::memset(buf_ + sizeof(Fn), 0, kInlineBytes - sizeof(Fn));
       }
@@ -45,11 +45,11 @@ class InlineFunction {
     }
   }
 
-  InlineFunction(InlineFunction&& other) noexcept { steal(other); }
+  InlineFunction(InlineFunction&& other) noexcept { adopt(other); }
   InlineFunction& operator=(InlineFunction&& other) noexcept {
     if (this != &other) {
       reset();
-      steal(other);
+      adopt(other);
     }
     return *this;
   }
@@ -119,7 +119,7 @@ class InlineFunction {
     static constexpr Ops ops{&invoke, &relocate, &destroy, false};
   };
 
-  void steal(InlineFunction& other) {
+  void adopt(InlineFunction& other) {
     ops_ = other.ops_;
     if (ops_ != nullptr) {
       if (ops_->relocate != nullptr) {

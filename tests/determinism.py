@@ -113,7 +113,7 @@ TABLE = [
     # sweep_cli must honour the provenance exports, fleet_cli --scenario.
     Row("sweep_cli", "sweep_cli", ["--grid=leo", "--loads=1", "--tests=1", "--seeds=2"],
         files={**METRICS_TRACE, "breakdown": "breakdown.json", "flight": "flights.json"},
-        strip=r"^(pool:|metrics|trace|breakdown|flights) ", check=check_breakdown,
+        strip=r"^(metrics|trace|breakdown|flights) ", check=check_breakdown,
         subdir="examples"),
     Row("fleet_cli", "fleet_cli",
         ["--grid=leo", "--sizes=1,100", "--tests=1", "--duration=2m",

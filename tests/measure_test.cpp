@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include "fast_forward_metrics.hpp"
 #include "measure/campaign.hpp"
 #include "fleet/campaign.hpp"
 #include "measure/loss.hpp"
 #include "measure/multivantage.hpp"
 #include "measure/qoe_campaign.hpp"
 #include "measure/testbed.hpp"
+#include "obs/trace.hpp"
+#include "runner/sweep.hpp"
 
 namespace slp::measure {
 namespace {
@@ -254,12 +257,24 @@ TEST(AccessKind, ParseInvertsToStringAndTakesAliases) {
 // counter and (Starlink access only) the fleet. A run() that dropped a field
 // would lose the matching counters. The session-series campaigns run one
 // session, which must be launched and completed exactly once.
+//
+// The same rows, swept over two seed cells with every export on, must give
+// byte-identical exports for any --jobs and either --fast-forward setting.
+
+/// How a row runs: seed cells, pool width, fast paths, and whether the
+/// trace and provenance exports are on besides metrics.
+struct RunShape {
+  int seeds = 1;
+  int jobs = 1;
+  bool fast_forward = false;
+  bool all_exports = false;
+};
 
 struct EnvCase {
   const char* name;
   bool expect_fleet;  ///< Config::fleet applies (Starlink access)
   bool one_session;   ///< a one-session measure::SessionSeries run
-  obs::Snapshot (*run)();
+  obs::Snapshot (*run)(const RunShape&);
 };
 
 std::shared_ptr<const scenario::Scenario> plane_failure() {
@@ -268,122 +283,133 @@ std::shared_ptr<const scenario::Scenario> plane_failure() {
   return scn;
 }
 
+/// The cells' snapshots folded in cell order, as bench::Run folds them.
 template <typename Campaign>
-obs::Snapshot run_with_env(typename Campaign::Config config) {
+obs::Snapshot run_with_env(typename Campaign::Config config, const RunShape& shape) {
   config.obs.metrics = true;
+  if (shape.all_exports) {
+    config.obs.trace = true;
+    config.obs.provenance = true;
+    config.obs.sample_interval = Duration::minutes(30);
+  }
   config.scenario = plane_failure();
-  config.fast_forward = false;
+  config.fast_forward = shape.fast_forward;
   if constexpr (requires { config.fleet; }) {
     config.fleet.size = 3;
     // The sim runs on to the scenario's day-45 end: coarse epochs keep that
     // cheap (the default 2 s epoch would tick ~2M times).
     config.fleet.epoch = Duration::hours(1);
   }
-  return Campaign::run(config).obs;
+  runner::Pool pool{shape.jobs};
+  obs::Snapshot snap;
+  for (const auto& cell : runner::run_cells<Campaign>(pool, shape.seeds, config)) {
+    obs::merge(snap, cell.obs);
+  }
+  return snap;
 }
 
 const EnvCase kEnvCases[] = {
     {"Ping", true, false,
-     [] {
+     [](const RunShape& shape) {
        PingCampaign::Config c;
        c.duration = c.cadence;
        c.pings_per_round = 1;
        c.epochs = false;
-       return run_with_env<PingCampaign>(c);
+       return run_with_env<PingCampaign>(c, shape);
      }},
     {"H3", true, true,
-     [] {
+     [](const RunShape& shape) {
        H3Campaign::Config c;
        c.transfers = 1;
        c.bytes = 200'000;
        c.epochs = false;
-       return run_with_env<H3Campaign>(c);
+       return run_with_env<H3Campaign>(c, shape);
      }},
     {"Message", true, true,
-     [] {
+     [](const RunShape& shape) {
        MessageCampaign::Config c;
        c.sessions = 1;
        c.session_duration = Duration::seconds(2);
-       return run_with_env<MessageCampaign>(c);
+       return run_with_env<MessageCampaign>(c, shape);
      }},
     {"SpeedtestStarlink", true, true,
-     [] {
+     [](const RunShape& shape) {
        SpeedtestCampaign::Config c;
        c.tests = 1;
        c.connections = 1;
        c.test_duration = Duration::seconds(1);
-       return run_with_env<SpeedtestCampaign>(c);
+       return run_with_env<SpeedtestCampaign>(c, shape);
      }},
     {"SpeedtestSatCom", false, true,
-     [] {
+     [](const RunShape& shape) {
        SpeedtestCampaign::Config c;
        c.access = AccessKind::kSatCom;
        c.tests = 1;
        c.connections = 1;
        c.test_duration = Duration::seconds(1);
-       return run_with_env<SpeedtestCampaign>(c);
+       return run_with_env<SpeedtestCampaign>(c, shape);
      }},
     {"WebStarlink", true, true,
-     [] {
+     [](const RunShape& shape) {
        WebCampaign::Config c;
        c.visits = 1;
        c.catalog_sites = 1;
-       return run_with_env<WebCampaign>(c);
+       return run_with_env<WebCampaign>(c, shape);
      }},
     {"WebSatCom", false, true,
-     [] {
+     [](const RunShape& shape) {
        WebCampaign::Config c;
        c.access = AccessKind::kSatCom;
        c.visits = 1;
        c.catalog_sites = 1;
-       return run_with_env<WebCampaign>(c);
+       return run_with_env<WebCampaign>(c, shape);
      }},
     {"RoadTrip", true, false,
-     [] {
+     [](const RunShape& shape) {
        RoadTripCampaign::Config c;
        c.duration = Duration::seconds(5);
-       return run_with_env<RoadTripCampaign>(c);
+       return run_with_env<RoadTripCampaign>(c, shape);
      }},
     {"MiddleboxAudit", false, false,  // no fleet field
-     [] {
+     [](const RunShape& shape) {
        MiddleboxAudit::Config c;
        c.wehe_repetitions = 1;
-       return run_with_env<MiddleboxAudit>(c);
+       return run_with_env<MiddleboxAudit>(c, shape);
      }},
     {"Abr", true, true,
-     [] {
+     [](const RunShape& shape) {
        AbrCampaign::Config c;
        c.sessions = 1;
        c.session.watch = Duration::seconds(8);
-       return run_with_env<AbrCampaign>(c);
+       return run_with_env<AbrCampaign>(c, shape);
      }},
     {"Vc", true, true,
-     [] {
+     [](const RunShape& shape) {
        VcCampaign::Config c;
        c.calls = 1;
        c.session.duration = Duration::seconds(5);
-       return run_with_env<VcCampaign>(c);
+       return run_with_env<VcCampaign>(c, shape);
      }},
     {"Game", true, true,
-     [] {
+     [](const RunShape& shape) {
        GameCampaign::Config c;
        c.matches = 1;
        c.session.duration = Duration::seconds(5);
-       return run_with_env<GameCampaign>(c);
+       return run_with_env<GameCampaign>(c, shape);
      }},
     // Fleet-only cells run for a fixed window: plane_failure opens on day 30.
     {"FleetCampaign", true, false,
-     [] {
+     [](const RunShape& shape) {
        fleet::FleetCampaign::Config c;
        c.duration = Duration::days(31);
-       return run_with_env<fleet::FleetCampaign>(c);
+       return run_with_env<fleet::FleetCampaign>(c, shape);
      }},
     {"MultiVantage", true, false,
-     [] {
+     [](const RunShape& shape) {
        MultiVantageCampaign::Config c;
        c.duration = Duration::days(31);
        c.cadence = Duration::days(1);
-       return run_with_env<MultiVantageCampaign>(c);
+       return run_with_env<MultiVantageCampaign>(c, shape);
      }},
 };
 
@@ -393,7 +419,7 @@ class RunEnvMapping : public ::testing::TestWithParam<EnvCase> {};
 
 TEST_P(RunEnvMapping, EnvAndFleetReachTheCell) {
   const EnvCase& c = GetParam();
-  const obs::Snapshot snap = c.run();
+  const obs::Snapshot snap = c.run({});
   EXPECT_EQ(snap.cells, 1u);
   const auto applied = snap.counters.find("scenario.events_applied");
   ASSERT_NE(applied, snap.counters.end());
@@ -407,6 +433,33 @@ TEST_P(RunEnvMapping, EnvAndFleetReachTheCell) {
   if (c.one_session) {
     EXPECT_EQ(snap.counters.at("campaign.sessions_launched"), 1u);
     EXPECT_EQ(snap.counters.at("campaign.sessions_completed"), 1u);
+  }
+}
+
+TEST_P(RunEnvMapping, ExportsAreJobsAndFastForwardInvariant) {
+  const EnvCase& c = GetParam();
+  const auto exports = [&c](int jobs, bool fast_forward) {
+    const obs::Snapshot snap = c.run({.seeds = 2,
+                                      .jobs = jobs,
+                                      .fast_forward = fast_forward,
+                                      .all_exports = true});
+    EXPECT_EQ(snap.cells, 2u);
+    return std::vector<std::string>{strip_event_count(obs::metrics_json(snap)),
+                                    obs::trace_jsonl(snap.events), obs::breakdown_json(snap),
+                                    obs::flight_json(snap)};
+  };
+  const std::vector<std::string> reference = exports(1, true);
+  const char* const names[] = {"metrics", "trace", "breakdown", "flight"};
+  for (const int jobs : {1, 2}) {
+    for (const bool fast_forward : {true, false}) {
+      if (jobs == 1 && fast_forward) continue;  // the reference itself
+      const std::vector<std::string> run = exports(jobs, fast_forward);
+      for (std::size_t i = 0; i < run.size(); ++i) {
+        EXPECT_TRUE(run[i] == reference[i])
+            << names[i] << " export differs at jobs=" << jobs
+            << " fast_forward=" << fast_forward;
+      }
+    }
   }
 }
 

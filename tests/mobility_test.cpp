@@ -12,10 +12,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <sstream>
 #include <string>
 
 #include "apps/ping.hpp"
+#include "fast_forward_metrics.hpp"
 #include "fleet/fleet.hpp"
 #include "leo/access.hpp"
 #include "leo/constellation.hpp"
@@ -255,21 +255,6 @@ obs::Options full_obs() {
   opts.trace = true;
   opts.provenance = true;
   return opts;
-}
-
-// The fast-path introspection metrics exist precisely to differ between the
-// two fast-forward modes (see packet_path_test.cpp's identical helper).
-std::string strip_event_count(const std::string& json) {
-  std::istringstream in{json};
-  std::string line, out;
-  while (std::getline(in, line)) {
-    if (line.find("sim.events_processed") != std::string::npos) continue;
-    if (line.find("sim.ff.") != std::string::npos) continue;
-    if (line.find("fast_path_active") != std::string::npos) continue;
-    out += line;
-    out += '\n';
-  }
-  return out;
 }
 
 TEST(MobilityDeterminism, ZeroSpeedRouteExportsMatchStaticRun) {

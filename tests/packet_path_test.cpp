@@ -15,10 +15,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "fast_forward_metrics.hpp"
 #include "measure/campaign.hpp"
 #include "obs/recorder.hpp"
 #include "obs/trace.hpp"
@@ -393,21 +393,6 @@ TEST(Differential, TransportFastForwardKnobsAreInvisible) {
 // The acceptance bar from the issue: fast-forward ON and OFF produce
 // byte-identical --metrics/--trace exports for fig2/fig5-style runs across
 // seeds and --jobs. Only the event-queue counter may (and must) differ.
-
-std::string strip_event_count(const std::string& json) {
-  std::istringstream in{json};
-  std::string line, out;
-  while (std::getline(in, line)) {
-    if (line.find("sim.events_processed") != std::string::npos) continue;
-    // Fast-path introspection metrics exist precisely to differ between the
-    // two modes (materialization counter, per-direction active gauges).
-    if (line.find("sim.ff.") != std::string::npos) continue;
-    if (line.find("fast_path_active") != std::string::npos) continue;
-    out += line;
-    out += '\n';
-  }
-  return out;
-}
 
 std::uint64_t event_count(const std::string& json) {
   const auto pos = json.find("sim.events_processed");

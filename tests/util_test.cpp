@@ -288,8 +288,10 @@ TEST(Flags, ParsesKeyValueAndBareFlags) {
   EXPECT_EQ(f.get_int("seed", 0), 42);
   EXPECT_TRUE(f.get_bool("verbose", false));
   EXPECT_DOUBLE_EQ(f.get_double("rate", 0.0), 1.5);
-  ASSERT_EQ(f.positional().size(), 1u);
-  EXPECT_EQ(f.positional()[0], "pos1");
+  ASSERT_NE(f.positional(0), nullptr);
+  EXPECT_EQ(*f.positional(0), "pos1");
+  EXPECT_EQ(f.positional(1), nullptr);
+  EXPECT_TRUE(f.problems().empty());
 }
 
 TEST(Flags, DefaultsWhenAbsent) {
@@ -408,6 +410,18 @@ TEST(Flags, RejectedAndUnreadFlagsAreProblems) {
   EXPECT_EQ(f.problems(), (std::vector<std::string>{"--grid=leo,mars: unknown access 'mars'",
                                                     "unknown flag --help",
                                                     "unknown flag --typo"}));
+}
+
+TEST(Flags, UnreadPositionalsAreProblems) {
+  const char* argv[] = {"prog", "ping", "extra", "--count=1", "more"};
+  const Flags f = Flags::parse(5, argv);
+  EXPECT_EQ(f.get_int("count", 0), 1);
+  EXPECT_EQ(f.problems(), (std::vector<std::string>{"unexpected argument 'ping'",
+                                                    "unexpected argument 'extra'",
+                                                    "unexpected argument 'more'"}));
+  ASSERT_NE(f.positional(0), nullptr);  // reading the command leaves the rest
+  EXPECT_EQ(f.problems(), (std::vector<std::string>{"unexpected argument 'extra'",
+                                                    "unexpected argument 'more'"}));
 }
 
 TEST(ParseNumber, WholeFiniteNumbersOnly) {
