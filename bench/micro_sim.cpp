@@ -1,9 +1,9 @@
 // Microbenchmarks (google-benchmark) for the simulator's hot paths: event
 // queue churn, link packet forwarding (one link, and a NAT + router chain),
 // congestion-controller updates, QUIC transfer event rate, constellation
-// visibility queries, and the cell-load process's far seek and step. These
-// guard the performance envelope that makes the compressed campaigns
-// tractable.
+// visibility queries, fleet placement and cell-grid lookups, and the
+// cell-load process's far seek and step. These guard the performance
+// envelope that makes the compressed campaigns tractable.
 #include <benchmark/benchmark.h>
 
 #include <map>
@@ -11,6 +11,7 @@
 
 #include "fleet/cell_arbiter.hpp"
 #include "fleet/fleet.hpp"
+#include "fleet/placement.hpp"
 #include "leo/access.hpp"
 #include "leo/constellation.hpp"
 #include "leo/places.hpp"
@@ -269,6 +270,21 @@ void BM_HierarchicalGridLookup(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_HierarchicalGridLookup);
+
+void BM_PlacementContinental(benchmark::State& state) {
+  // The continental fleet's setup: a million terminals apportioned over the
+  // European grid (urban plumes and rural fill, per-cell jitter, largest
+  // remainder), a fresh seed per round.
+  fleet::Placement::Config config = fleet::Placement::continental_europe();
+  config.terminals = 1'000'000;
+  std::uint64_t seed = 0;
+  for (auto _ : state) {
+    const fleet::Placement placement = fleet::Placement::generate(config, Rng{++seed});
+    benchmark::DoNotOptimize(placement.cell_count());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_PlacementContinental);
 
 void BM_ShardedArbiterEpoch(benchmark::State& state) {
   // One fleet epoch over a continental hot set (every populated cell live,

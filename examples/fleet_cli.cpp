@@ -53,6 +53,9 @@ int main(int argc, char** argv) {
   for (const std::string& mix : mix_labels) {
     demands.push_back(bench::named_mix(flags, "mixes", mix));
   }
+  if (grid_labels.empty()) flags.reject("grid", "want at least one access");
+  if (size_list.empty()) flags.reject("sizes", "want at least one fleet size");
+  if (mix_labels.empty()) flags.reject("mixes", "want at least one mix");
   run.start();
 
   std::printf("fleet sweep: %zu access x %zu sizes x %zu mixes, %d seeds/row, %d tests\n\n",

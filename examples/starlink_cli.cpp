@@ -9,9 +9,12 @@
 //   starlink_cli traceroute [--access=...]
 //   starlink_cli wehe       [--access=...]
 //   common: --seed=N
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
+#include <string_view>
 
 #include "apps/h3.hpp"
 #include "apps/ping.hpp"
@@ -167,12 +170,15 @@ int main(int argc, char** argv) {
   using namespace slp;
   bench::Run run = bench::Run::own_flags_only(argc, argv);
   const Flags& flags = run.flags();
+  // The command is checked before anything is built: a missing or unknown
+  // one exits 2 with one "error:" line, like every other unusable argument.
   const std::string* command = flags.positional(0);  // the one positional
-  if (command == nullptr) {
-    std::printf("usage: starlink_cli <ping|speedtest|h3|traceroute|wehe> [flags]\n"
-                "flags: --access=starlink|satcom|wired --seed=N, plus per-command "
-                "flags (see the file header)\n");
-    return 1;
+  constexpr std::string_view kCommands[] = {"ping", "speedtest", "h3", "traceroute", "wehe"};
+  if (command == nullptr || std::ranges::find(kCommands, *command) == std::end(kCommands)) {
+    const std::string what =
+        command == nullptr ? "no command" : "unknown command '" + *command + "'";
+    std::fprintf(stderr, "error: %s (want ping|speedtest|h3|traceroute|wehe)\n", what.c_str());
+    return 2;
   }
   const auto access = measure::parse_access(flags.get("access", "starlink"));
   if (!access) flags.reject("access", "want starlink|leo|satcom|geo|wired");
@@ -185,7 +191,5 @@ int main(int argc, char** argv) {
   if (*command == "speedtest") return cmd_speedtest(run, bed, kind);
   if (*command == "h3") return cmd_h3(run, bed);
   if (*command == "traceroute") return cmd_traceroute(run, bed, kind);
-  if (*command == "wehe") return cmd_wehe(run, bed, kind);
-  std::fprintf(stderr, "unknown command: %s\n", command->c_str());
-  return 1;
+  return cmd_wehe(run, bed, kind);
 }

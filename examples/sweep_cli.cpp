@@ -59,6 +59,8 @@ int main(int argc, char** argv) {
       flags.reject("grid", "unknown access '" + label + "' (want leo|geo|wired)");
     }
   }
+  if (grid_labels.empty()) flags.reject("grid", "want at least one access");
+  if (loads.empty()) flags.reject("loads", "want at least one load level");
   run.start();
 
   std::printf("sweep: %zu access x %zu load levels, %d seeds/cell, %s direction\n",

@@ -16,14 +16,15 @@ const double kKmPerDegLat = 2.0 * std::numbers::pi * leo::kEarthRadiusM / 1000.0
 
 CellGrid::CellGrid(double cell_km) : cell_km_{std::max(1.0, cell_km)} {
   rings_ = std::max(1, static_cast<int>(std::ceil(180.0 * kKmPerDegLat / cell_km_)));
-}
-
-int CellGrid::bins_in_ring(int ring) const {
   // Ring circumference shrinks with cos(latitude at the ring centre); keep
   // the bin width close to cell_km on the ground.
-  const double lat_deg = -90.0 + (static_cast<double>(ring) + 0.5) * 180.0 / rings_;
-  const double circumference_km = 360.0 * kKmPerDegLat * std::cos(leo::deg_to_rad(lat_deg));
-  return std::max(1, static_cast<int>(std::round(circumference_km / cell_km_)));
+  ring_bins_.resize(static_cast<std::size_t>(rings_));
+  for (int ring = 0; ring < rings_; ++ring) {
+    const double lat_deg = -90.0 + (static_cast<double>(ring) + 0.5) * 180.0 / rings_;
+    const double circumference_km = 360.0 * kKmPerDegLat * std::cos(leo::deg_to_rad(lat_deg));
+    ring_bins_[static_cast<std::size_t>(ring)] =
+        std::max(1, static_cast<int>(std::round(circumference_km / cell_km_)));
+  }
 }
 
 CellId CellGrid::cell_of(const leo::GeoPoint& p) const {

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "leo/geodesy.hpp"
 
@@ -45,7 +46,10 @@ class CellGrid {
   // Ring/bin structure, exposed so placement can enumerate candidate cells
   // without round-tripping every lattice point through cell_of().
   [[nodiscard]] int rings() const { return rings_; }
-  [[nodiscard]] int bins_in_ring(int ring) const;
+  /// Longitude bins of `ring`, which must lie in [0, rings()).
+  [[nodiscard]] int bins_in_ring(int ring) const {
+    return ring_bins_[static_cast<std::size_t>(ring)];
+  }
   [[nodiscard]] static CellId id_of(int ring, int bin) {
     return (static_cast<CellId>(ring) << 32) | static_cast<CellId>(bin);
   }
@@ -66,6 +70,7 @@ class CellGrid {
  private:
   double cell_km_ = 24.0;
   int rings_ = 0;  ///< latitude rings covering [-90, 90]
+  std::vector<int> ring_bins_;  ///< [ring]: longitude bins, filled once at construction
 };
 
 /// Two-level continental/planet hierarchy: the base grid keyed by ordinary

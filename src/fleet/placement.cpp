@@ -183,15 +183,18 @@ Placement Placement::generate(const Config& config, Rng rng) {
   // jitter makes each seed a distinct draw from it (as the old one-draw-per-
   // terminal sampler was) without spending per-terminal randomness.
   const std::uint64_t jitter_seed = mix64(placement.stream_seed_, kJitterStream);
-  double total_mass = 0.0;
-  for (auto& [id, m] : mass) {
-    m *= 0.5 + mix_uniform(jitter_seed, id);
-    total_mass += m;
-  }
+  for (auto& [id, m] : mass) m *= 0.5 + mix_uniform(jitter_seed, id);
 
-  // Largest-remainder apportionment: floor every quota, then hand the
-  // leftover terminals to the largest fractional parts (ties to the lower
-  // cell id), so the counts sum to exactly `want`.
+  placement.cells_ = apportion(mass, static_cast<std::uint32_t>(want));
+  placement.total_ = placement.cells_.back().first + placement.cells_.back().count;
+  return placement;
+}
+
+std::vector<Placement::CellRange> Placement::apportion(const std::map<CellId, double>& mass,
+                                                       std::uint32_t terminals) {
+  double total_mass = 0.0;
+  for (const auto& [id, m] : mass) total_mass += m;
+
   struct Slot {
     CellId id = 0;
     std::uint32_t count = 0;
@@ -201,30 +204,38 @@ Placement Placement::generate(const Config& config, Rng rng) {
   slots.reserve(mass.size());
   std::uint64_t assigned = 0;
   for (const auto& [id, m] : mass) {
-    const double quota = static_cast<double>(want) * m / total_mass;
+    const double quota = static_cast<double>(terminals) * m / total_mass;
     const double fl = std::floor(quota);
     slots.push_back({id, static_cast<std::uint32_t>(fl), quota - fl});
     assigned += static_cast<std::uint64_t>(fl);
   }
+  // The leftover goes one terminal each to the first `leftover` slots in
+  // (fraction desc, id asc) order, round again only if it exceeds the slot
+  // count. A single round needs just the set of those slots, not their
+  // order, so select it with nth_element; only a wrapping hand-out sorts.
+  std::uint64_t leftover = terminals - assigned;
   std::vector<std::uint32_t> order(slots.size());
   std::iota(order.begin(), order.end(), 0u);
-  std::sort(order.begin(), order.end(), [&slots](std::uint32_t a, std::uint32_t b) {
+  const auto by_remainder = [&slots](std::uint32_t a, std::uint32_t b) {
     if (slots[a].frac != slots[b].frac) return slots[a].frac > slots[b].frac;
     return slots[a].id < slots[b].id;
-  });
-  std::uint64_t leftover = static_cast<std::uint64_t>(want) - assigned;
+  };
+  const auto top = order.begin() + static_cast<std::ptrdiff_t>(
+                                        std::min<std::uint64_t>(leftover, order.size()));
+  std::nth_element(order.begin(), top, order.end(), by_remainder);
+  if (leftover > order.size()) std::sort(order.begin(), order.end(), by_remainder);
   for (std::size_t i = 0; leftover > 0; i = (i + 1) % order.size(), --leftover) {
     ++slots[order[i]].count;
   }
 
+  std::vector<CellRange> ranges;
   TerminalId next = 0;
   for (const Slot& s : slots) {
     if (s.count == 0) continue;
-    placement.cells_.push_back({s.id, next, s.count});
+    ranges.push_back({s.id, next, s.count});
     next += s.count;
   }
-  placement.total_ = next;
-  return placement;
+  return ranges;
 }
 
 const Placement::CellRange* Placement::find(CellId cell) const {

@@ -23,6 +23,7 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -90,6 +91,15 @@ class Placement {
   /// draws exactly one value from `rng` (the per-cell stream base).
   [[nodiscard]] static Placement generate(const Config& config, Rng rng);
 
+  /// generate()'s largest-remainder step: floors every cell's quota of
+  /// `terminals` (proportional to its mass), then hands the leftover
+  /// terminals to the largest fractional parts (ties to the lower cell id),
+  /// so the counts sum to exactly `terminals`. Returns the cells with a
+  /// nonzero count as contiguous id ranges in cell-id order. `mass` must
+  /// be non-empty with a positive total.
+  [[nodiscard]] static std::vector<CellRange> apportion(const std::map<CellId, double>& mass,
+                                                        std::uint32_t terminals);
+
   [[nodiscard]] const Config& config() const { return config_; }
   [[nodiscard]] const CellGrid& grid() const { return grid_; }
   /// Populated cells, cell-id ordered.
@@ -107,7 +117,8 @@ class Placement {
   [[nodiscard]] std::vector<Terminal> materialize(CellId cell) const;
 
  private:
-  Placement(Config config, CellGrid grid) : config_{std::move(config)}, grid_{grid} {}
+  Placement(Config config, CellGrid grid)
+      : config_{std::move(config)}, grid_{std::move(grid)} {}
 
   Config config_;
   CellGrid grid_;

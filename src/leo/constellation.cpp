@@ -93,42 +93,37 @@ void Constellation::for_each_visible(const GeoPoint& ground, TimePoint t,
   const Vec3 g = to_ecef(ground);
   const double r_g = g.norm();
 
-  // Plane-level culling. A satellite at orbit radius a is above elevation e
-  // from a ground point at radius r only within central angle
+  // Visibility cone. A satellite at orbit radius a is above elevation e from
+  // a ground point at radius r only within central angle
   // λmax = acos((r/a)·cos e) − e of that point (spherical Earth, exact). The
-  // minimum central angle from the ground direction u to a plane's orbital
-  // ring is arcsin|u·w| (w = ring normal), so |u·w| > sin λmax proves the
-  // whole plane invisible without touching its satellites. The margin keeps
-  // the bound conservative against FP rounding, so culling can never change
-  // a result — surviving planes are evaluated exactly as before.
+  // margins keep every bound below conservative against FP rounding, so
+  // culling can never change a result: surviving slots are evaluated with
+  // exactly the expressions of the per-satellite reference.
+  constexpr double kMarginRad = 1e-4;
   bool cull = false;
-  double sin_lam_max = 1.0;
+  double cos_lam_max = -1.0;
   Vec3 u{};
   if (r_g > 0.0 && r_g < semi_major_m_) {
     const double e_rad = deg_to_rad(min_elevation_deg);
     const double arg = (r_g / semi_major_m_) * std::cos(e_rad);
     if (arg > -1.0 && arg < 1.0) {
-      constexpr double kMarginRad = 1e-4;
       const double lam_max = std::acos(arg) - e_rad + kMarginRad;
       if (lam_max > 0.0 && lam_max < std::numbers::pi / 2.0) {
         cull = true;
-        sin_lam_max = std::sin(lam_max);
+        cos_lam_max = std::cos(lam_max);
         u = g * (1.0 / r_g);
       }
     }
   }
+  const double slot_step = 2.0 * std::numbers::pi / sats_per_plane;
 
   for (int plane = 0; plane < planes; ++plane) {
     const double raan = plane_node0_rad_[static_cast<std::size_t>(plane)] + drift;
     const double cr = std::cos(raan);
     const double sr = std::sin(raan);
-    if (cull) {
-      const double dot = u.x * (sr * sin_incl_) - u.y * (cr * sin_incl_) + u.z * cos_incl_;
-      if (std::abs(dot) > sin_lam_max) continue;
-    }
     const double* theta0 =
         &theta0_rad_[static_cast<std::size_t>(plane) * sats_per_plane];
-    for (int slot = 0; slot < sats_per_plane; ++slot) {
+    const auto eval = [&](int slot) {
       const double theta = theta0[slot] + motion;
       const double xp = semi_major_m_ * std::cos(theta);
       const double yp = semi_major_m_ * std::sin(theta);
@@ -137,6 +132,43 @@ void Constellation::for_each_visible(const GeoPoint& ground, TimePoint t,
                      in_plane.x * sr + in_plane.y * cr, in_plane.z};
       const double el = elevation_deg(g, pos);
       if (el >= min_elevation_deg) f(SatIndex{plane, slot}, el, slant_range_m(g, pos));
+    };
+    const auto eval_run = [&eval](int begin, int end) {
+      for (int slot = begin; slot < end; ++slot) eval(slot);
+    };
+    if (!cull) {
+      eval_run(0, sats_per_plane);
+      continue;
+    }
+
+    // A satellite's direction is cos θ·P + sin θ·Q (P, Q: the plane's
+    // in-plane axes), so u·s = R·cos(θ − φ) with R = |(u·P, u·Q)| and
+    // φ = atan2(u·Q, u·P). R ≤ cos λmax proves the whole plane invisible;
+    // otherwise only slots with |θ − φ| ≤ acos(cos λmax / R) can be. Slots
+    // are evenly spaced from θ0[0], so that window maps to a slot range
+    // without touching a single culled satellite.
+    const double up = u.x * cr + u.y * sr;
+    const double uq = (u.y * cr - u.x * sr) * cos_incl_ + u.z * sin_incl_;
+    const double r_plane = std::sqrt(up * up + uq * uq);
+    if (r_plane <= cos_lam_max) continue;
+    const double half = std::acos(cos_lam_max / r_plane) + kMarginRad;
+    const double rel =
+        std::remainder(std::atan2(uq, up) - (theta0[0] + motion), 2.0 * std::numbers::pi);
+    const int lo = static_cast<int>(std::ceil((rel - half) / slot_step));
+    const int count = static_cast<int>(std::floor((rel + half) / slot_step)) - lo + 1;
+    if (count >= sats_per_plane) {
+      eval_run(0, sats_per_plane);
+      continue;
+    }
+    if (count <= 0) continue;
+    // A window that wraps past the last slot is two ascending runs, keeping
+    // the callback order (plane, slot).
+    const int first = ((lo % sats_per_plane) + sats_per_plane) % sats_per_plane;
+    if (first + count <= sats_per_plane) {
+      eval_run(first, first + count);
+    } else {
+      eval_run(0, first + count - sats_per_plane);
+      eval_run(first, sats_per_plane);
     }
   }
 }

@@ -79,7 +79,8 @@ class Constellation {
   /// Calls f(SatIndex, elevation_deg, ecef_position) for every satellite in
   /// the first `planes` planes above `min_elevation_deg`, in (plane, slot)
   /// order. Whole planes whose orbital band cannot clear the elevation mask
-  /// from `ground` are skipped without touching their satellites.
+  /// from `ground` are skipped, and in the rest only the window of slots
+  /// that can be in view is evaluated: culled satellites cost nothing.
   template <typename F>
   void for_each_visible(const GeoPoint& ground, TimePoint t, double min_elevation_deg,
                         int active_planes, F&& f) const;

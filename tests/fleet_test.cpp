@@ -14,10 +14,15 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <algorithm>
 #include <cmath>
+#include <map>
 #include <memory>
+#include <numbers>
 #include <stdexcept>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "fleet/campaign.hpp"
 #include "fleet/cell_arbiter.hpp"
@@ -123,6 +128,101 @@ TEST(Placement, MillionTerminalContinentStaysLazy) {
   for (std::size_t j = 0; j < once.size(); ++j) {
     EXPECT_EQ(once[j].location.lat_deg, again[j].location.lat_deg);
     EXPECT_EQ(once[j].location.lon_deg, again[j].location.lon_deg);
+  }
+}
+
+TEST(Placement, ApportionmentMatchesFullSortReference) {
+  // The largest-remainder reference: floor every quota, sort every cell by
+  // (fraction desc, id asc), then hand out the leftover round that order.
+  const auto reference = [](const std::map<CellId, double>& mass, std::uint32_t terminals) {
+    double total = 0.0;
+    for (const auto& [id, m] : mass) total += m;
+    std::vector<std::tuple<CellId, std::uint32_t, double>> cells;
+    std::uint64_t assigned = 0;
+    for (const auto& [id, m] : mass) {
+      const double quota = static_cast<double>(terminals) * m / total;
+      cells.emplace_back(id, static_cast<std::uint32_t>(std::floor(quota)),
+                         quota - std::floor(quota));
+      assigned += static_cast<std::uint64_t>(std::floor(quota));
+    }
+    std::vector<std::size_t> order(cells.size());
+    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+    std::sort(order.begin(), order.end(), [&cells](std::size_t a, std::size_t b) {
+      const double fa = std::get<2>(cells[a]);
+      const double fb = std::get<2>(cells[b]);
+      return fa != fb ? fa > fb : std::get<0>(cells[a]) < std::get<0>(cells[b]);
+    });
+    for (std::uint64_t i = 0; assigned + i < terminals; ++i) {
+      ++std::get<1>(cells[order[i % order.size()]]);
+    }
+    std::vector<Placement::CellRange> ranges;
+    TerminalId next = 0;
+    for (const auto& [id, count, frac] : cells) {
+      if (count == 0) continue;
+      ranges.push_back({id, next, count});
+      next += count;
+    }
+    return ranges;
+  };
+
+  // Ties in the fractional parts (equal masses) and cells that get nothing
+  // but a leftover terminal, then a jittered mass like generate()'s.
+  std::map<CellId, double> even;
+  for (int bin = 0; bin < 7; ++bin) even[CellGrid::id_of(400, bin)] = 1.0;
+  std::map<CellId, double> jittered;
+  for (int ring = 300; ring < 320; ++ring) {
+    for (int bin = 0; bin < 25; ++bin) {
+      const CellId id = CellGrid::id_of(ring, bin);
+      jittered[id] = 0.5 + mix_uniform(99, id);
+    }
+  }
+  for (const auto& [mass, terminals] :
+       {std::pair{even, 3u}, std::pair{even, 17u}, std::pair{jittered, 1234u},
+        std::pair{jittered, 499u}, std::pair{jittered, 100'000u}}) {
+    const auto want = reference(mass, terminals);
+    const auto got = Placement::apportion(mass, terminals);
+    ASSERT_EQ(got.size(), want.size()) << terminals << " terminals";
+    std::uint32_t sum = 0;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].cell, want[i].cell);
+      EXPECT_EQ(got[i].first, want[i].first);
+      EXPECT_EQ(got[i].count, want[i].count);
+      sum += got[i].count;
+    }
+    EXPECT_EQ(sum, terminals);
+  }
+}
+
+// ------------------------------------------------------------- cell grid
+
+TEST(CellGrid, RingTableEqualsClosedForm) {
+  const double km_per_deg_lat = 2.0 * std::numbers::pi * leo::kEarthRadiusM / 1000.0 / 360.0;
+  for (const double cell_km : {1.0, 24.0, 192.0}) {
+    const CellGrid grid{cell_km};
+    const int rings = std::max(1, static_cast<int>(std::ceil(180.0 * km_per_deg_lat / cell_km)));
+    ASSERT_EQ(grid.rings(), rings) << cell_km << " km";
+    for (int ring = 0; ring < rings; ++ring) {
+      const double lat_deg = -90.0 + (static_cast<double>(ring) + 0.5) * 180.0 / rings;
+      const double circumference_km =
+          360.0 * km_per_deg_lat * std::cos(leo::deg_to_rad(lat_deg));
+      const int bins = std::max(1, static_cast<int>(std::round(circumference_km / cell_km)));
+      ASSERT_EQ(grid.bins_in_ring(ring), bins) << cell_km << " km, ring " << ring;
+    }
+  }
+}
+
+TEST(CellGrid, CellOfCenterRoundTripsOnEveryRing) {
+  for (const double cell_km : {1.0, 24.0, 192.0}) {
+    const CellGrid grid{cell_km};
+    for (int ring = 0; ring < grid.rings(); ++ring) {
+      // One bin per ring, walking round the ring so both hemispheres of
+      // longitude (and the last bin before the wrap) are covered.
+      const int bins = grid.bins_in_ring(ring);
+      const int bin = ring % 3 == 0 ? bins - 1 : (ring * 7919) % bins;
+      const CellId id = CellGrid::id_of(ring, bin);
+      ASSERT_EQ(grid.cell_of(grid.center_of(id)), id)
+          << cell_km << " km, " << CellGrid::to_string(id);
+    }
   }
 }
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "leo/access.hpp"
 #include "leo/constellation.hpp"
@@ -8,6 +9,7 @@
 #include "leo/handover.hpp"
 #include "leo/places.hpp"
 #include "sim/network.hpp"
+#include "util/rng.hpp"
 
 namespace slp::leo {
 namespace {
@@ -146,29 +148,66 @@ TEST_F(Shell1Test, ActivePlanesRestrictsVisibility) {
 }
 
 TEST_F(Shell1Test, VisibilityFastPathMatchesPerSatelliteReference) {
-  // The fast path culls whole planes geometrically and hoists per-plane trig;
-  // both must be *exactly* equivalent (EXPECT_EQ, not NEAR) to the naive
-  // per-satellite loop over position_ecef + elevation_deg, or determinism
-  // breaks between code paths.
-  for (int minute : {0, 13, 47, 95, 143}) {
-    const TimePoint t = TimePoint::epoch() + Duration::minutes(minute);
-    const Vec3 g = to_ecef(places::kLouvainLaNeuve);
-    std::vector<Constellation::VisibleSat> reference;
-    for (int plane = 0; plane < shell_.config().num_planes; ++plane) {
-      for (int slot = 0; slot < shell_.config().sats_per_plane; ++slot) {
-        const SatIndex sat{plane, slot};
-        const Vec3 pos = shell_.position_ecef(sat, t);
-        const double el = elevation_deg(g, pos);
-        if (el >= 25.0) reference.push_back({sat, el, slant_range_m(g, pos)});
+  // The fast path culls whole planes and, within a plane, every slot outside
+  // the window that can be in view; both must be *exactly* equivalent
+  // (EXPECT_EQ, not NEAR) to the naive per-satellite loop over
+  // position_ecef + elevation_deg, or determinism breaks between code paths.
+  // The table spans the poles, the equator, both 53-degree latitudes, the
+  // southern hemisphere and the antimeridian, masks from the horizon to
+  // near zenith, a full and a partial shell, and seeded times up to day 200.
+  const GeoPoint places_table[] = {
+      places::kLouvainLaNeuve, {90.0, 0.0, 0.0},     {-90.0, 45.0, 0.0},
+      {0.0, 0.0, 0.0},         {53.0, 120.0, 0.0},   {-53.0, -60.0, 0.0},
+      {-33.9, 18.4, 0.0},      {12.0, 180.0, 0.0},   {-41.3, -179.99, 0.0},
+  };
+  Rng rng{20221025};
+  std::vector<TimePoint> times{TimePoint::epoch()};
+  while (times.size() < 50) {
+    const double seconds = rng.uniform(0.0, 200.0 * 86400.0);
+    times.push_back(TimePoint::epoch() + Duration::from_seconds(seconds));
+  }
+  for (const GeoPoint& ground : places_table) {
+    const Vec3 g = to_ecef(ground);
+    for (const double mask : {0.0, 25.0, 40.0, 89.0}) {
+      for (const int active_planes : {0, 10}) {
+        const int planes = active_planes == 0 ? shell_.config().num_planes : active_planes;
+        for (const TimePoint t : times) {
+          std::vector<Constellation::VisibleSat> reference;
+          for (int plane = 0; plane < planes; ++plane) {
+            for (int slot = 0; slot < shell_.config().sats_per_plane; ++slot) {
+              const SatIndex sat{plane, slot};
+              const Vec3 pos = shell_.position_ecef(sat, t);
+              const double el = elevation_deg(g, pos);
+              if (el >= mask) reference.push_back({sat, el, slant_range_m(g, pos)});
+            }
+          }
+          SCOPED_TRACE(::testing::Message()
+                       << "lat " << ground.lat_deg << " lon " << ground.lon_deg << " mask "
+                       << mask << " planes " << active_planes << " t " << t.to_seconds());
+          const auto fast = shell_.visible_from(ground, t, mask, active_planes);
+          ASSERT_EQ(fast.size(), reference.size());
+          for (std::size_t i = 0; i < fast.size(); ++i) {
+            EXPECT_EQ(fast[i].sat.plane, reference[i].sat.plane);
+            EXPECT_EQ(fast[i].sat.slot, reference[i].sat.slot);
+            EXPECT_EQ(fast[i].elevation_deg, reference[i].elevation_deg);
+            EXPECT_EQ(fast[i].slant_range_m, reference[i].slant_range_m);
+          }
+          EXPECT_EQ(shell_.count_visible(ground, t, mask, active_planes),
+                    static_cast<int>(reference.size()));
+          // best_visible: the first-wins maximum over the reference order.
+          const Constellation::VisibleSat* expect = nullptr;
+          for (const auto& v : reference) {
+            if (expect == nullptr || v.elevation_deg > expect->elevation_deg) expect = &v;
+          }
+          const auto best = shell_.best_visible(ground, t, mask, active_planes);
+          ASSERT_EQ(best.has_value(), expect != nullptr);
+          if (expect != nullptr) {
+            EXPECT_EQ(best->sat, expect->sat);
+            EXPECT_EQ(best->elevation_deg, expect->elevation_deg);
+            EXPECT_EQ(best->slant_range_m, expect->slant_range_m);
+          }
+        }
       }
-    }
-    const auto fast = shell_.visible_from(places::kLouvainLaNeuve, t, 25.0);
-    ASSERT_EQ(fast.size(), reference.size()) << "minute " << minute;
-    for (std::size_t i = 0; i < fast.size(); ++i) {
-      EXPECT_EQ(fast[i].sat.plane, reference[i].sat.plane);
-      EXPECT_EQ(fast[i].sat.slot, reference[i].sat.slot);
-      EXPECT_EQ(fast[i].elevation_deg, reference[i].elevation_deg);
-      EXPECT_EQ(fast[i].slant_range_m, reference[i].slant_range_m);
     }
   }
 }
