@@ -14,8 +14,10 @@ Modes
                         repo-root ``BENCH_micro.json``).
 * ``--check BASELINE``  additionally compare the fresh numbers against a
                         committed baseline: fail (exit 1) if any benchmark got
-                        slower than ``tolerance`` x baseline ns_per_op, or if a
-                        baseline benchmark disappeared. The default tolerance
+                        slower than ``tolerance`` x baseline ns_per_op, if a
+                        baseline benchmark disappeared, or if a produced
+                        benchmark has no baseline row (an ungated benchmark
+                        gates nothing: add its row). The default tolerance
                         is deliberately loose (2x) because CI runners are noisy
                         shared machines; the harness is meant to catch
                         order-of-magnitude regressions (an accidental
@@ -131,7 +133,8 @@ def check(fresh: dict, baseline_path: Path, tolerance: float) -> int:
     for name in sorted(set(fresh) - set(baseline)):
         cur_ns = _ns_per_op(fresh[name])
         if cur_ns is not None:
-            print(f"{name:<40} {'(new)':>14} {cur_ns:>14.1f}")
+            failures.append(f"{name}: produced but has no baseline row")
+            print(f"{name:<40} {'NO BASELINE':>14} {cur_ns:>14.1f}")
     if failures:
         print("\nperf_report: FAIL", file=sys.stderr)
         for f in failures:

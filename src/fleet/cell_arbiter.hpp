@@ -4,10 +4,13 @@
 // with load drawn from a synthetic AR(1) process (phy::LoadProcess). The
 // arbiter makes that load *real*: terminals attach to their cell, declare
 // per-direction demand, and a weighted max-min (water-filling) allocation
-// splits the cell's nominal capacity among them. The allocation is
-// re-evaluated on every epoch trigger — demand change, attach, detach,
-// serving-satellite handover — and cached between triggers so per-packet
-// capacity queries stay O(1).
+// splits the cell's nominal capacity among them. Every epoch trigger —
+// demand change, attach, detach, serving-satellite handover, load override —
+// opens an allocation epoch, and the allocation is cached between triggers
+// so per-packet capacity queries stay O(1). The water-filling itself re-runs
+// only when one of its inputs (members, weights, demands, override) moved:
+// a handover re-grants beams but leaves every input, and so every allocated
+// bit, as it was, so a handover-only epoch keeps the cached allocation.
 //
 // Fallback contract (the single-terminal seam): a cell with *no background
 // members attached* delegates both directions to its ambient LoadProcess,
@@ -75,13 +78,17 @@ class CellArbiter {
   [[nodiscard]] DataRate demand(TerminalId id, int direction) const;
 
   /// Serving-satellite change for this cell: beams are re-granted, so the
-  /// allocation epoch advances.
+  /// allocation epoch advances (the allocation itself cannot change).
   void note_handover();
 
   // --- allocation ----------------------------------------------------
-  /// Recomputes both directions' allocations if any epoch trigger fired
-  /// since the last call (cheap no-op otherwise).
+  /// Closes the epoch if any trigger fired since the last call (cheap no-op
+  /// otherwise), recomputing both directions' allocations only if an input
+  /// of the water-filling changed.
   void reallocate(TimePoint t);
+  /// Water-filling runs so far: the allocations and utilizations can only
+  /// have moved when this count did.
+  [[nodiscard]] std::uint64_t recomputes() const { return recomputes_; }
 
   /// Fraction of nominal capacity available to the elastic foreground in
   /// `direction` — the drop-in replacement for LoadProcess::
@@ -118,7 +125,9 @@ class CellArbiter {
     std::uint64_t attaches = 0;        ///< structural + zero->positive demand
     std::uint64_t detaches = 0;        ///< structural + positive->zero demand
     std::uint64_t handovers = 0;
-    std::uint64_t reallocations = 0;   ///< epochs actually recomputed
+    /// Triggered allocation epochs closed by reallocate(); a handover-only
+    /// epoch counts, though it keeps the cached allocation (recomputes()).
+    std::uint64_t reallocations = 0;
     std::uint64_t epoch = 0;           ///< allocation generation counter
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
@@ -142,15 +151,23 @@ class CellArbiter {
     return (direction == kUp ? config_.cell_uplink : config_.cell_downlink)
         .bits_per_second();
   }
+  /// Opens an allocation epoch.
   void mark_epoch();
+  /// mark_epoch() for a change to an input of the water-filling.
+  void mark_inputs_changed();
   void recompute_direction(int direction, TimePoint t);
+  /// Stable ascending sort of fill_buf_ by `normalized`: equal keys keep
+  /// member (= id) order.
+  void sort_fill_order();
 
   Config config_;
   phy::LoadProcess ambient_down_;
   phy::LoadProcess ambient_up_;
   std::vector<Member> members_;        ///< id-ordered (cells hold few members)
   std::size_t background_members_ = 0;
-  bool dirty_ = true;
+  bool dirty_ = true;         ///< an epoch trigger fired since reallocate()
+  bool inputs_dirty_ = true;  ///< ... and it changed a water-filling input
+  std::uint64_t recomputes_ = 0;
   double cached_util_[2] = {0.0, 0.0};
   Stats stats_;
 
@@ -159,9 +176,10 @@ class CellArbiter {
   struct Entry {
     std::size_t member = 0;
     double weight = 1.0;
-    double normalized = 0.0;  ///< demand / weight (sort key)
+    double normalized = 0.0;  ///< demand / weight (sort key, never negative)
   };
   std::vector<Entry> fill_buf_;
+  std::vector<Entry> fill_tmp_;  ///< radix sort's second buffer
 };
 
 }  // namespace slp::fleet

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <limits>
 #include <utility>
 
 #include "obs/profile.hpp"
@@ -393,24 +394,31 @@ void Fleet::step_cell(Cell& c, TimePoint now, CellTick& out) const {
     }
   }
   // Demand only changes at a session boundary: re-evaluate just the members
-  // whose window ended. A member going idle closes its run; one going active
-  // opens a run at this epoch, whose value the restage below sets.
+  // whose window ended, and scan for them only once the earliest window has.
+  // A member going idle closes its run; one going active opens a run at this
+  // epoch, whose value the restage below sets.
   const std::uint64_t epoch = epochs_;
   const auto n = static_cast<std::uint32_t>(c.terminals.size());
-  for (std::uint32_t k = 0; k < n; ++k) {
-    Terminal& t = c.terminals[k];
-    if (now < t.until) continue;
-    const DemandModel::Session s = demand_.session_at(t.seed, t.cls, now);
-    t.until = s.until;
-    if (s.demand.active() != t.active) {
-      if (t.active) {
-        out.runs.push_back({k, t.run_mbps, epoch - t.run_since});
-      } else {
-        t.run_since = epoch;
+  if (now >= c.next_change) {
+    TimePoint next = TimePoint::from_ns(std::numeric_limits<std::int64_t>::max());
+    for (std::uint32_t k = 0; k < n; ++k) {
+      Terminal& t = c.terminals[k];
+      if (now >= t.until) {
+        const DemandModel::Session s = demand_.session_at(t.seed, t.cls, now);
+        t.until = s.until;
+        if (s.demand.active() != t.active) {
+          if (t.active) {
+            out.runs.push_back({k, t.run_mbps, epoch - t.run_since});
+          } else {
+            t.run_since = epoch;
+          }
+          t.active = !t.active;
+        }
+        c.arbiter->set_demand_at(k, s.demand.down, s.demand.up);
       }
-      t.active = !t.active;
+      next = std::min(next, t.until);
     }
-    c.arbiter->set_demand_at(k, s.demand.down, s.demand.up);
+    c.next_change = next;
   }
   c.arbiter->reallocate(now);
   out.util_down = c.arbiter->utilization(CellArbiter::kDown, now);
@@ -418,9 +426,9 @@ void Fleet::step_cell(Cell& c, TimePoint now, CellTick& out) const {
   // Allocations only move when the arbiter recomputes (here or in a capacity
   // query since the last epoch), and a flip changes the member's demand, so
   // it always comes with a recompute: otherwise every open run just grows.
-  const std::uint64_t reallocations = c.arbiter->stats().reallocations;
-  if (reallocations == c.staged_reallocations) return;
-  c.staged_reallocations = reallocations;
+  const std::uint64_t recomputes = c.arbiter->recomputes();
+  if (recomputes == c.staged_recomputes) return;
+  c.staged_recomputes = recomputes;
   for (std::uint32_t k = 0; k < n; ++k) {
     Terminal& t = c.terminals[k];
     if (!t.active) continue;

@@ -18,9 +18,12 @@
 // cell caches its members' seed, class and current session window, and
 // demand is constant within a window (demand.hpp), so an epoch evaluates
 // only the terminals whose window ended: the per-epoch cost is O(session
-// changes) hash evaluations plus a scan of the cell's cached windows; the
-// water-filling and a scan of the members' allocations run only on epochs
-// where the cell's arbiter recomputed.
+// changes) hash evaluations, plus a scan of the cell's cached windows only
+// on epochs at or after the earliest window end (class windows are aligned
+// to tens of seconds, so most 2 s epochs skip it). The water-filling and a
+// scan of the members' allocations run only on epochs where an input of the
+// cell's arbiter changed: a handover alone opens an allocation epoch but
+// keeps the allocation (cell_arbiter.hpp).
 //
 // Per-epoch sample streams are runs. A background terminal's down_mbps and
 // a supercell's analytic utilization are piecewise constant, so each is
@@ -250,9 +253,13 @@ class Fleet final : public leo::CellShareModel {
     std::unique_ptr<leo::HandoverScheduler> scheduler;
     leo::SatIndex last_sat{};
     bool had_sat = false;
-    /// arbiter->stats().reallocations when the terminals' runs were last
-    /// compared with their allocations.
-    std::uint64_t staged_reallocations = 0;
+    /// Earliest `until` among the terminals: no demand can change before
+    /// it, so epochs before it skip the scan. The minimum forces the first
+    /// epoch after the cell goes hot to scan.
+    TimePoint next_change = TimePoint::from_ns(std::numeric_limits<std::int64_t>::min());
+    /// arbiter->recomputes() when the terminals' runs were last compared
+    /// with their allocations.
+    std::uint64_t staged_recomputes = 0;
   };
 
   /// A closed terminal run: `epochs` samples of `mbps` for terminals[terminal].

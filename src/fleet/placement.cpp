@@ -80,15 +80,37 @@ void add_rural_mass(const CellGrid& grid, const Placement::Config& cfg, double s
   if (share <= 0.0 || cfg.lat_max <= cfg.lat_min || cfg.lon_max <= cfg.lon_min) return;
   const int r0 = grid.ring_of(cfg.lat_min);
   const int r1 = grid.ring_of(cfg.lat_max);
+  // A bin's centre lies at (bin + 0.5) * 360 / bins in the grid's [0, 360)
+  // convention, shifted by -360 from 180 on. So the box's part east of 0
+  // and its part west of 0 are each one run of bins; visit only those
+  // (widened by a bin against rounding) and let center_of decide.
+  const double east_lo = std::max(cfg.lon_min, 0.0);
+  const double east_hi = std::min(cfg.lon_max, 180.0);
+  const double west_lo = std::max(cfg.lon_min + 360.0, 180.0);
+  const double west_hi = std::min(cfg.lon_max + 360.0, 360.0);
   std::vector<CellId> box;
   for (int ring = r0; ring <= r1; ++ring) {
     const int bins = grid.bins_in_ring(ring);
-    for (int bin = 0; bin < bins; ++bin) {
-      const CellId id = CellGrid::id_of(ring, bin);
-      const leo::GeoPoint cc = grid.center_of(id);
-      if (cc.lon_deg < cfg.lon_min || cc.lon_deg > cfg.lon_max) continue;
-      box.push_back(id);
-    }
+    const auto first_bin = [bins](double lon) {
+      return std::max(0, static_cast<int>(std::floor(lon / 360.0 * bins - 0.5)) - 1);
+    };
+    const auto last_bin = [bins](double lon) {
+      return std::min(bins - 1, static_cast<int>(std::ceil(lon / 360.0 * bins - 0.5)) + 1);
+    };
+    int end = 0;  // bins below it were visited
+    const auto visit = [&](double lo, double hi) {
+      if (lo > hi) return;
+      const int last = last_bin(hi);
+      for (int bin = std::max(end, first_bin(lo)); bin <= last; ++bin) {
+        const CellId id = CellGrid::id_of(ring, bin);
+        const leo::GeoPoint cc = grid.center_of(id);
+        if (cc.lon_deg < cfg.lon_min || cc.lon_deg > cfg.lon_max) continue;
+        box.push_back(id);
+      }
+      end = std::max(end, last + 1);
+    };
+    visit(east_lo, east_hi);
+    visit(west_lo, west_hi);
   }
   if (box.empty()) return;
   const double per_cell = share / static_cast<double>(box.size());

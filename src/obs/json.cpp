@@ -45,15 +45,18 @@ std::string format_double(const char* fmt, double v) {
   if (v == 0.0) return "0";  // normalizes -0 too
   char buf[40];
   std::snprintf(buf, sizeof(buf), fmt, v);
-  std::string out{buf};
+  const std::string_view text{buf};
   if (const char* dp = std::localeconv()->decimal_point; dp != nullptr && dp[0] != '\0' &&
                                                          !(dp[0] == '.' && dp[1] == '\0')) {
     const std::string_view sep{dp};
-    if (const auto pos = out.find(sep); pos != std::string::npos) {
-      out.replace(pos, sep.size(), ".");
+    if (const auto pos = text.find(sep); pos != std::string_view::npos) {
+      std::string out{text.substr(0, pos)};
+      out += '.';
+      out += text.substr(pos + sep.size());
+      return out;
     }
   }
-  return out;
+  return std::string{text};
 }
 
 }  // namespace

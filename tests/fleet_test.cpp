@@ -1,21 +1,25 @@
 // fleet_test — the multi-terminal fleet subsystem (src/fleet/).
 //
 // Covers the four layers and their contracts: Placement (seed-derived,
-// deterministic, cell-grouped), DemandModel (pure counter-based function of
-// (seed, t)), CellArbiter (weighted proportional-fair invariants: work
-// conservation, weight monotonicity, no starvation; epoch accounting;
-// load-surge override composition), and the Fleet/FleetCampaign integration
-// (size-1 fallback bit-identity to the legacy LoadProcess path, the fig5
-// speedtest pin, queue-drain termination under packet campaigns, and
-// --jobs invariance of the merged campaign), the hot cells' cached
+// deterministic, cell-grouped, its rural box equal to an every-bin walk),
+// DemandModel (pure counter-based function of (seed, t)), CellArbiter
+// (weighted proportional-fair invariants: work conservation, weight
+// monotonicity, no starvation; epoch accounting; load-surge override
+// composition; bit-equal to a reference water-filling that sorts with
+// std::sort and recomputes on every epoch), and the Fleet/FleetCampaign
+// integration (size-1 fallback bit-identity to the legacy LoadProcess path,
+// the fig5 speedtest pin, queue-drain termination under packet campaigns,
+// and --jobs invariance of the merged campaign), the hot cells' cached
 // per-terminal demand (equal to the model after every epoch, also under
-// diurnal modulation, sharding and mid-run promotion), and the run-folded
-// supercell and terminal samples (bit-equal to one add per epoch).
+// diurnal modulation, sharding, mid-run promotion and a moving foreground),
+// and the run-folded supercell and terminal samples (bit-equal to one add
+// per epoch).
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <numbers>
@@ -190,6 +194,49 @@ TEST(Placement, ApportionmentMatchesFullSortReference) {
       sum += got[i].count;
     }
     EXPECT_EQ(sum, terminals);
+  }
+}
+
+TEST(Placement, RuralBoxEqualsEveryBinWalk) {
+  // The rural fill visits only the bin runs the box's longitudes reach; the
+  // cells it keeps must be those of a walk over every bin of every ring in
+  // the latitude band, in the same (id) order. With no urban mass and four
+  // terminals per box cell, every box cell gets at least one terminal.
+  struct Box {
+    double cell_km, lat_min, lat_max, lon_min, lon_max;
+  };
+  const Box boxes[] = {
+      {1.0, 50.0, 50.3, -0.4, 0.4},          {1.0, -20.0, -19.8, 179.6, 180.4},
+      {1.0, 10.0, 10.2, -180.4, -179.6},     {24.0, 36.0, 60.0, -10.0, 32.0},
+      {24.0, -45.0, -30.0, 170.0, 190.0},    {24.0, 60.0, 70.0, -190.0, -170.0},
+      {24.0, -5.0, 5.0, -180.0, 180.0},      {24.0, 20.0, 30.0, -179.5, 179.5},
+      {192.0, -60.0, 60.0, -40.0, 40.0},     {192.0, -80.0, 80.0, -180.0, 180.0},
+      {192.0, 70.0, 89.0, 150.0, 200.0},     {192.0, -89.0, -70.0, -200.0, -150.0},
+  };
+  for (const Box& box : boxes) {
+    const CellGrid grid{box.cell_km};
+    std::vector<CellId> want;
+    for (int ring = grid.ring_of(box.lat_min); ring <= grid.ring_of(box.lat_max); ++ring) {
+      for (int bin = 0; bin < grid.bins_in_ring(ring); ++bin) {
+        const CellId id = CellGrid::id_of(ring, bin);
+        const double lon = grid.center_of(id).lon_deg;
+        if (lon >= box.lon_min && lon <= box.lon_max) want.push_back(id);
+      }
+    }
+    ASSERT_FALSE(want.empty());
+    Placement::Config config;
+    config.cell_km = box.cell_km;
+    config.urban_fraction = 0.0;
+    config.lat_min = box.lat_min;
+    config.lat_max = box.lat_max;
+    config.lon_min = box.lon_min;
+    config.lon_max = box.lon_max;
+    config.terminals = static_cast<int>(4 * want.size());
+    const Placement placement = Placement::generate(config, Rng{17});
+    std::vector<CellId> got;
+    for (const Placement::CellRange& r : placement.cells()) got.push_back(r.cell);
+    EXPECT_EQ(got, want) << box.cell_km << " km, lon [" << box.lon_min << ", "
+                         << box.lon_max << "]";
   }
 }
 
@@ -459,6 +506,267 @@ TEST(CellArbiter, FallbackDelegatesToAmbientProcess) {
   ref_down.set_utilization_override(0.9);
   EXPECT_EQ(arb.available_fraction(CellArbiter::kDown, at(8)),
             ref_down.available_fraction(at(8)));
+}
+
+// Reference water-filling: a comparison sort with an id tie-break, re-run
+// on every epoch trigger, handovers included. The arbiter sorts by radix and
+// keeps its allocation over handover-only epochs; neither may change a bit
+// it reports.
+class ReferenceArbiter {
+ public:
+  ReferenceArbiter(CellArbiter::Config config, Rng down_rng, Rng up_rng)
+      : config_{config},
+        ambient_{phy::LoadProcess{config.uplink_load, up_rng},
+                 phy::LoadProcess{config.downlink_load, down_rng}} {}
+
+  void attach(TerminalId id, double weight, bool elastic) {
+    const auto it = lower(id);
+    if (it != members_.end() && it->id == id) {
+      it->weight = std::max(1e-9, weight);
+      it->elastic = elastic;
+    } else {
+      members_.insert(it, Member{id, std::max(1e-9, weight), elastic, {}, {}});
+      if (!elastic) ++background_;
+      ++stats_.attaches;
+    }
+    mark_epoch();
+  }
+  void detach(TerminalId id) {
+    const auto it = lower(id);
+    if (it == members_.end() || it->id != id) return;
+    if (!it->elastic) --background_;
+    members_.erase(it);
+    ++stats_.detaches;
+    mark_epoch();
+  }
+  void set_demand_at(std::size_t index, DataRate down, DataRate up) {
+    Member& m = members_[index];
+    if (m.elastic) return;
+    const double d = std::max(0.0, down.bits_per_second());
+    const double u = std::max(0.0, up.bits_per_second());
+    if (m.demand[CellArbiter::kDown] == d && m.demand[CellArbiter::kUp] == u) return;
+    const bool was = m.demand[0] > 0.0 || m.demand[1] > 0.0;
+    m.demand[CellArbiter::kDown] = d;
+    m.demand[CellArbiter::kUp] = u;
+    const bool is = d > 0.0 || u > 0.0;
+    if (is && !was) ++stats_.attaches;
+    if (!is && was) ++stats_.detaches;
+    mark_epoch();
+  }
+  void note_handover() {
+    ++stats_.handovers;
+    mark_epoch();
+  }
+  void set_load_override(int dir, double u) {
+    ambient_[dir].set_utilization_override(u);
+    mark_epoch();
+  }
+  void clear_load_override(int dir) {
+    ambient_[dir].clear_override();
+    mark_epoch();
+  }
+  void reallocate(TimePoint t) {
+    if (!dirty_) return;
+    recompute(CellArbiter::kUp, t);
+    recompute(CellArbiter::kDown, t);
+    dirty_ = false;
+    ++stats_.reallocations;
+  }
+  double utilization(int dir, TimePoint t) {
+    if (background_ == 0) return ambient_[dir].utilization(t);
+    reallocate(t);
+    return util_[dir];
+  }
+  [[nodiscard]] double allocation_at(std::size_t index, int dir) const {
+    return members_[index].alloc[dir];
+  }
+  [[nodiscard]] std::size_t members() const { return members_.size(); }
+  [[nodiscard]] TerminalId id_at(std::size_t index) const { return members_[index].id; }
+  [[nodiscard]] const CellArbiter::Stats& stats() const { return stats_; }
+
+ private:
+  struct Member {
+    TerminalId id;
+    double weight;
+    bool elastic;
+    double demand[2];
+    double alloc[2];
+  };
+
+  std::vector<Member>::iterator lower(TerminalId id) {
+    return std::lower_bound(members_.begin(), members_.end(), id,
+                            [](const Member& m, TerminalId key) { return m.id < key; });
+  }
+  void mark_epoch() {
+    dirty_ = true;
+    ++stats_.epoch;
+  }
+  void recompute(int dir, TimePoint t) {
+    const double nominal =
+        (dir == CellArbiter::kUp ? config_.cell_uplink : config_.cell_downlink)
+            .bits_per_second();
+    const phy::LoadProcess::Config& load =
+        dir == CellArbiter::kUp ? config_.uplink_load : config_.downlink_load;
+    struct Entry {
+      std::size_t member;
+      double weight;
+      double normalized;
+    };
+    std::vector<Entry> fill;
+    double elastic_weight = 0.0;
+    double total_weight = 0.0;
+    for (std::size_t i = 0; i < members_.size(); ++i) {
+      Member& m = members_[i];
+      m.alloc[dir] = 0.0;
+      if (m.elastic) {
+        elastic_weight += m.weight;
+        total_weight += m.weight;
+        continue;
+      }
+      if (m.demand[dir] <= 0.0) continue;
+      fill.push_back({i, m.weight, m.demand[dir] / m.weight});
+      total_weight += m.weight;
+    }
+    std::sort(fill.begin(), fill.end(), [this](const Entry& a, const Entry& b) {
+      if (a.normalized != b.normalized) return a.normalized < b.normalized;
+      return members_[a.member].id < members_[b.member].id;
+    });
+    double remaining = nominal * load.ceiling;
+    double weight_left = total_weight;
+    std::size_t cursor = 0;
+    for (; cursor < fill.size(); ++cursor) {
+      const Entry& e = fill[cursor];
+      Member& m = members_[e.member];
+      const double fair = weight_left > 0.0 ? remaining / weight_left : 0.0;
+      if (e.normalized > fair) break;
+      m.alloc[dir] = m.demand[dir];
+      remaining -= m.demand[dir];
+      weight_left -= e.weight;
+    }
+    for (std::size_t i = cursor; i < fill.size(); ++i) {
+      members_[fill[i].member].alloc[dir] =
+          weight_left > 0.0 ? fill[i].weight * remaining / weight_left : 0.0;
+    }
+    double background_total = 0.0;
+    for (const Entry& e : fill) background_total += members_[e.member].alloc[dir];
+    double util = std::clamp(background_total / nominal, load.floor, load.ceiling);
+    if (ambient_[dir].overridden()) {
+      util = std::clamp(std::max(util, ambient_[dir].utilization(t)), load.floor, load.ceiling);
+    }
+    util_[dir] = util;
+    for (Member& m : members_) {
+      if (m.elastic) {
+        m.alloc[dir] = elastic_weight > 0.0
+                           ? nominal * (1.0 - util) * m.weight / elastic_weight
+                           : 0.0;
+      }
+    }
+  }
+
+  CellArbiter::Config config_;
+  phy::LoadProcess ambient_[2];  ///< [kUp, kDown]
+  std::vector<Member> members_;
+  std::size_t background_ = 0;
+  bool dirty_ = true;
+  double util_[2] = {0.0, 0.0};
+  CellArbiter::Stats stats_;
+};
+
+TEST(CellArbiter, MatchesReferenceWaterFilling) {
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  CellArbiter::Config config;
+  config.downlink_load = leo::StarlinkAccess::Config{}.downlink_load;
+  config.uplink_load = leo::StarlinkAccess::Config{}.uplink_load;
+  const double weights[] = {1.0, 1.0, 2.0, 0.5, 3.7, 1e-12};
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    CellArbiter arb{config, Rng{seed}.fork("down"), Rng{seed}.fork("up")};
+    ReferenceArbiter ref{config, Rng{seed}.fork("down"), Rng{seed}.fork("up")};
+    Rng rng{seed};
+    TimePoint t = at(0);
+    // Few ids and a handful of integer demands, so keys tie often.
+    const auto demand = [&rng] {
+      switch (rng.uniform_int(0, 3)) {
+        case 0: return DataRate::zero();
+        case 1: return DataRate::mbps(static_cast<double>(rng.uniform_int(1, 6)));
+        case 2: return DataRate::mbps(rng.uniform(0.0, 400.0));
+        default: return DataRate::mbps(static_cast<double>(rng.uniform_int(1, 3)) * 25.0);
+      }
+    };
+    for (int step = 0; step < 600; ++step) {
+      const int dir = rng.chance(0.5) ? CellArbiter::kUp : CellArbiter::kDown;
+      switch (rng.uniform_int(0, 9)) {
+        case 0: {
+          const auto id = static_cast<TerminalId>(rng.uniform_int(0, 40));
+          const double w = weights[rng.index(std::size(weights))];
+          const bool elastic = rng.chance(0.1);
+          arb.attach(id, w, elastic);
+          ref.attach(id, w, elastic);
+          break;
+        }
+        case 1: {
+          const auto id = static_cast<TerminalId>(rng.uniform_int(0, 40));
+          arb.detach(id);
+          ref.detach(id);
+          break;
+        }
+        case 2:
+        case 3:
+        case 4:
+          if (ref.members() > 0) {
+            const std::size_t k = rng.index(ref.members());
+            const DataRate down = demand();
+            const DataRate up = rng.chance(0.3) ? down : demand();
+            arb.set_demand_at(k, down, up);
+            ref.set_demand_at(k, down, up);
+          }
+          break;
+        case 5:
+        case 6:
+          arb.note_handover();
+          ref.note_handover();
+          break;
+        case 7:
+          if (rng.chance(0.5)) {
+            const double u = rng.uniform(0.0, 1.0);
+            arb.set_load_override(dir, u);
+            ref.set_load_override(dir, u);
+          } else {
+            arb.clear_load_override(dir);
+            ref.clear_load_override(dir);
+          }
+          break;
+        case 8:
+          t = t + Duration::seconds(2);
+          arb.reallocate(t);
+          ref.reallocate(t);
+          break;
+        default:
+          t = t + Duration::seconds(2);
+          for (const int d : {CellArbiter::kUp, CellArbiter::kDown}) {
+            ASSERT_EQ(bits(arb.utilization(d, t)), bits(ref.utilization(d, t)))
+                << "seed " << seed << " step " << step << " dir " << d;
+          }
+          break;
+      }
+      ASSERT_EQ(arb.members(), ref.members());
+      for (std::size_t k = 0; k < ref.members(); ++k) {
+        for (const int d : {CellArbiter::kUp, CellArbiter::kDown}) {
+          ASSERT_EQ(bits(arb.allocation_at(k, d).bits_per_second()),
+                    bits(ref.allocation_at(k, d)))
+              << "seed " << seed << " step " << step << " member " << ref.id_at(k);
+        }
+      }
+      const CellArbiter::Stats& a = arb.stats();
+      const CellArbiter::Stats& r = ref.stats();
+      ASSERT_EQ(a.attaches, r.attaches);
+      ASSERT_EQ(a.detaches, r.detaches);
+      ASSERT_EQ(a.handovers, r.handovers);
+      ASSERT_EQ(a.reallocations, r.reallocations);
+      ASSERT_EQ(a.epoch, r.epoch);
+    }
+    // Handover-only epochs were closed without a water-filling run.
+    EXPECT_LT(arb.recomputes(), arb.stats().reallocations) << "seed " << seed;
+  }
 }
 
 // ---------------------------------------------------- fleet integration
@@ -779,6 +1087,39 @@ TEST_P(CachedDemand, ArbiterHoldsTheModelDemandAfterEveryEpoch) {
 INSTANTIATE_TEST_SUITE_P(DiurnalAndShards, CachedDemand,
                          ::testing::Combine(::testing::Values(0.0, 0.3),
                                             ::testing::Values(1, 4)));
+
+// A mobile foreground promotes a cell every few epochs and demotes the one
+// it left; hot cells skip their window scan until their earliest window
+// ends. After every tick, every hot member still holds the model's demand.
+TEST(Fleet, CachedDemandEqualsModelEveryEpoch) {
+  const leo::GeoPoint route[] = {
+      {52.37, 4.90}, {52.52, 13.40}, {48.86, 2.35}, {50.85, 4.35}, {45.46, 9.19}};
+  for (const double amplitude : {0.0, 0.3}) {
+    sim::Simulator sim{53};
+    sim::Network net{sim};
+    leo::StarlinkAccess access{net, {}};
+    Fleet::Config config;
+    config.size = 20000;
+    config.placement = Placement::continental_europe();
+    config.aggregate_idle = true;
+    config.demand.diurnal_amplitude = amplitude;
+    config.demand.diurnal_period = Duration::minutes(6);
+    sim.schedule_in(Duration::hours(1), [] {});
+    Fleet fleet{sim, access, config};
+    int active_epochs = 0;
+    for (int epoch = 0; epoch <= 150; ++epoch) {  // 5 simulated minutes
+      if (epoch > 0) sim.run_for(config.epoch);
+      if (expect_demands_current(fleet, sim.now()) > 0) ++active_epochs;
+      if (::testing::Test::HasFailure()) return;
+      if (epoch % 7 == 3) {
+        ASSERT_TRUE(fleet.set_foreground_position(route[(epoch / 7) % std::size(route)],
+                                                  sim.now()));
+      }
+    }
+    EXPECT_EQ(fleet.epochs(), 151u) << "amplitude " << amplitude;
+    EXPECT_GT(active_epochs, 140) << "amplitude " << amplitude;
+  }
+}
 
 // A cell that goes hot mid-run has no cached windows yet: its first epoch
 // must evaluate every member, not wait for session boundaries.
