@@ -30,9 +30,9 @@ int main(int argc, char** argv) {
   bench::Run run{argc, argv};
   const auto& args = run.args();
   // --fleet=N replaces the synthetic shared-cell load under the H3 transfers
-  // with N simulated terminals contending for real per-cell capacity
-  // (src/fleet/); 0 keeps the paper-calibrated LoadProcess. The other
-  // fleet flags (bench_common.hpp) shape that fleet.
+  // and the message sessions with N simulated terminals contending for real
+  // per-cell capacity (src/fleet/); 0 keeps the paper-calibrated
+  // LoadProcess. The other fleet flags (bench_common.hpp) shape that fleet.
   const fleet::Fleet::Config fleet_config = bench::parse_fleet(run.flags());
   run.start("Figure 3 / §3.1", "RTT under load: H3 bulk and messages, both directions");
   if (fleet_config.enabled()) {
@@ -66,6 +66,7 @@ int main(int argc, char** argv) {
     config.seed = args.seed + 2;
     config.upload = false;
     config.sessions = args.scaled(4);
+    config.fleet = fleet_config;
     const auto down = run.sweep<measure::MessageCampaign>(config);
     print_row(table, "messages download", down.rtt_ms, "50 / 71 / 87");
   }
@@ -74,6 +75,7 @@ int main(int argc, char** argv) {
     config.seed = args.seed + 3;
     config.upload = true;
     config.sessions = args.scaled(4);
+    config.fleet = fleet_config;
     const auto up = run.sweep<measure::MessageCampaign>(config);
     print_row(table, "messages upload", up.rtt_ms, "66 / 87 / 143");
   }

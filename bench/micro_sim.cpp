@@ -286,6 +286,27 @@ void BM_PlacementContinental(benchmark::State& state) {
 }
 BENCHMARK(BM_PlacementContinental);
 
+void BM_FleetBuildContinental(benchmark::State& state) {
+  // The continental fleet's set-up: the Fleet constructor (placement, the
+  // fold of every idle cell into its supercell aggregate, the first epoch)
+  // and the simulator, network and access it is built on, a fresh
+  // simulator seed per round.
+  fleet::Fleet::Config fc;
+  fc.size = 1'000'000;
+  fc.placement = fleet::Placement::continental_europe();
+  fc.aggregate_idle = true;
+  std::uint64_t seed = 0;
+  for (auto _ : state) {
+    sim::Simulator sim{++seed};
+    sim::Network net{sim};
+    leo::StarlinkAccess access{net, leo::StarlinkAccess::Config{}};
+    const fleet::Fleet fleet{sim, access, fc};
+    benchmark::DoNotOptimize(fleet.aggregates().size());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_FleetBuildContinental);
+
 void BM_ShardedArbiterEpoch(benchmark::State& state) {
   // One fleet epoch over a continental hot set (every populated cell live,
   // no aggregation), stepped serially (arg 1) or across a worker pool

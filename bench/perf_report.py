@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Perf-regression harness: micro + macro timings -> BENCH_micro.json.
 
-Runs the google-benchmark micro suite (``micro_sim``) plus two macro
+Runs the google-benchmark micro suite (``micro_sim``, each benchmark
+MICRO_REPETITIONS times, its row the median) plus two macro
 measurements (wall time of the fig5 throughput campaign at smoke scale, and
 of a million-terminal continental fleet hour) and writes a stable-schema
 JSON report::
@@ -28,6 +29,7 @@ Only the Python standard library is used.
 
 import argparse
 import json
+import statistics
 import subprocess
 import sys
 import time
@@ -42,35 +44,43 @@ MACROS = [
     ("MACRO_FleetMillionWall", "fleet_scale",
      ["--terminals=1000000", "--continental=1", "--shards=8", "--duration=3600s"]),
 ]
+# Runs of each micro benchmark; its row is their median, so one noisy run
+# neither trips the gate nor loosens a refreshed baseline.
+MICRO_REPETITIONS = 5
 # --profile re-runs only the fig5 macro (the packet-level campaign with
 # subsystem wall sections; the fleet macro is analytic and has none).
 PROFILE_MACRO = MACROS[0]
 
 
 def run_micro(micro_sim: Path) -> dict:
-    """Runs the google-benchmark suite, returns {name: {ns_per_op, items_per_s}}."""
+    """Runs the google-benchmark suite MICRO_REPETITIONS times per benchmark,
+    returns {name: {ns_per_op, items_per_s}}, each the median over the runs."""
     proc = subprocess.run(
         # Bare-double min_time: the "0.05s" spelling needs google-benchmark
         # >= 1.8, plain 0.05 works on every version either side.
-        [str(micro_sim), "--benchmark_format=json", "--benchmark_min_time=0.05"],
+        [str(micro_sim), "--benchmark_format=json", "--benchmark_min_time=0.05",
+         f"--benchmark_repetitions={MICRO_REPETITIONS}"],
         check=True,
         capture_output=True,
         text=True,
     )
     doc = json.loads(proc.stdout)
-    out = {}
+    runs = {}
     for bench in doc.get("benchmarks", []):
         if bench.get("run_type") != "iteration":
-            continue  # skip aggregate rows if repetitions are ever enabled
-        name = bench["name"]
+            continue  # the suite's own mean/median/stddev rows
         # google-benchmark reports real_time in time_unit; normalise to ns.
         unit = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}[bench.get("time_unit", "ns")]
         ns_per_op = bench["real_time"] * unit
         items = bench.get("items_per_second", 1e9 / ns_per_op if ns_per_op else 0.0)
-        out[name] = {"ns_per_op": round(ns_per_op, 3), "items_per_s": round(items, 3)}
-    if not out:
+        runs.setdefault(bench["name"], []).append((ns_per_op, items))
+    if not runs:
         raise SystemExit("perf_report: micro_sim produced no benchmark rows")
-    return out
+    return {
+        name: {"ns_per_op": round(statistics.median(ns for ns, _ in samples), 3),
+               "items_per_s": round(statistics.median(it for _, it in samples), 3)}
+        for name, samples in runs.items()
+    }
 
 
 def run_profile(bench_dir: Path) -> None:

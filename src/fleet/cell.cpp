@@ -1,6 +1,7 @@
 #include "fleet/cell.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <numbers>
 
@@ -40,16 +41,6 @@ CellId CellGrid::cell_of(const leo::GeoPoint& p) const {
   return (static_cast<CellId>(ring) << 32) | static_cast<CellId>(bin);
 }
 
-leo::GeoPoint CellGrid::center_of(CellId cell) const {
-  const int ring = static_cast<int>(cell >> 32);
-  const int bin = static_cast<int>(cell & 0xFFFFFFFFull);
-  const double lat = -90.0 + (static_cast<double>(ring) + 0.5) * 180.0 / rings_;
-  const int bins = bins_in_ring(std::clamp(ring, 0, rings_ - 1));
-  double lon = (static_cast<double>(bin) + 0.5) * 360.0 / bins;
-  if (lon >= 180.0) lon -= 360.0;  // back to the conventional [-180, 180)
-  return leo::GeoPoint{lat, lon, 0.0};
-}
-
 int CellGrid::ring_of(double lat_deg) const {
   const double lat = std::clamp(lat_deg, -90.0, 90.0);
   return std::clamp(static_cast<int>((lat + 90.0) / 180.0 * rings_), 0, rings_ - 1);
@@ -78,6 +69,27 @@ std::string CellGrid::to_string(CellId cell) {
 HierarchicalGrid::HierarchicalGrid(double cell_km, int supercell_factor)
     : base_{cell_km},
       coarse_{std::max(1.0, cell_km) * std::max(1, supercell_factor)},
-      factor_{std::max(1, supercell_factor)} {}
+      factor_{std::max(1, supercell_factor)} {
+  super_ring_.resize(static_cast<std::size_t>(base_.rings()));
+  for (int ring = 0; ring < base_.rings(); ++ring) {
+    super_ring_[static_cast<std::size_t>(ring)] =
+        coarse_.ring_of(base_.center_of(CellGrid::id_of(ring, 0)).lat_deg);
+  }
+}
+
+CellId HierarchicalGrid::super_of(CellId base_cell) const {
+  const int ring = static_cast<int>(base_cell >> 32);
+  const int bin = static_cast<int>(base_cell & 0xFFFFFFFFull);
+  assert(ring >= 0 && ring < base_.rings() && bin >= 0 && bin < base_.bins_in_ring(ring));
+  // center_of's longitude before its shift into [-180, 180). cell_of's
+  // fmod and += 360 would undo that shift exactly: lon - 360 is exact
+  // (Sterbenz), the fmod leaves a value under 360 in magnitude as it is,
+  // and adding 360 back lands on lon, which is representable.
+  const double lon = (static_cast<double>(bin) + 0.5) * 360.0 / base_.bins_in_ring(ring);
+  const int super_ring = super_ring_[static_cast<std::size_t>(ring)];
+  const int super_bins = coarse_.bins_in_ring(super_ring);
+  const int super_bin = std::clamp(static_cast<int>(lon / 360.0 * super_bins), 0, super_bins - 1);
+  return CellGrid::id_of(super_ring, super_bin);
+}
 
 }  // namespace slp::fleet

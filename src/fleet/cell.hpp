@@ -11,6 +11,7 @@
 // no RNG, no state.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -38,7 +39,15 @@ class CellGrid {
 
   /// Centre of a cell (the representative point used for the cell's
   /// satellite-visibility geometry).
-  [[nodiscard]] leo::GeoPoint center_of(CellId cell) const;
+  [[nodiscard]] leo::GeoPoint center_of(CellId cell) const {
+    const int ring = static_cast<int>(cell >> 32);
+    const int bin = static_cast<int>(cell & 0xFFFFFFFFull);
+    const double lat = -90.0 + (static_cast<double>(ring) + 0.5) * 180.0 / rings_;
+    const int bins = bins_in_ring(std::clamp(ring, 0, rings_ - 1));
+    double lon = (static_cast<double>(bin) + 0.5) * 360.0 / bins;
+    if (lon >= 180.0) lon -= 360.0;  // back to the conventional [-180, 180)
+    return leo::GeoPoint{lat, lon, 0.0};
+  }
 
   /// "r<ring>b<bin>" — stable human-readable key for logs and metrics.
   [[nodiscard]] static std::string to_string(CellId cell);
@@ -86,10 +95,12 @@ class HierarchicalGrid {
   [[nodiscard]] const CellGrid& coarse() const { return coarse_; }
   [[nodiscard]] int supercell_factor() const { return factor_; }
 
-  /// Supercell containing a base cell (keyed off the base cell's centre).
-  [[nodiscard]] CellId super_of(CellId base_cell) const {
-    return coarse_.cell_of(base_.center_of(base_cell));
-  }
+  /// Supercell containing a base cell (keyed off the base cell's centre):
+  /// bit for bit coarse().cell_of(base().center_of(base_cell)), but with
+  /// the coarse ring looked up per base ring and no longitude round trip.
+  /// `base_cell` must be a cell of base(): a ring in [0, rings()) and a bin
+  /// in [0, bins_in_ring(ring)).
+  [[nodiscard]] CellId super_of(CellId base_cell) const;
 
   /// Tag bit distinguishing supercell keys from base-cell keys when both
   /// land in one stats::KeyedSamples (ring indices never reach bit 31, so
@@ -100,6 +111,7 @@ class HierarchicalGrid {
   CellGrid base_;
   CellGrid coarse_;
   int factor_ = 8;
+  std::vector<int> super_ring_;  ///< [base ring]: coarse ring holding its centre latitude
 };
 
 }  // namespace slp::fleet

@@ -62,14 +62,27 @@ Fleet::Fleet(sim::Simulator& sim, leo::StarlinkAccess& access, Config config)
 
   // Hot set: without aggregation every populated cell runs its arbiter (the
   // flat-grid behaviour); with it, only the foreground cell starts hot and
-  // everything else folds into its supercell's analytic term.
+  // everything else folds into its supercell's analytic term. Id-adjacent
+  // cells mostly share a supercell, so each run of them folds at once.
+  CellId run_super = 0;
+  std::uint32_t run_terminals = 0;
+  std::uint32_t run_cells = 0;
   for (const Placement::CellRange& r : placement_.cells()) {
     if (!config_.aggregate_idle || r.cell == foreground_cell_id_) {
       make_cell(r.cell, &r);
-    } else {
-      fold_into_aggregate(r.cell, r.count);
+      continue;
     }
+    const CellId super = hier_.super_of(r.cell);
+    if (run_cells > 0 && super != run_super) {
+      fold_into_aggregate(run_super, run_terminals, run_cells);
+      run_terminals = 0;
+      run_cells = 0;
+    }
+    run_super = super;
+    run_terminals += r.count;
+    ++run_cells;
   }
+  if (run_cells > 0) fold_into_aggregate(run_super, run_terminals, run_cells);
   if (find_cell(foreground_cell_id_) == nullptr) make_cell(foreground_cell_id_, nullptr);
   foreground_cell_ = find_cell(foreground_cell_id_);
 
@@ -181,18 +194,17 @@ void Fleet::ensure_scheduler(Cell& c) {
   c.had_sat = false;  // fresh vantage: restart the change tracker
 }
 
-void Fleet::fold_into_aggregate(CellId base, std::uint32_t count) {
-  const CellId super = hier_.super_of(base);
+void Fleet::fold_into_aggregate(CellId super, std::uint32_t terminals, std::uint32_t cells) {
   const auto it =
       std::lower_bound(aggregates_.begin(), aggregates_.end(), super,
                        [](const Aggregate& a, CellId key) { return a.super < key; });
   aggregates_stale_ = true;
   if (it != aggregates_.end() && it->super == super) {
-    it->terminals += count;
-    it->cells += 1;
+    it->terminals += terminals;
+    it->cells += cells;
   } else {
     const CellId key = super | HierarchicalGrid::kAggregateKeyBit;
-    Aggregate a{super, count, 1, cell_util_down_.slot(key), cell_util_up_.slot(key)};
+    Aggregate a{super, terminals, cells, cell_util_down_.slot(key), cell_util_up_.slot(key)};
     a.run_since = epochs_;
     aggregates_.insert(it, std::move(a));
   }
@@ -237,7 +249,7 @@ void Fleet::demote_cell(CellId id) {
   retired_.reallocations += s.reallocations;
   retired_.epoch += s.epoch;
   if (!it->terminals.empty()) {
-    fold_into_aggregate(id, static_cast<std::uint32_t>(it->terminals.size()));
+    fold_into_aggregate(hier_.super_of(id), static_cast<std::uint32_t>(it->terminals.size()), 1);
   }
   flush_runs(*it);
   cells_.erase(it);

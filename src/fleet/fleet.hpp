@@ -306,7 +306,9 @@ class Fleet final : public leo::CellShareModel {
   /// open runs are flushed.
   void demote_cell(CellId id);
   void make_cell(CellId id, const Placement::CellRange* range);
-  void fold_into_aggregate(CellId base, std::uint32_t count);
+  /// Adds `cells` base cells holding `terminals` to supercell `super`'s
+  /// aggregate, creating it if needed.
+  void fold_into_aggregate(CellId super, std::uint32_t terminals, std::uint32_t cells);
   void take_from_aggregate(CellId base, std::uint32_t count);
   /// Builds the cell-centre sky watcher for a cell that needs one.
   void ensure_scheduler(Cell& c);

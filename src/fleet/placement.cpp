@@ -1,10 +1,11 @@
 #include "fleet/placement.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
-#include <map>
+#include <functional>
+#include <limits>
 #include <numbers>
-#include <numeric>
 #include <utility>
 
 #include "fleet/demand.hpp"
@@ -30,11 +31,12 @@ constexpr std::uint64_t kPositionStream = 0x705Eull;
   return d - 180.0;
 }
 
-/// Adds one centre's Gaussian plume, normalized to `share`, into the
-/// per-cell mass map. Candidate cells are enumerated directly on the
-/// ring/bin lattice within 4 sigma of the centre.
+/// Appends one centre's Gaussian plume, normalized to `share`, to the
+/// density contributions. Candidate cells are enumerated directly on the
+/// ring/bin lattice within 4 sigma of the centre; a narrow ring can list a
+/// cell twice, and each listing is its own contribution.
 void add_urban_mass(const CellGrid& grid, const PopulationCenter& center, double share,
-                    double sigma_km, std::map<CellId, double>& mass) {
+                    double sigma_km, std::vector<Placement::CellMass>& mass) {
   if (share <= 0.0 || sigma_km <= 0.0) return;
   const double reach_km = 4.0 * sigma_km;
   const int r0 = grid.ring_of(center.location.lat_deg - reach_km / kKmPerDegLat);
@@ -42,10 +44,14 @@ void add_urban_mass(const CellGrid& grid, const PopulationCenter& center, double
   double lon0 = std::fmod(center.location.lon_deg, 360.0);
   if (lon0 < 0.0) lon0 += 360.0;
 
-  std::vector<std::pair<CellId, double>> plume;
+  const std::size_t plume = mass.size();
   for (int ring = r0; ring <= r1; ++ring) {
     const int bins = grid.bins_in_ring(ring);
     const double lat = -90.0 + (static_cast<double>(ring) + 0.5) * 180.0 / grid.rings();
+    // center_of's latitude, so one north offset serves the whole ring, and
+    // a ring whose offset alone exceeds the reach lists no cell.
+    const double north_km = (lat - center.location.lat_deg) * kKmPerDegLat;
+    if (north_km * north_km > reach_km * reach_km) continue;
     const double km_per_deg_lon =
         kKmPerDegLat * std::max(0.01, std::cos(leo::deg_to_rad(lat)));
     const double bin_km = km_per_deg_lon * 360.0 / bins;
@@ -54,30 +60,29 @@ void add_urban_mass(const CellGrid& grid, const PopulationCenter& center, double
     for (int db = -span; db <= span; ++db) {
       const int bin = ((center_bin + db) % bins + bins) % bins;
       const CellId id = CellGrid::id_of(ring, bin);
-      const leo::GeoPoint cc = grid.center_of(id);
-      const double north_km = (cc.lat_deg - center.location.lat_deg) * kKmPerDegLat;
       const double east_km =
-          wrap_deg180(cc.lon_deg - center.location.lon_deg) * km_per_deg_lon;
+          wrap_deg180(grid.center_of(id).lon_deg - center.location.lon_deg) * km_per_deg_lon;
       const double d2 = north_km * north_km + east_km * east_km;
       if (d2 > reach_km * reach_km) continue;
-      plume.emplace_back(id, std::exp(-d2 / (2.0 * sigma_km * sigma_km)));
+      mass.push_back({id, std::exp(-d2 / (2.0 * sigma_km * sigma_km))});
     }
   }
   double total = 0.0;
-  for (const auto& [id, g] : plume) total += g;
+  for (std::size_t i = plume; i < mass.size(); ++i) total += mass[i].mass;
   if (total <= 0.0) {
-    mass[grid.cell_of(center.location)] += share;
+    mass.resize(plume);
+    mass.push_back({grid.cell_of(center.location), share});
     return;
   }
-  for (const auto& [id, g] : plume) mass[id] += share * g / total;
+  for (std::size_t i = plume; i < mass.size(); ++i) mass[i].mass = share * mass[i].mass / total;
 }
 
-/// Spreads `share` uniformly over the cells whose centre lies in the rural
-/// bounding box (cells are near-equal-area, so per-cell uniform is per-area
-/// uniform to first order).
-void add_rural_mass(const CellGrid& grid, const Placement::Config& cfg, double share,
-                    std::map<CellId, double>& mass) {
-  if (share <= 0.0 || cfg.lat_max <= cfg.lat_min || cfg.lon_max <= cfg.lon_min) return;
+/// The cells whose centre lies in the rural bounding box, in ascending id
+/// order; the rural share spreads uniformly over them (cells are
+/// near-equal-area, so per-cell uniform is per-area uniform to first order).
+std::vector<CellId> rural_cells(const CellGrid& grid, const Placement::Config& cfg) {
+  std::vector<CellId> box;
+  if (cfg.lat_max <= cfg.lat_min || cfg.lon_max <= cfg.lon_min) return box;
   const int r0 = grid.ring_of(cfg.lat_min);
   const int r1 = grid.ring_of(cfg.lat_max);
   // A bin's centre lies at (bin + 0.5) * 360 / bins in the grid's [0, 360)
@@ -88,7 +93,6 @@ void add_rural_mass(const CellGrid& grid, const Placement::Config& cfg, double s
   const double east_hi = std::min(cfg.lon_max, 180.0);
   const double west_lo = std::max(cfg.lon_min + 360.0, 180.0);
   const double west_hi = std::min(cfg.lon_max + 360.0, 360.0);
-  std::vector<CellId> box;
   for (int ring = r0; ring <= r1; ++ring) {
     const int bins = grid.bins_in_ring(ring);
     const auto first_bin = [bins](double lon) {
@@ -112,9 +116,71 @@ void add_rural_mass(const CellGrid& grid, const Placement::Config& cfg, double s
     visit(east_lo, east_hi);
     visit(west_lo, west_hi);
   }
-  if (box.empty()) return;
-  const double per_cell = share / static_cast<double>(box.size());
-  for (const CellId id : box) mass[id] += per_cell;
+  return box;
+}
+
+/// Sums every cell's contributions: the urban ones in the order they were
+/// appended, then the rural one, starting from 0.0, so each cell's mass is
+/// the same double an id-keyed accumulator (mass[id] += ...) would hold.
+/// The id-ordered `box` cells share `rural_share` evenly. A listed cell
+/// stays even when its mass is 0.
+std::vector<Placement::CellMass> fold_by_cell(std::vector<Placement::CellMass> urban,
+                                              std::vector<CellId> box, double rural_share) {
+  const double per_cell = box.empty() ? 0.0 : rural_share / static_cast<double>(box.size());
+  std::stable_sort(urban.begin(), urban.end(),
+                   [](const Placement::CellMass& a, const Placement::CellMass& b) {
+                     return a.cell < b.cell;
+                   });
+  std::vector<Placement::CellMass> mass;
+  mass.reserve(urban.size() + box.size());
+  std::size_t u = 0;
+  std::size_t r = 0;
+  while (u < urban.size() || r < box.size()) {
+    const CellId id = r == box.size()     ? urban[u].cell
+                      : u == urban.size() ? box[r]
+                                          : std::min(urban[u].cell, box[r]);
+    double m = 0.0;
+    for (; u < urban.size() && urban[u].cell == id; ++u) m += urban[u].mass;
+    if (r < box.size() && box[r] == id) {
+      m += per_cell;
+      ++r;
+    }
+    mass.push_back({id, m});
+  }
+  return mass;
+}
+
+/// apportion()'s hand-out cut: every fraction above `t` gets a terminal,
+/// and so do the first `ties` fractions equal to it.
+struct Threshold {
+  double t = std::numeric_limits<double>::infinity();
+  std::uint64_t ties = 0;
+};
+
+/// The k-th largest of the `fracs` masses (1 <= k <= size, every value in
+/// [0, 1)) as a Threshold for the top k. A histogram on the leading bits
+/// finds the bucket holding it, and only that bucket's values are ordered,
+/// which is cheaper than one nth_element over every fraction (EXPERIMENTS.md).
+Threshold kth_largest_fraction(const std::vector<Placement::CellMass>& fracs,
+                               std::uint64_t k) {
+  constexpr std::size_t kBuckets = 4096;
+  const auto bucket = [](double f) { return static_cast<std::size_t>(f * kBuckets); };
+  std::array<std::uint32_t, kBuckets> count{};
+  for (const Placement::CellMass& c : fracs) ++count[bucket(c.mass)];
+  std::size_t b = kBuckets - 1;
+  for (; count[b] < k; --b) k -= count[b];  // k becomes the rank inside b
+  std::vector<double> in_bucket;
+  in_bucket.reserve(count[b]);
+  for (const Placement::CellMass& c : fracs) {
+    if (bucket(c.mass) == b) in_bucket.push_back(c.mass);
+  }
+  const auto kth = in_bucket.begin() + static_cast<std::ptrdiff_t>(k - 1);
+  std::nth_element(in_bucket.begin(), kth, in_bucket.end(), std::greater<>{});
+  // Every value above t is among the first k of the order, so the rest of
+  // those k are handed out at t.
+  const double t = *kth;
+  const auto above = std::count_if(in_bucket.begin(), kth, [t](double f) { return f > t; });
+  return {t, k - static_cast<std::uint64_t>(above)};
 }
 
 }  // namespace
@@ -184,79 +250,77 @@ Placement Placement::generate(const Config& config, Rng rng) {
   const double urban_share =
       total_weight > 0.0 ? std::clamp(config.urban_fraction, 0.0, 1.0) : 0.0;
 
-  // Density mass per candidate cell (std::map: cell-id ordered from the
-  // start, so every later step is deterministic by construction).
-  std::map<CellId, double> mass;
+  // Density mass per candidate cell, summed into one cell-id ordered
+  // sequence, so every later step is deterministic by construction.
+  std::vector<CellMass> urban;
   for (const auto& c : centers) {
     const double w = std::max(0.0, c.weight);
     if (w <= 0.0) continue;
     add_urban_mass(placement.grid_, c, urban_share * w / total_weight,
-                   config.urban_sigma_km, mass);
+                   config.urban_sigma_km, urban);
   }
-  add_rural_mass(placement.grid_, config, 1.0 - urban_share, mass);
+  const double rural_share = 1.0 - urban_share;
+  std::vector<CellMass> mass =
+      fold_by_cell(std::move(urban),
+                   rural_share > 0.0 ? rural_cells(placement.grid_, config) : std::vector<CellId>{},
+                   rural_share);
   if (mass.empty()) {
     // Degenerate box/centres: pile everything into the box-centre cell.
     const leo::GeoPoint mid{(config.lat_min + config.lat_max) / 2.0,
                             (config.lon_min + config.lon_max) / 2.0, 0.0};
-    mass[placement.grid_.cell_of(mid)] = 1.0;
+    mass.push_back({placement.grid_.cell_of(mid), 1.0});
   }
 
   // Per-cell realization noise: the expected density above is smooth, the
   // jitter makes each seed a distinct draw from it (as the old one-draw-per-
   // terminal sampler was) without spending per-terminal randomness.
   const std::uint64_t jitter_seed = mix64(placement.stream_seed_, kJitterStream);
-  for (auto& [id, m] : mass) m *= 0.5 + mix_uniform(jitter_seed, id);
+  for (CellMass& c : mass) c.mass *= 0.5 + mix_uniform(jitter_seed, c.cell);
 
-  placement.cells_ = apportion(mass, static_cast<std::uint32_t>(want));
+  placement.cells_ = apportion(std::move(mass), static_cast<std::uint32_t>(want));
   placement.total_ = placement.cells_.back().first + placement.cells_.back().count;
   return placement;
 }
 
-std::vector<Placement::CellRange> Placement::apportion(const std::map<CellId, double>& mass,
+std::vector<Placement::CellRange> Placement::apportion(std::vector<CellMass> mass,
                                                        std::uint32_t terminals) {
   double total_mass = 0.0;
-  for (const auto& [id, m] : mass) total_mass += m;
+  for (const CellMass& c : mass) total_mass += c.mass;
 
-  struct Slot {
-    CellId id = 0;
-    std::uint32_t count = 0;
-    double frac = 0.0;
-  };
-  std::vector<Slot> slots;
-  slots.reserve(mass.size());
+  // Every cell's floored quota, in place of its eventual range; the
+  // fractional parts wait in place of the masses for the leftover.
+  std::vector<CellRange> ranges(mass.size());
   std::uint64_t assigned = 0;
-  for (const auto& [id, m] : mass) {
-    const double quota = static_cast<double>(terminals) * m / total_mass;
+  for (std::size_t i = 0; i < mass.size(); ++i) {
+    const double quota = static_cast<double>(terminals) * mass[i].mass / total_mass;
     const double fl = std::floor(quota);
-    slots.push_back({id, static_cast<std::uint32_t>(fl), quota - fl});
+    ranges[i] = {mass[i].cell, 0, static_cast<std::uint32_t>(fl)};
+    mass[i].mass = quota - fl;
     assigned += static_cast<std::uint64_t>(fl);
   }
-  // The leftover goes one terminal each to the first `leftover` slots in
-  // (fraction desc, id asc) order, round again only if it exceeds the slot
-  // count. A single round needs just the set of those slots, not their
-  // order, so select it with nth_element; only a wrapping hand-out sorts.
-  std::uint64_t leftover = terminals - assigned;
-  std::vector<std::uint32_t> order(slots.size());
-  std::iota(order.begin(), order.end(), 0u);
-  const auto by_remainder = [&slots](std::uint32_t a, std::uint32_t b) {
-    if (slots[a].frac != slots[b].frac) return slots[a].frac > slots[b].frac;
-    return slots[a].id < slots[b].id;
-  };
-  const auto top = order.begin() + static_cast<std::ptrdiff_t>(
-                                        std::min<std::uint64_t>(leftover, order.size()));
-  std::nth_element(order.begin(), top, order.end(), by_remainder);
-  if (leftover > order.size()) std::sort(order.begin(), order.end(), by_remainder);
-  for (std::size_t i = 0; leftover > 0; i = (i + 1) % order.size(), --leftover) {
-    ++slots[order[i]].count;
-  }
+  // The leftover goes one terminal each round the cells in (fraction desc,
+  // id asc) order: `rounds` whole rounds, then one more to the first
+  // `extra`. Those are the cells whose fraction exceeds the extra-th
+  // largest, t, then the lowest-id cells whose fraction equals it; the
+  // cells are id-ordered, so one selection of t replaces a sort.
+  const std::uint64_t leftover = terminals - assigned;
+  const auto rounds = static_cast<std::uint32_t>(leftover / mass.size());
+  const std::uint64_t extra = leftover % mass.size();
+  Threshold cut;
+  if (extra > 0) cut = kth_largest_fraction(mass, extra);
 
-  std::vector<CellRange> ranges;
+  std::size_t kept = 0;
   TerminalId next = 0;
-  for (const Slot& s : slots) {
-    if (s.count == 0) continue;
-    ranges.push_back({s.id, next, s.count});
-    next += s.count;
+  for (std::size_t i = 0; i < ranges.size(); ++i) {
+    const double frac = mass[i].mass;
+    const bool tie = cut.ties > 0 && frac == cut.t;
+    cut.ties -= tie ? 1 : 0;
+    const std::uint32_t count = ranges[i].count + rounds + (tie || frac > cut.t ? 1 : 0);
+    if (count == 0) continue;
+    ranges[kept++] = {ranges[i].cell, next, count};
+    next += count;
   }
+  ranges.resize(kept);
   return ranges;
 }
 

@@ -10,6 +10,12 @@
 //     plumes of `urban_sigma_km` around the configured centres;
 //   * the rest fills the rural bounding box uniformly.
 //
+// generate() sums that density into one flat, cell-id ordered sequence of
+// per-cell masses (CellMass): the plumes' contributions sorted by cell,
+// then merged with the rural box, whose cells already come in id order.
+// Every step after it walks that sequence, so it is deterministic by
+// construction and pays per candidate cell, with no per-cell allocation.
+//
 // The representation is deliberately *lazy*: generate() apportions the N
 // terminals into per-cell counts (largest-remainder over the per-cell
 // density mass, jittered per seed), assigns each cell a contiguous id range
@@ -23,7 +29,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -91,13 +96,19 @@ class Placement {
   /// draws exactly one value from `rng` (the per-cell stream base).
   [[nodiscard]] static Placement generate(const Config& config, Rng rng);
 
+  /// One candidate cell's density mass.
+  struct CellMass {
+    CellId cell = 0;
+    double mass = 0.0;
+  };
+
   /// generate()'s largest-remainder step: floors every cell's quota of
   /// `terminals` (proportional to its mass), then hands the leftover
   /// terminals to the largest fractional parts (ties to the lower cell id),
   /// so the counts sum to exactly `terminals`. Returns the cells with a
   /// nonzero count as contiguous id ranges in cell-id order. `mass` must
-  /// be non-empty with a positive total.
-  [[nodiscard]] static std::vector<CellRange> apportion(const std::map<CellId, double>& mass,
+  /// be non-empty, strictly cell-id ascending, with a positive total.
+  [[nodiscard]] static std::vector<CellRange> apportion(std::vector<CellMass> mass,
                                                         std::uint32_t terminals);
 
   [[nodiscard]] const Config& config() const { return config_; }

@@ -80,8 +80,6 @@ std::optional<Route> lookup(std::string_view name) {
   return std::nullopt;
 }
 
-std::vector<std::string_view> names() { return {"highway", "rural"}; }
-
 }  // namespace routes
 
 }  // namespace slp::mobility

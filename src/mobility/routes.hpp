@@ -52,7 +52,6 @@ namespace routes {
 
 /// Looks a built-in route up by name; nullopt for unknown names.
 [[nodiscard]] std::optional<Route> lookup(std::string_view name);
-[[nodiscard]] std::vector<std::string_view> names();
 
 }  // namespace routes
 

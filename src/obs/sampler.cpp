@@ -65,14 +65,4 @@ std::vector<Series> Sampler::take() {
   return out;
 }
 
-stats::TimeBinner series_to_binner(const std::vector<Series>& all, const std::string& name,
-                                   Duration bin_width) {
-  stats::TimeBinner binner{bin_width};
-  for (const auto& series : all) {
-    if (series.name != name) continue;
-    for (const auto& p : series.points) binner.add(TimePoint::from_ns(p.t_ns), p.value);
-  }
-  return binner;
-}
-
 }  // namespace slp::obs

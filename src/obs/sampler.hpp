@@ -7,8 +7,7 @@
 // Sampling is pull-based on purpose — a self-rescheduling sample event would
 // keep the EventQueue non-empty forever and `run()` would never drain.
 //
-// Each series is a plain (t_ns, value) vector; `to_binner` converts to the
-// stats::TimeBinner used everywhere else for percentile reduction.
+// Each series is a plain (t_ns, value) vector.
 //
 // Series are bounded: when any probe reaches `max_points`, every series drops
 // every other retained point and the sampling stride doubles, so a campaign
@@ -22,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "stats/timeseries.hpp"
 #include "util/units.hpp"
 
 namespace slp::obs {
@@ -93,9 +91,5 @@ class Sampler {
   std::uint64_t next_id_ = 1;
   std::vector<Slot> slots_;
 };
-
-/// Pools one named series (across cells) into a TimeBinner for reduction.
-[[nodiscard]] stats::TimeBinner series_to_binner(const std::vector<Series>& all,
-                                                 const std::string& name, Duration bin_width);
 
 }  // namespace slp::obs

@@ -121,23 +121,4 @@ Samples KeyedSamples::means() const {
   return out;
 }
 
-std::vector<std::pair<double, double>> KeyedSamples::pooled_ecdf() const {
-  std::vector<std::pair<double, double>> out;
-  const std::uint64_t total = total_count();
-  if (total == 0 || edges_.empty()) return out;
-  std::vector<std::uint64_t> counts(edges_.size() + 1, 0);
-  for (const auto& [key, g] : groups_) {
-    for (std::size_t i = 0; i < counts.size() && i < g.counts.size(); ++i) {
-      counts[i] += g.counts[i];
-    }
-  }
-  out.reserve(edges_.size());
-  std::uint64_t below = 0;
-  for (std::size_t i = 0; i < edges_.size(); ++i) {
-    below += counts[i];
-    out.emplace_back(edges_[i], static_cast<double>(below) / static_cast<double>(total));
-  }
-  return out;
-}
-
 }  // namespace slp::stats

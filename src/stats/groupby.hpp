@@ -86,9 +86,6 @@ class KeyedSamples {
   /// terminals" view the fleet ECDFs plot.
   [[nodiscard]] Samples means() const;
 
-  /// Pooled ECDF evaluated at the bucket edges: (edge, P[X < edge]) pairs.
-  [[nodiscard]] std::vector<std::pair<double, double>> pooled_ecdf() const;
-
  private:
   /// `key`'s group, created empty (with zeroed counts) on first use.
   Group& group(std::uint64_t key);

@@ -1,7 +1,8 @@
 // fleet_test — the multi-terminal fleet subsystem (src/fleet/).
 //
 // Covers the four layers and their contracts: Placement (seed-derived,
-// deterministic, cell-grouped, its rural box equal to an every-bin walk),
+// deterministic, cell-grouped, its rural box equal to an every-bin walk,
+// its cells and supercell aggregates pinned by golden digests),
 // DemandModel (pure counter-based function of (seed, t)), CellArbiter
 // (weighted proportional-fair invariants: work conservation, weight
 // monotonicity, no starvation; epoch accounting; load-surge override
@@ -20,7 +21,6 @@
 #include <algorithm>
 #include <cmath>
 #include <iterator>
-#include <map>
 #include <memory>
 #include <numbers>
 #include <stdexcept>
@@ -138,7 +138,8 @@ TEST(Placement, MillionTerminalContinentStaysLazy) {
 TEST(Placement, ApportionmentMatchesFullSortReference) {
   // The largest-remainder reference: floor every quota, sort every cell by
   // (fraction desc, id asc), then hand out the leftover round that order.
-  const auto reference = [](const std::map<CellId, double>& mass, std::uint32_t terminals) {
+  using Mass = std::vector<Placement::CellMass>;
+  const auto reference = [](const Mass& mass, std::uint32_t terminals) {
     double total = 0.0;
     for (const auto& [id, m] : mass) total += m;
     std::vector<std::tuple<CellId, std::uint32_t, double>> cells;
@@ -170,19 +171,24 @@ TEST(Placement, ApportionmentMatchesFullSortReference) {
   };
 
   // Ties in the fractional parts (equal masses) and cells that get nothing
-  // but a leftover terminal, then a jittered mass like generate()'s.
-  std::map<CellId, double> even;
-  for (int bin = 0; bin < 7; ++bin) even[CellGrid::id_of(400, bin)] = 1.0;
-  std::map<CellId, double> jittered;
+  // but a leftover terminal, then a jittered mass like generate()'s, then
+  // listed cells with zero mass (generate() keeps a cell a plume lists even
+  // when its Gaussian weight underflows).
+  Mass even;
+  for (int bin = 0; bin < 7; ++bin) even.push_back({CellGrid::id_of(400, bin), 1.0});
+  Mass jittered;
   for (int ring = 300; ring < 320; ++ring) {
     for (int bin = 0; bin < 25; ++bin) {
       const CellId id = CellGrid::id_of(ring, bin);
-      jittered[id] = 0.5 + mix_uniform(99, id);
+      jittered.push_back({id, 0.5 + mix_uniform(99, id)});
     }
   }
+  Mass sparse = jittered;
+  for (std::size_t i = 0; i < sparse.size(); i += 3) sparse[i].mass = 0.0;
   for (const auto& [mass, terminals] :
        {std::pair{even, 3u}, std::pair{even, 17u}, std::pair{jittered, 1234u},
-        std::pair{jittered, 499u}, std::pair{jittered, 100'000u}}) {
+        std::pair{jittered, 499u}, std::pair{jittered, 100'000u}, std::pair{sparse, 333u},
+        std::pair{sparse, 1000u}}) {
     const auto want = reference(mass, terminals);
     const auto got = Placement::apportion(mass, terminals);
     ASSERT_EQ(got.size(), want.size()) << terminals << " terminals";
@@ -296,6 +302,97 @@ TEST(HierarchicalGrid, SupercellsCoverBaseCellsWithoutKeyCollisions) {
   EXPECT_GT(distinct_supers, 1u);
   EXPECT_LT(distinct_supers, p.cell_count())
       << "a factor-8 supercell should fold many base cells";
+}
+
+TEST(HierarchicalGrid, SuperOfEqualsCentreRoundTripOnEveryRing) {
+  // super_of against its definition, the coarse cell holding the base
+  // cell's centre, on every ring of each grid: the first and last bins, the
+  // bins either side of 180 degrees, and a stride through the rest.
+  for (const auto& [cell_km, factor] :
+       {std::pair{24.0, 8}, std::pair{24.0, 1}, std::pair{192.0, 4}, std::pair{5.0, 16},
+        std::pair{1.0, 3}}) {
+    const HierarchicalGrid h{cell_km, factor};
+    const CellGrid& base = h.base();
+    for (int ring = 0; ring < base.rings(); ++ring) {
+      const int bins = base.bins_in_ring(ring);
+      std::vector<int> picks{bins - 1, bins / 2 - 1, bins / 2, bins / 2 + 1};
+      for (int bin = 0; bin < bins; bin += std::max(1, bins / 64)) picks.push_back(bin);
+      for (const int bin : picks) {
+        if (bin < 0 || bin >= bins) continue;
+        const CellId id = CellGrid::id_of(ring, bin);
+        ASSERT_EQ(h.super_of(id), h.coarse().cell_of(base.center_of(id)))
+            << cell_km << " km x" << factor << ", " << CellGrid::to_string(id);
+      }
+    }
+  }
+}
+
+// ------------------------------------------------- construction digests
+
+/// Order-sensitive hash of what Fleet construction produces: every
+/// populated cell's (cell, first, count), then every supercell aggregate's
+/// (super, terminals, cells).
+std::pair<std::uint64_t, std::uint64_t> construction_digests(const Fleet& fleet) {
+  std::uint64_t cells = 0;
+  for (const Placement::CellRange& r : fleet.placement().cells()) {
+    cells = mix64(mix64(mix64(cells, r.cell), r.first), r.count);
+  }
+  std::uint64_t aggregates = 0;
+  for (const Fleet::Aggregate& a : fleet.aggregates()) {
+    aggregates = mix64(mix64(mix64(aggregates, a.super), a.terminals), a.cells);
+  }
+  return {cells, aggregates};
+}
+
+TEST(Fleet, ConstructionMatchesGoldenDigests) {
+  // Pinned digests: a change to which cells are populated, their id ranges
+  // or their supercell fold is a change of every fleet realization and
+  // must be deliberate.
+  Placement::Config no_centres;  // one zero-weight centre: rural fill only
+  no_centres.centers = {{"nowhere", {50.5, 4.5, 0.0}, 0.0}};
+  Placement::Config degenerate;  // empty box, no urban share: the mid cell
+  degenerate.urban_fraction = 0.0;
+  degenerate.lat_min = 51.0;
+  degenerate.lat_max = 50.0;
+  struct Row {
+    const char* name;
+    Placement::Config placement;
+    int size;
+    std::uint64_t seed;
+    std::uint64_t cells;
+    std::uint64_t aggregates;
+  };
+  const Row rows[] = {
+      {"default", {}, 5000, 1,
+       0x393fbf9c401818aeull, 0x5ad5c2f9dd6f9c22ull},
+      {"default", {}, 5000, 7937,
+       0x5e51563e8c8af2c1ull, 0x77ccd75ba5d27cc1ull},
+      {"continental", Placement::continental_europe(), 1'000'000, 1,
+       0xc7b98beeb3ba56fbull, 0xfb623bb181720130ull},
+      {"continental", Placement::continental_europe(), 1'000'000, 7937,
+       0xd89d71515abfdbfcull, 0x4c5f6c8513c72c25ull},
+      {"no-centres", no_centres, 3000, 1,
+       0x456a86edf8899ed4ull, 0x76b14c10670a2194ull},
+      {"no-centres", no_centres, 3000, 7937,
+       0xd5ad45c9cfd12e9eull, 0xb976f2b88d2ba128ull},
+      {"degenerate-box", degenerate, 200, 1,
+       0x302a23e0116cda01ull, 0x01470ea3916dcee4ull},
+      {"degenerate-box", degenerate, 200, 7937,
+       0x302a23e0116cda01ull, 0x01470ea3916dcee4ull},
+  };
+  for (const Row& row : rows) {
+    sim::Simulator sim{row.seed};
+    sim::Network net{sim};
+    leo::StarlinkAccess access{net, {}};
+    Fleet::Config config;
+    config.size = row.size;
+    config.placement = row.placement;
+    config.aggregate_idle = true;
+    const Fleet fleet{sim, access, config};
+    const auto [cells, aggregates] = construction_digests(fleet);
+    EXPECT_EQ(cells, row.cells) << row.name << " seed " << row.seed;
+    EXPECT_EQ(aggregates, row.aggregates) << row.name << " seed " << row.seed;
+  }
 }
 
 // ---------------------------------------------------------------- demand
