@@ -130,7 +130,7 @@ inline fleet::DemandModel::Config named_mix(const Flags& flags, std::string_view
 }
 
 /// Shared fleet flags, honoured by every figure bench that takes --fleet
-/// (fig1-fig8 except fig2b, and fleet_scale), all through this one parser
+/// (every figure bench, and fleet_scale), all through this one parser
 /// (EXPERIMENTS.md "Continental campaigns"). With only --fleet=N it yields
 /// Fleet::Config{} with size N, so such runs match a hand-set size:
 ///   --fleet=N             simulated neighbour terminals incl. the foreground
@@ -242,7 +242,7 @@ class Run {
 
   [[nodiscard]] const Flags& flags() const { return flags_; }
   /// The parsed common flags. Mutable so a main can override one before its
-  /// first sweep (fig2b forces provenance on; sweep_cli has its own
+  /// first sweep (fig2 forces provenance on; sweep_cli has its own
   /// --seeds/--jobs defaults).
   [[nodiscard]] CommonArgs& args() { return args_; }
 

@@ -23,9 +23,9 @@ int main(int argc, char** argv) {
                  "40 visits over the 120-site catalog (fig6)"});
   table.add_row({"", "SatCom", "2 weeks", "", "25 visits (fig6)"});
   table.add_row({"QUIC H3", "Starlink", "5 months", "campus server",
-                 "6 x 100MB down + 3 x 40MB up (fig3/4, table2)"});
+                 "6 x 100MB down + 3 x 40MB up (quic_transfers)"});
   table.add_row({"QUIC messages", "Starlink", "5 months", "campus server",
-                 "4-6 sessions x 2min x 25 msg/s (fig3/4, table2)"});
+                 "6 sessions x 2min x 25 msg/s (quic_transfers)"});
   std::printf("%s", table.str().c_str());
   std::printf("\nIncrease --scale to push any bench toward paper-scale sample"
               " counts; all campaigns are seeded and reproducible.\n");

@@ -7,7 +7,9 @@ reproduce the first one byte for byte:
 
   * stdout, after dropping the lines that match the row's `strip` regex
     (export echo lines that name per-run paths or worker counts);
-  * every exported file the row lists (metrics, trace, breakdown, flights);
+  * every exported file the row lists (metrics, trace, breakdown, flights),
+    except that against a --fast-forward=0 axis the metrics drop the lines
+    that exist to differ between the two modes (FAST_PATH_ONLY);
   * the first axis's metrics must name every counter in `counters`;
   * `check`, if given, runs further assertions on the first axis's exports.
 
@@ -71,8 +73,18 @@ TABLE = [
         files=METRICS_TRACE, check=check_json_loads),
     Row("fig2_scenario", "fig2_rtt_timeseries",
         ["--scale=0.2", "--seeds=2", f"--scenario={PLANE_FAILURE}"],
+        axes={**JOBS, "reference": ["--jobs=8", "--fast-forward=0"]},
         files=METRICS_TRACE, counters=["scenario.events_applied"],
         strip=r"^(metrics|trace) "),
+    # fig2 forces provenance on for its Figure 2b section: the latency
+    # decomposition and flight exports must not depend on jobs or fast-forward.
+    Row("provenance", "fig2_rtt_timeseries", ["--scale=0.2", "--seeds=2"],
+        axes={**JOBS, "reference": ["--jobs=8", "--fast-forward=0"]},
+        files={"breakdown": "breakdown.json", "flight": "flights.json"},
+        strip=r"^(breakdown|flights) ", check=check_breakdown),
+    Row("quic_transfers", "quic_transfers", ["--scale=0.1", "--seeds=2"],
+        axes={**JOBS, "reference": ["--jobs=8", "--fast-forward=0"]},
+        files=METRICS, counters=["campaign.sessions_launched"], strip=r"^(metrics|trace) "),
     # Fleet rows also diff the epoch shard count: flags are first-wins, so
     # --shards sits in every axis. The flat grid's many hot cells take the
     # sharded tick; continental aggregation leaves one hot cell, which steps
@@ -98,10 +110,6 @@ TABLE = [
     Row("mobility", "fig7_road_trip", ["--route=highway", "--fleet=20", "--seeds=2"],
         files=METRICS_TRACE, counters=["mobility.reroutes", "mobility.tunnels"],
         strip=r"^(metrics|trace) "),
-    Row("provenance", "fig2b_rtt_breakdown", ["--scale=0.2", "--seeds=2"],
-        axes={**JOBS, "reference": ["--jobs=8", "--fast-forward=0"]},
-        files={"breakdown": "breakdown.json", "flight": "flights.json"},
-        strip=r"^(breakdown|flights) ", check=check_breakdown),
     Row("app_qoe", "fig8_app_qoe", ["--sessions=1", "--duration=20s", "--seeds=2"],
         files=METRICS_TRACE,
         counters=["qoe.abr.segment", "qoe.vc.degraded_windows", "qoe.game.spikes"],
@@ -129,6 +137,21 @@ def stdout_lines(path: Path, strip: Optional[str]) -> list:
         return lines
     pattern = re.compile(strip)
     return [line for line in lines if not pattern.search(line)]
+
+
+# Metrics lines that exist to differ between --fast-forward modes: the event
+# count and the fast-path introspection (as tests/fast_forward_metrics.hpp).
+FAST_PATH_ONLY = re.compile(r"sim\.events_processed|sim\.ff\.|fast_path_active")
+
+
+def export_bytes(path: Path, reference: bool) -> bytes:
+    """The export's bytes; against a --fast-forward=0 axis, metrics lose the
+    FAST_PATH_ONLY lines."""
+    data = path.read_bytes()
+    if not reference or path.name != "metrics.json":
+        return data
+    return b"".join(line for line in data.splitlines(keepends=True)
+                    if not FAST_PATH_ONLY.search(line.decode()))
 
 
 def first_difference(a: list, b: list) -> str:
@@ -166,8 +189,9 @@ def run_row(row: Row, build_dir: Path, out_dir: Path) -> list:
         b = stdout_lines(other / "stdout.txt", row.strip)
         if a != b:
             failures.append(f"stdout {axes[0]} vs {axis}: {first_difference(a, b)}")
+        reference = "--fast-forward=0" in row.axes[axis]
         for name in row.files.values():
-            if (base / name).read_bytes() != (other / name).read_bytes():
+            if export_bytes(base / name, reference) != export_bytes(other / name, reference):
                 failures.append(f"{name} {axes[0]} vs {axis} differ")
     if row.counters:
         metrics = (base / "metrics.json").read_text()

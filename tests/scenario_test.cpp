@@ -7,6 +7,8 @@
 // byte-identical across --jobs and measurably different from clear sky).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
 #include <memory>
 #include <string>
 
@@ -374,26 +376,21 @@ TEST(ScenarioDeterminism, ScenarioLeavesWiredAccessUntouched) {
 }
 
 TEST(ScenarioDeterminism, ExampleScenarioFilesAllLoad) {
-  // Keep the shipped examples valid: parse + validate every one.
-  for (const char* name :
-       {"rain_front", "plane_failure", "pop_outage", "load_surge", "maintenance"}) {
-    const std::string path = std::string{"examples/scenarios/"} + name + ".scn";
-    SCOPED_TRACE(path);
-    try {
-      const Scenario s = Scenario::load(path);
-      EXPECT_EQ(s.name, std::string_view{name} == "rain_front"    ? "rain-front"
-                        : std::string_view{name} == "plane_failure" ? "plane-failure"
-                        : std::string_view{name} == "pop_outage"    ? "pop-outage"
-                        : std::string_view{name} == "load_surge"    ? "load-surge"
-                                                                    : "maintenance");
-      EXPECT_FALSE(s.empty());
-    } catch (const ScenarioError& e) {
-      // The test binary may run from a different working directory; only a
-      // *parse* failure is a bug, a missing file is an environment detail.
-      EXPECT_NE(std::string_view{e.what()}.find("cannot open"), std::string_view::npos)
-          << e.what();
-    }
+  // Keep the shipped examples valid: parse + validate every one. Each file
+  // names its scenario after its stem, with '-' for '_'.
+  const std::filesystem::path dir{SLP_SOURCE_DIR "/examples/scenarios"};
+  int loaded = 0;
+  for (const auto& entry : std::filesystem::directory_iterator{dir}) {
+    if (entry.path().extension() != ".scn") continue;
+    SCOPED_TRACE(entry.path().string());
+    const Scenario s = Scenario::load(entry.path().string());
+    std::string stem = entry.path().stem().string();
+    std::replace(stem.begin(), stem.end(), '_', '-');
+    EXPECT_EQ(s.name, stem);
+    EXPECT_FALSE(s.empty());
+    ++loaded;
   }
+  EXPECT_GT(loaded, 0) << "no .scn file in " << dir;
 }
 
 }  // namespace
