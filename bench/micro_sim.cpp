@@ -7,6 +7,7 @@
 #include <benchmark/benchmark.h>
 
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "fleet/cell_arbiter.hpp"
@@ -23,6 +24,7 @@
 #include "quic/quic.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/network.hpp"
+#include "stats/summary.hpp"
 #include "tcp/congestion.hpp"
 
 namespace {
@@ -331,6 +333,35 @@ void BM_ShardedArbiterEpoch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(fleet.cell_count()));
 }
 BENCHMARK(BM_ShardedArbiterEpoch)->Arg(1)->Arg(4);
+
+void BM_FleetRunFold(benchmark::State& state) {
+  // One epoch's run batch in the continental fleet's shape: hot-cell
+  // terminals whose allocation moved (runs of 1-64 epochs onto 500-sample
+  // histories whose mean is not the run's value, so every sample is a
+  // Welford step) and the supercell runs a reader flushes (2700 epochs onto
+  // empty groups: one add, then sums only). Each round folds the batch into
+  // fresh copies of the same summaries; ns_per_op is one batch.
+  constexpr std::size_t kTerminals = 24;
+  constexpr std::size_t kSupercells = 8;
+  Rng rng{11};
+  std::vector<stats::StreamingSummary> base(kTerminals + kSupercells);
+  std::vector<std::pair<double, std::uint64_t>> runs;
+  for (std::size_t i = 0; i < kTerminals; ++i) {
+    for (int j = 0; j < 500; ++j) base[i].add(rng.uniform(1.0, 40.0));
+    runs.emplace_back(rng.uniform(1.0, 40.0), static_cast<std::uint64_t>(rng.uniform_int(1, 64)));
+  }
+  for (std::size_t i = 0; i < kSupercells; ++i) runs.emplace_back(rng.uniform(0.1, 0.9), 2700);
+  std::vector<stats::StreamingSummary> work;
+  stats::RunBatch batch;
+  for (auto _ : state) {
+    work = base;
+    for (std::size_t i = 0; i < runs.size(); ++i) batch.stage(work[i], runs[i].first, runs[i].second);
+    batch.fold();
+    benchmark::DoNotOptimize(work.data());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_FleetRunFold);
 
 void BM_TrajectoryPositionAt(benchmark::State& state) {
   // Closed-form O(1) state lookup on the highway route — this is the per-tick

@@ -126,13 +126,13 @@ void CellArbiter::recompute_direction(int direction, TimePoint t) {
     total_weight += m.weight;
   }
   // Deterministic total order: ascending key, ties by terminal id.
-  sort_fill_order();
+  sort_fill_order(fill_buf_, fill_tmp_);
 
   double remaining = budget;
   double weight_left = total_weight;
   std::size_t cursor = 0;
   for (; cursor < fill_buf_.size(); ++cursor) {
-    const Entry& e = fill_buf_[cursor];
+    const FillEntry& e = fill_buf_[cursor];
     Member& m = members_[e.member];
     const double fair = weight_left > 0.0 ? remaining / weight_left : 0.0;
     if (e.normalized <= fair) {
@@ -144,12 +144,12 @@ void CellArbiter::recompute_direction(int direction, TimePoint t) {
     }
   }
   for (std::size_t i = cursor; i < fill_buf_.size(); ++i) {
-    const Entry& e = fill_buf_[i];
+    const FillEntry& e = fill_buf_[i];
     members_[e.member].alloc_bps[direction] =
         weight_left > 0.0 ? e.weight * remaining / weight_left : 0.0;
   }
   double background_total = 0.0;
-  for (const Entry& e : fill_buf_) background_total += members_[e.member].alloc_bps[direction];
+  for (const FillEntry& e : fill_buf_) background_total += members_[e.member].alloc_bps[direction];
 
   double util = std::clamp(background_total / nominal, load.floor, load.ceiling);
   // Load-surge override: a scripted surge is *extra* load on top of the
@@ -171,33 +171,70 @@ void CellArbiter::recompute_direction(int direction, TimePoint t) {
   }
 }
 
-void CellArbiter::sort_fill_order() {
-  // LSD radix sort on the keys' bit patterns. No key is negative (demand
-  // > 0 over weight > 0), so their IEEE-754 bits order as the numbers do.
-  // Every counting pass is stable, so equal keys keep the member order the
-  // buffer was filled in, which is id order. A pass whose byte is the same
-  // in every key would only copy, so it is skipped.
-  const std::size_t n = fill_buf_.size();
-  if (n < 2) return;
-  const auto bits = [](const Entry& e) { return std::bit_cast<std::uint64_t>(e.normalized); };
-  // All eight histograms fill in one read of the keys: their increments are
-  // independent, so they overlap where eight per-pass loops would stall on
-  // repeated buckets (about 1.8x faster on the continental fleet's keys).
-  std::array<std::array<std::uint32_t, 256>, 8> counts{};
-  for (const Entry& e : fill_buf_) {
-    const std::uint64_t key = bits(e);
-    for (std::size_t b = 0; b < 8; ++b) ++counts[b][(key >> (8 * b)) & 0xFF];
+namespace {
+
+/// Entries the insertion pass may move, per entry, before the full radix
+/// takes over. On the continental fleet's demands the pass moves under
+/// 0.01 entries per entry.
+constexpr std::size_t kInsertionBudget = 4;
+
+std::uint64_t key_bits(const CellArbiter::FillEntry& e) {
+  return std::bit_cast<std::uint64_t>(e.normalized);
+}
+
+/// Stable counting passes over key bytes [First, Last), least significant
+/// first. A pass whose byte is the same in every key would only copy, so it
+/// is skipped.
+template <std::size_t First, std::size_t Last>
+void radix_passes(std::vector<CellArbiter::FillEntry>& buf,
+                  std::vector<CellArbiter::FillEntry>& tmp) {
+  const std::size_t n = buf.size();
+  // Every histogram fills in one read of the keys: their increments are
+  // independent, so they overlap where per-pass loops would stall on
+  // repeated buckets.
+  std::array<std::array<std::uint32_t, 256>, Last - First> counts{};
+  for (const CellArbiter::FillEntry& e : buf) {
+    const std::uint64_t key = key_bits(e);
+    for (std::size_t b = First; b < Last; ++b) ++counts[b - First][(key >> (8 * b)) & 0xFF];
   }
-  fill_tmp_.resize(n);
-  for (std::size_t b = 0; b < 8; ++b) {
-    std::array<std::uint32_t, 256>& offset = counts[b];
+  tmp.resize(n);
+  for (std::size_t b = First; b < Last; ++b) {
+    std::array<std::uint32_t, 256>& offset = counts[b - First];
     const int shift = static_cast<int>(8 * b);
-    if (offset[(bits(fill_buf_[0]) >> shift) & 0xFF] == n) continue;
+    if (offset[(key_bits(buf[0]) >> shift) & 0xFF] == n) continue;
     std::uint32_t sum = 0;
     for (std::uint32_t& c : offset) sum += std::exchange(c, sum);
-    for (const Entry& e : fill_buf_) fill_tmp_[offset[(bits(e) >> shift) & 0xFF]++] = e;
-    fill_buf_.swap(fill_tmp_);
+    for (const CellArbiter::FillEntry& e : buf) tmp[offset[(key_bits(e) >> shift) & 0xFF]++] = e;
+    buf.swap(tmp);
   }
+}
+
+}  // namespace
+
+bool CellArbiter::sort_fill_order(std::vector<FillEntry>& entries, std::vector<FillEntry>& tmp) {
+  const std::size_t n = entries.size();
+  if (n < 2) return true;
+  // Bits 40-63: sign, exponent and the top 12 mantissa bits.
+  radix_passes<5, 8>(entries, tmp);
+  // Each insertion only moves an entry past strictly greater keys, so the
+  // pass is stable, and equal keys still hold their input order here.
+  const std::size_t budget = kInsertionBudget * n;
+  std::size_t moved = 0;
+  for (std::size_t i = 1; i < n; ++i) {
+    const FillEntry e = entries[i];
+    const std::uint64_t key = key_bits(e);
+    std::size_t j = i;
+    for (; j > 0 && key_bits(entries[j - 1]) > key; --j) entries[j] = entries[j - 1];
+    entries[j] = e;
+    moved += i - j;
+    if (moved > budget) {
+      // Equal keys are still in input order, so a stable sort of the
+      // current order is the stable sort of the input.
+      radix_passes<0, 8>(entries, tmp);
+      return false;
+    }
+  }
+  return true;
 }
 
 void CellArbiter::reallocate(TimePoint t) {

@@ -133,6 +133,22 @@ class CellArbiter {
   [[nodiscard]] const Stats& stats() const { return stats_; }
   [[nodiscard]] const Config& config() const { return config_; }
 
+  /// One active background member in the water-filling order.
+  struct FillEntry {
+    std::size_t member = 0;
+    double weight = 1.0;
+    double normalized = 0.0;  ///< demand / weight (sort key, never negative)
+  };
+  /// Stable ascending sort of `entries` by `normalized`: equal keys keep
+  /// their input order. No key is negative, so the keys' IEEE-754 bits order
+  /// as the numbers do. A stable LSD radix on the top three bytes of those
+  /// bits groups the keys by prefix; a stable insertion pass on the whole
+  /// key then orders each group, which is short on real demands. Should the
+  /// pass move more than 4n entries, a full radix over every byte finishes
+  /// the sort instead, so the worst case stays O(n). `tmp` is scratch.
+  /// Returns false when that fallback ran.
+  static bool sort_fill_order(std::vector<FillEntry>& entries, std::vector<FillEntry>& tmp);
+
  private:
   struct Member {
     TerminalId id = 0;
@@ -156,9 +172,6 @@ class CellArbiter {
   /// mark_epoch() for a change to an input of the water-filling.
   void mark_inputs_changed();
   void recompute_direction(int direction, TimePoint t);
-  /// Stable ascending sort of fill_buf_ by `normalized`: equal keys keep
-  /// member (= id) order.
-  void sort_fill_order();
 
   Config config_;
   phy::LoadProcess ambient_down_;
@@ -173,13 +186,8 @@ class CellArbiter {
 
   // Water-filling scratch, reused across epochs so reallocation does not
   // allocate in steady state.
-  struct Entry {
-    std::size_t member = 0;
-    double weight = 1.0;
-    double normalized = 0.0;  ///< demand / weight (sort key, never negative)
-  };
-  std::vector<Entry> fill_buf_;
-  std::vector<Entry> fill_tmp_;  ///< radix sort's second buffer
+  std::vector<FillEntry> fill_buf_;
+  std::vector<FillEntry> fill_tmp_;  ///< radix sort's second buffer
 };
 
 }  // namespace slp::fleet

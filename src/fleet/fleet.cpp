@@ -221,6 +221,7 @@ void Fleet::take_from_aggregate(CellId base, std::uint32_t count) {
   if (it->cells > 0) it->cells -= 1;
   if (it->cells == 0 && it->terminals == 0) {
     flush_run(*it);
+    runs_.fold();
     aggregates_.erase(it);
   }
 }
@@ -252,6 +253,7 @@ void Fleet::demote_cell(CellId id) {
     fold_into_aggregate(hier_.super_of(id), static_cast<std::uint32_t>(it->terminals.size()), 1);
   }
   flush_runs(*it);
+  runs_.fold();
   cells_.erase(it);
   obs_demotions_.add();
 }
@@ -455,20 +457,22 @@ void Fleet::step_cell(Cell& c, TimePoint now, CellTick& out) const {
 void Fleet::fold_cell(Cell& c, const CellTick& t) {
   c.util_down.add(t.util_down);
   c.util_up.add(t.util_up);
-  for (const RunFold& r : t.runs) c.terminals[r.terminal].down_mbps.add(r.mbps, r.epochs);
+  for (const RunFold& r : t.runs) {
+    c.terminals[r.terminal].down_mbps.stage(runs_, r.mbps, r.epochs);
+  }
 }
 
-void Fleet::flush_runs(Cell& c) const {
+void Fleet::flush_runs(Cell& c) {
   for (Terminal& t : c.terminals) {
     if (!t.active) continue;
-    t.down_mbps.add(t.run_mbps, epochs_ - t.run_since);
+    t.down_mbps.stage(runs_, t.run_mbps, epochs_ - t.run_since);
     t.run_since = epochs_;
   }
 }
 
-void Fleet::flush_run(Aggregate& a) const {
-  a.util_down.add(a.run_down, epochs_ - a.run_since);
-  a.util_up.add(a.run_up, epochs_ - a.run_since);
+void Fleet::flush_run(Aggregate& a) {
+  a.util_down.stage(runs_, a.run_down, epochs_ - a.run_since);
+  a.util_up.stage(runs_, a.run_up, epochs_ - a.run_since);
   a.run_since = epochs_;
 }
 
@@ -497,11 +501,13 @@ void Fleet::refresh_aggregates(TimePoint now) {
 
 const stats::KeyedSamples& Fleet::cell_util(int direction) {
   for (Aggregate& a : aggregates_) flush_run(a);
+  runs_.fold();
   return direction == CellArbiter::kUp ? cell_util_up_ : cell_util_down_;
 }
 
 const stats::KeyedSamples& Fleet::terminal_down_mbps() {
   for (Cell& c : cells_) flush_runs(c);
+  runs_.fold();
   return terminal_down_mbps_;
 }
 
@@ -510,7 +516,7 @@ void Fleet::tick() {
   const TimePoint now = sim_->now();
   const std::size_t n = cells_.size();
   if (config_.shards == 1 || n <= 1) {
-    // Serial reference loop: step + fold per cell, in cell-id order.
+    // Serial reference loop: step + stage per cell, in cell-id order.
     CellTick scratch;
     for (Cell& c : cells_) {
       step_cell(c, now, scratch);
@@ -536,6 +542,9 @@ void Fleet::tick() {
   // Aggregated supercells: one O(1) analytic term each, keyed with the
   // aggregate bit so they never collide with base-cell keys.
   refresh_aggregates(now);
+  // Every run this epoch closed, hot terminals' and supercells' alike, in
+  // one batch: each touches its own group, so their folds interleave.
+  runs_.fold();
   foreground_down_mbps_.add(access_->downlink_capacity(now).bits_per_second() / 1e6);
   foreground_up_mbps_.add(access_->uplink_capacity(now).bits_per_second() / 1e6);
   ++epochs_;

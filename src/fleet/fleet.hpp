@@ -27,14 +27,19 @@
 //
 // Per-epoch sample streams are runs. A background terminal's down_mbps and
 // a supercell's analytic utilization are piecewise constant, so each is
-// kept as an open run (value, first epoch) and folded into its KeyedSamples
-// group — KeyedSamples::Slot::add(x, k), bit-identical to k adds — only when
-// the value changes, the terminal goes idle, the aggregate or its cell is
-// retired, or someone reads the distribution: cell_util() and
-// terminal_down_mbps() flush every open run before they return, so a reader
-// never sees a stale sample. Runs compare values bitwise, and only serial
-// code flushes them (sharded workers stage the folds; no worker creates a
-// group). Hot cells' own utilization is still added every epoch.
+// kept as an open run (value, first epoch) and closed only when the value
+// changes, the terminal goes idle, the aggregate or its cell is retired, or
+// someone reads the distribution: cell_util() and terminal_down_mbps()
+// flush every open run before they return, so a reader never sees a stale
+// sample. A closed run is staged into one stats::RunBatch
+// (KeyedSamples::Slot::stage) and the batch folds once: every run an epoch
+// closes, in every cell and supercell, at the end of tick(), and every run
+// a reader or a retirement flushes before that call returns. The runs touch
+// distinct groups, so the batch steps several in lockstep and each group
+// ends bit-identical to one add per epoch. Runs compare values bitwise, and
+// only serial code stages them (sharded workers record the closed runs; no
+// worker creates a group). Hot cells' own utilization is still added every
+// epoch.
 //
 // Continental scale adds two more levers on top (both off by default):
 //
@@ -283,11 +288,13 @@ class Fleet final : public leo::CellShareModel {
   /// the access's scheduler for the foreground cell), so disjoint cells may
   /// step concurrently.
   void step_cell(Cell& c, TimePoint now, CellTick& out) const;
-  /// Folds one staged epoch into the keyed distributions (sim thread only).
-  static void fold_cell(Cell& c, const CellTick& t);
-  /// Folds the open runs' epochs so far into their groups (sim thread only).
-  void flush_runs(Cell& c) const;
-  void flush_run(Aggregate& a) const;
+  /// Adds one cell's epoch utilization and stages its closed runs into
+  /// runs_ (sim thread only).
+  void fold_cell(Cell& c, const CellTick& t);
+  /// Stages the open runs' epochs so far into runs_ (sim thread only); the
+  /// caller folds the batch.
+  void flush_runs(Cell& c);
+  void flush_run(Aggregate& a);
   /// Re-evaluates the supercells' analytic terms when one of their inputs
   /// moved, closing every run whose value changed.
   void refresh_aggregates(TimePoint now);
@@ -339,6 +346,9 @@ class Fleet final : public leo::CellShareModel {
   /// Lazily created on the first sharded tick; null while shards == 1.
   std::unique_ptr<runner::Pool> pool_;
   std::vector<CellTick> tick_scratch_;
+  /// Closed runs awaiting their fold: every stage is folded before the
+  /// staging call (tick, a reader, a retirement) returns.
+  stats::RunBatch runs_;
 
   stats::KeyedSamples cell_util_down_;
   stats::KeyedSamples cell_util_up_;

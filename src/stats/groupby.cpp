@@ -30,11 +30,11 @@ void KeyedSamples::Slot::add(double x) {
   owner_->add_to(*group_, x);
 }
 
-void KeyedSamples::Slot::add(double x, std::uint64_t k) {
+void KeyedSamples::Slot::stage(RunBatch& batch, double x, std::uint64_t k) {
   if (k == 0) return;
   if (group_ == nullptr) group_ = &owner_->group(key_);
-  group_->summary.add_repeated(x, k);
   group_->counts[owner_->bucket_of(x)] += k;
+  batch.stage(group_->summary, x, k);
 }
 
 void KeyedSamples::merge(const KeyedSamples& other) {

@@ -52,8 +52,11 @@ class KeyedSamples {
     Slot() = default;
     Slot(KeyedSamples& owner, std::uint64_t key) : owner_{&owner}, key_{key} {}
     void add(double x);
-    /// Bit-identical to `k` calls of add(x); k == 0 creates no group.
-    void add(double x, std::uint64_t k);
+    /// Stages `k` samples of `x`: the bucket count moves now, the summary
+    /// when `batch` folds (RunBatch::fold), after which the group equals `k`
+    /// calls of add(x) bit for bit. k == 0 creates no group. A slot is
+    /// staged at most once per fold.
+    void stage(RunBatch& batch, double x, std::uint64_t k);
 
    private:
     KeyedSamples* owner_ = nullptr;

@@ -1,8 +1,10 @@
 // summary.hpp — streaming moment statistics (Welford's algorithm).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <vector>
 
 namespace slp::stats {
 
@@ -21,14 +23,6 @@ class StreamingSummary {
     if (x < min_) min_ = x;
     if (x > max_) max_ = x;
   }
-
-  /// Exactly what `k` calls of add(x) leave behind, bit for bit (up to the
-  /// sign and payload of a NaN result, which the compiler may vary between
-  /// call sites of add() itself). Once the mean has settled on a finite
-  /// non-zero x, each further add(x) only bumps the count and the sum (delta
-  /// is +0.0), so a run of one repeated value costs one addition per sample
-  /// instead of a Welford step.
-  void add_repeated(double x, std::uint64_t k);
 
   void merge(const StreamingSummary& other) {
     if (other.count_ == 0) return;
@@ -53,6 +47,8 @@ class StreamingSummary {
   [[nodiscard]] double sum() const { return sum_; }
   [[nodiscard]] double min() const { return min_; }
   [[nodiscard]] double max() const { return max_; }
+  /// Sum of squared deviations from the mean (Welford's M2).
+  [[nodiscard]] double m2() const { return m2_; }
 
   /// Population variance; 0 for fewer than 2 samples.
   [[nodiscard]] double variance() const {
@@ -65,12 +61,58 @@ class StreamingSummary {
   [[nodiscard]] double stddev() const;
 
  private:
+  friend class RunBatch;
+
   std::uint64_t count_ = 0;
   double mean_ = 0.0;
   double m2_ = 0.0;
   double sum_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
+};
+
+/// Runs of one repeated value, folded into their summaries together.
+///
+/// stage(s, x, k) queues `k` samples of `x` for `s`; fold() then leaves
+/// every staged summary exactly as `k` calls of s.add(x) would, bit for bit
+/// (up to the sign and payload of a NaN result, which the compiler may vary
+/// between call sites of add() itself). A one-run batch is that loop of adds.
+///
+/// The summaries of one batch must be distinct, so their runs are
+/// independent dependency chains: fold() steps kLanes of them in lockstep,
+/// each step doing add()'s arithmetic in add()'s order, and the CPU overlaps
+/// the lanes' divisions instead of waiting on one run's. Once a summary's
+/// mean has settled on a finite non-zero x, each further add(x) only bumps
+/// the count and the sum: delta is +0.0, so mean_ keeps its bits and m2_
+/// gains +0.0, which changes no m2_ (it starts at +0.0 and never turns
+/// negative, so it is never -0.0). The rest of such a run moves to sum-only
+/// lanes: one addition per sample, four chains at a time. min and max are
+/// idempotent, so each run updates them once.
+class RunBatch {
+ public:
+  /// Queues `k` samples of `x` for `s` (k == 0 queues nothing). `s` must
+  /// outlive the next fold() and be staged at most once before it.
+  void stage(StreamingSummary& s, double x, std::uint64_t k) {
+    if (k > 0) runs_.push_back({&s, x, k});
+  }
+  /// Folds every staged run into its summary and empties the batch.
+  void fold();
+
+ private:
+  struct Run {
+    StreamingSummary* summary;
+    double x;
+    std::uint64_t k;  ///< samples still to fold
+  };
+  static constexpr std::size_t kLanes = 4;
+
+  /// Welford lanes: folds each run up to the point its summary settles and
+  /// leaves the settled remainder in its `k` (count and m2 already done).
+  void fold_welford();
+  /// Sum-only lanes: adds each remaining run's x to its sum `k` times.
+  void fold_settled_sums();
+
+  std::vector<Run> runs_;
 };
 
 }  // namespace slp::stats

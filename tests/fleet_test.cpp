@@ -7,14 +7,15 @@
 // (weighted proportional-fair invariants: work conservation, weight
 // monotonicity, no starvation; epoch accounting; load-surge override
 // composition; bit-equal to a reference water-filling that sorts with
-// std::sort and recomputes on every epoch), and the Fleet/FleetCampaign
+// std::sort and recomputes on every epoch; its fill-order sort equal to
+// std::stable_sort, its bounded fallback included), and the Fleet/FleetCampaign
 // integration (size-1 fallback bit-identity to the legacy LoadProcess path,
 // the fig5 speedtest pin, queue-drain termination under packet campaigns,
 // and --jobs invariance of the merged campaign), the hot cells' cached
 // per-terminal demand (equal to the model after every epoch, also under
 // diurnal modulation, sharding, mid-run promotion and a moving foreground),
 // and the run-folded supercell and terminal samples (bit-equal to one add
-// per epoch).
+// per epoch, and pinned by golden digests).
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -392,6 +393,59 @@ TEST(Fleet, ConstructionMatchesGoldenDigests) {
     const auto [cells, aggregates] = construction_digests(fleet);
     EXPECT_EQ(cells, row.cells) << row.name << " seed " << row.seed;
     EXPECT_EQ(aggregates, row.aggregates) << row.name << " seed " << row.seed;
+  }
+}
+
+// ------------------------------------------------- run-fold digests
+
+/// Order-sensitive hash of a keyed distribution: every group's key, the bit
+/// patterns of its count, mean, m2, sum, min and max, and its bucket counts.
+std::uint64_t keyed_digest(const stats::KeyedSamples& samples, std::uint64_t h) {
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  for (const auto& [key, g] : samples.groups()) {
+    const stats::StreamingSummary& s = g.summary;
+    h = mix64(mix64(mix64(h, key), s.count()), bits(s.mean()));
+    h = mix64(mix64(mix64(h, bits(s.m2())), bits(s.sum())), bits(s.min()));
+    h = mix64(h, bits(s.max()));
+    for (const std::uint64_t n : g.counts) h = mix64(h, n);
+  }
+  return h;
+}
+
+TEST(Fleet, RunFoldMatchesGoldenDigests) {
+  // Pinned digests of everything the run folds produce. The determinism
+  // harness diffs axes of one build, so a fold change that moved bits the
+  // same way on every axis would pass it; these would not.
+  struct Row {
+    const char* name;
+    Placement::Config placement;
+    int size;
+    bool aggregate_idle;
+    std::uint64_t seed;
+    std::uint64_t digest;
+  };
+  const Row rows[] = {
+      {"default", {}, 2000, false, 1, 0xf310a088b2437054ull},
+      {"default", {}, 2000, false, 7937, 0x8b49096b88b7c030ull},
+      {"continental", Placement::continental_europe(), 1'000'000, true, 1, 0x16a21b0607640776ull},
+      {"continental", Placement::continental_europe(), 1'000'000, true, 7937, 0xb5fbfcfda9f2cdacull},
+  };
+  for (const Row& row : rows) {
+    for (const int shards : {1, 2}) {
+      FleetCampaign::Config config;
+      config.seed = row.seed;
+      config.duration = Duration::minutes(10);
+      config.fleet.size = row.size;
+      config.fleet.placement = row.placement;
+      config.fleet.aggregate_idle = row.aggregate_idle;
+      config.fleet.shards = shards;
+      const FleetCampaign::Result r = FleetCampaign::run(config);
+      ASSERT_GT(r.terminal_down_mbps.total_count(), 0u) << row.name;
+      const std::uint64_t digest = keyed_digest(
+          r.terminal_down_mbps, keyed_digest(r.cell_util_up, keyed_digest(r.cell_util_down, 0)));
+      EXPECT_EQ(digest, row.digest) << row.name << " seed " << row.seed << " shards " << shards
+                                    << ": 0x" << std::hex << digest;
+    }
   }
 }
 
@@ -781,12 +835,15 @@ TEST(CellArbiter, MatchesReferenceWaterFilling) {
     Rng rng{seed};
     TimePoint t = at(0);
     // Few ids and a handful of integer demands, so keys tie often.
+    // The last kind shares the top three key bytes across members of one
+    // weight, so only the sort's insertion pass orders them.
     const auto demand = [&rng] {
-      switch (rng.uniform_int(0, 3)) {
+      switch (rng.uniform_int(0, 4)) {
         case 0: return DataRate::zero();
         case 1: return DataRate::mbps(static_cast<double>(rng.uniform_int(1, 6)));
         case 2: return DataRate::mbps(rng.uniform(0.0, 400.0));
-        default: return DataRate::mbps(static_cast<double>(rng.uniform_int(1, 3)) * 25.0);
+        case 3: return DataRate::mbps(static_cast<double>(rng.uniform_int(1, 3)) * 25.0);
+        default: return DataRate::bps(1e7 + static_cast<double>(rng.uniform_int(0, 40)));
       }
     };
     for (int step = 0; step < 600; ++step) {
@@ -864,6 +921,60 @@ TEST(CellArbiter, MatchesReferenceWaterFilling) {
     // Handover-only epochs were closed without a water-filling run.
     EXPECT_LT(arb.recomputes(), arb.stats().reallocations) << "seed " << seed;
   }
+}
+
+TEST(CellArbiter, FillOrderSortMatchesStableSort) {
+  using Entry = CellArbiter::FillEntry;
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  // The sort against std::stable_sort on the key; `member` is the input
+  // position, so equal keys must come out in input order.
+  const auto check = [&](const std::vector<double>& keys, bool fast, const char* what) {
+    std::vector<Entry> entries;
+    for (std::size_t i = 0; i < keys.size(); ++i) entries.push_back({i, 1.0, keys[i]});
+    std::vector<Entry> expected = entries;
+    std::stable_sort(expected.begin(), expected.end(),
+                     [](const Entry& a, const Entry& b) { return a.normalized < b.normalized; });
+    std::vector<Entry> tmp;
+    EXPECT_EQ(CellArbiter::sort_fill_order(entries, tmp), fast) << what;
+    ASSERT_EQ(entries.size(), expected.size()) << what;
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+      ASSERT_EQ(entries[i].member, expected[i].member) << what << " at " << i;
+      ASSERT_EQ(bits(entries[i].normalized), bits(expected[i].normalized)) << what;
+    }
+  };
+  Rng rng{12};
+  // Sixty clusters of about five keys: base + j with j < 4 share the
+  // base's top three bytes (bits 40-63), so the prefix passes leave each
+  // cluster in input order and the insertion pass orders it.
+  std::vector<double> shared;
+  for (int i = 0; i < 300; ++i) {
+    const double base = 1.37e6 * static_cast<double>(rng.uniform_int(1, 60));
+    shared.push_back(base + static_cast<double>(rng.uniform_int(0, 3)));
+  }
+  check(shared, true, "shared prefixes");
+  // Exact ties only, and ties mixed with distinct keys.
+  check(std::vector<double>(200, 25e6), true, "all equal");
+  std::vector<double> ties;
+  for (int i = 0; i < 200; ++i) ties.push_back(25e6 * static_cast<double>(rng.uniform_int(1, 4)));
+  check(ties, true, "ties");
+  check({}, true, "empty");
+  check({3.0}, true, "single");
+  // An adversarial cluster: one prefix, low bits in descending order, among
+  // keys of other prefixes. The insertion pass would move n^2 / 2 entries;
+  // its budget trips and the full radix finishes. Ties inside the cluster
+  // keep input order there too.
+  std::vector<double> cluster;
+  for (int i = 0; i < 256; ++i) {
+    cluster.push_back(1e7 + static_cast<double>((255 - i) / 2));
+    if (i % 4 == 0) cluster.push_back(rng.uniform(1.0, 4e8));
+  }
+  check(cluster, false, "adversarial cluster");
+  // A short descending cluster inside the budget stays on the fast path.
+  std::vector<double> small;
+  for (int i = 0; i < 64; ++i) {
+    small.push_back(i < 4 ? 1e7 - static_cast<double>(i) : 1e9 + static_cast<double>(i) * 1e6);
+  }
+  check(small, true, "short cluster");
 }
 
 // ---------------------------------------------------- fleet integration

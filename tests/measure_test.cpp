@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <memory>
+#include <vector>
+
 #include "fast_forward_metrics.hpp"
 #include "measure/campaign.hpp"
 #include "fleet/campaign.hpp"
@@ -103,6 +108,44 @@ TEST(Testbed, BuildsElevenAnchorsAndAllClients) {
   EXPECT_EQ(bed.client(AccessKind::kStarlink).name(), "pc-starlink");
   EXPECT_EQ(bed.client(AccessKind::kSatCom).name(), "pc-satcom");
   EXPECT_EQ(bed.client(AccessKind::kWired).name(), "pc-wired");
+}
+
+TEST(Testbed, InjectsEveryShippedScenario) {
+  // Every examples/scenarios/*.scn, injected into an idle Testbed run to 1 s
+  // past its last window: each event's start hook fires, and a `move` event
+  // drives the mobile terminal. A new scenario file needs no test edit.
+  std::vector<std::filesystem::path> files;
+  for (const auto& entry :
+       std::filesystem::directory_iterator{SLP_SOURCE_DIR "/examples/scenarios"}) {
+    if (entry.path().extension() == ".scn") files.push_back(entry.path());
+  }
+  std::sort(files.begin(), files.end());
+  ASSERT_FALSE(files.empty());
+  for (const std::filesystem::path& file : files) {
+    const auto scn =
+        std::make_shared<const scenario::Scenario>(scenario::Scenario::load(file.string()));
+    ASSERT_FALSE(scn->empty()) << file;
+    TimePoint last_end = TimePoint::epoch();
+    bool moves = false;
+    for (const scenario::Event& e : scn->events) {
+      last_end = std::max(last_end, e.end);
+      moves = moves || e.kind == scenario::EventKind::kMove;
+    }
+    TestbedConfig config;
+    config.obs.metrics = true;
+    config.scenario = scn;
+    Testbed bed{config};
+    bed.run_for(last_end - bed.sim().now() + Duration::seconds(1));
+    const obs::Snapshot snap = bed.sim().take_obs();
+    const auto applied = snap.counters.find("scenario.events_applied");
+    ASSERT_NE(applied, snap.counters.end()) << file;
+    EXPECT_EQ(applied->second, scn->events.size()) << file;
+    if (moves) {
+      const auto epochs = snap.counters.find("mobility.epochs");
+      ASSERT_NE(epochs, snap.counters.end()) << file;
+      EXPECT_GT(epochs->second, 0u) << file;
+    }
+  }
 }
 
 TEST(Testbed, WiredClientReachesCampusServerFast) {

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "stats/ecdf.hpp"
@@ -75,15 +76,17 @@ TEST(StreamingSummary, MergeEqualsSequential) {
   EXPECT_DOUBLE_EQ(a.max(), all.max());
 }
 
-TEST(StreamingSummary, AddRepeatedIsBitIdenticalToRepeatedAdds) {
+TEST(RunBatch, FoldIsBitIdenticalToRepeatedAdds) {
   const double inf = std::numeric_limits<double>::infinity();
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double sub = std::numeric_limits<double>::denorm_min();
+  const double above_one = std::nextafter(1.0, 2.0);
   const std::vector<std::vector<double>> histories{
       {},                          // empty: the first add sets the mean
-      {3.25, 3.25, 3.25},          // constant: x == mean_ takes the fast path
+      {3.25, 3.25, 3.25},          // constant: x == mean_ settles at once
       {1.0, 7.5, -2.0, 0.1, 0.1},  // mixed: x != mean_ and m2_ > 0
       {1.0, 3.0},                  // mixed, with x == mean_ (2.0) below
+      {above_one},                 // x = 1.0 settles after one add (ties to even)
       {0.0},
       {-0.0},
       {sub, 3.0 * sub},
@@ -91,30 +94,61 @@ TEST(StreamingSummary, AddRepeatedIsBitIdenticalToRepeatedAdds) {
       {-inf, 1.0},
       {nan},
   };
-  std::vector<double> xs{3.25, 0.1, 2.0,  0.0,  -0.0, inf, -inf,
-                         nan,  sub, -sub, 2 * sub, 1e300, -7.0};
+  std::vector<double> xs{3.25, 0.1, 1.0,  2.0, 0.0,     -0.0,  inf,
+                         -inf, nan, sub, -sub, 2 * sub, 1e300, -7.0};
   for (const std::vector<double>& h : histories) {
     StreamingSummary prefix;
     for (double v : h) prefix.add(v);
     xs.push_back(prefix.mean());  // x == mean_ after whatever history
   }
+  {
+    // The partway settle really happens: one Welford step, then x == mean_.
+    StreamingSummary s;
+    s.add(above_one);
+    ASSERT_NE(s.mean(), 1.0);
+    s.add(1.0);
+    ASSERT_EQ(s.mean(), 1.0);
+  }
+  const std::uint64_t ks[] = {0, 1, 2, 3, 5, 1000, 70000};
+  // Every (history, x, k) both as a one-run batch and inside one shared
+  // batch, where runs of mixed lengths refill the lanes mid-batch.
+  struct Case {
+    std::string what;
+    double x;
+    std::uint64_t k;
+    StreamingSummary alone;
+    StreamingSummary shared;
+    StreamingSummary looped;
+  };
+  std::vector<Case> cases;
   for (const std::vector<double>& h : histories) {
     for (double x : xs) {
-      for (std::uint64_t k : {0ull, 1ull, 2ull, 1000ull, 70000ull}) {
-        StreamingSummary repeated;
-        StreamingSummary looped;
+      for (const std::uint64_t k : ks) {
+        Case c{"history of " + std::to_string(h.size()) + ", x=" + std::to_string(x) +
+                   ", k=" + std::to_string(k),
+               x, k, {}, {}, {}};
         for (double v : h) {
-          repeated.add(v);
-          looped.add(v);
+          c.alone.add(v);
+          c.shared.add(v);
+          c.looped.add(v);
         }
-        repeated.add_repeated(x, k);
-        for (std::uint64_t i = 0; i < k; ++i) looped.add(x);
-        expect_same_bits(repeated, looped,
-                         "history of " + std::to_string(h.size()) + ", x=" +
-                             std::to_string(x) + ", k=" + std::to_string(k));
-        if (::testing::Test::HasFailure()) return;
+        for (std::uint64_t i = 0; i < k; ++i) c.looped.add(x);
+        cases.push_back(std::move(c));
       }
     }
+  }
+  RunBatch shared;
+  for (Case& c : cases) {
+    RunBatch alone;
+    alone.stage(c.alone, c.x, c.k);
+    alone.fold();
+    shared.stage(c.shared, c.x, c.k);
+  }
+  shared.fold();
+  for (const Case& c : cases) {
+    expect_same_bits(c.alone, c.looped, "alone, " + c.what);
+    expect_same_bits(c.shared, c.looped, "shared, " + c.what);
+    if (::testing::Test::HasFailure()) return;
   }
 }
 
@@ -445,24 +479,35 @@ TEST(KeyedSamples, SlotCreatesNoGroupUntilItsFirstAdd) {
   (void)idle;
 }
 
-TEST(KeyedSamples, SlotRepeatedAddEqualsRepeatedAdds) {
+TEST(KeyedSamples, SlotStagedRunsEqualRepeatedAdds) {
   const std::vector<double> edges{1.0, 2.0, 4.0, 8.0};
-  KeyedSamples repeated{edges};
+  KeyedSamples staged{edges};
   KeyedSamples looped{edges};
-  KeyedSamples::Slot slot = repeated.slot(9);
-  slot.add(5.0, 0);
-  EXPECT_TRUE(repeated.empty()) << "k == 0 creates no group";
+  KeyedSamples::Slot slot = staged.slot(9);
+  RunBatch batch;
+  slot.stage(batch, 5.0, 0);
+  EXPECT_TRUE(staged.empty()) << "k == 0 creates no group";
   // Runs across every bucket (an edge value included), with a value that
-  // repeats after a different one so the mean is not settled on it.
+  // repeats after a different one so the mean is not settled on it. One
+  // run per fold: a slot is staged at most once per batch.
   const std::vector<std::pair<double, std::uint64_t>> runs{
       {0.5, 3}, {2.0, 1}, {5.0, 400}, {5.0, 7}, {9.5, 2}, {0.5, 0}, {3.0, 50}, {5.0, 9}};
   for (const auto& [x, k] : runs) {
-    slot.add(x, k);
+    slot.stage(batch, x, k);
+    if (k > 0) {
+      // The bucket count moves at stage time, the summary at the fold.
+      const KeyedSamples::Group& g = staged.groups().at(9);
+      std::uint64_t bucketed = 0;
+      for (const std::uint64_t n : g.counts) bucketed += n;
+      EXPECT_EQ(bucketed, g.summary.count() + k);
+    }
+    batch.fold();
     for (std::uint64_t i = 0; i < k; ++i) looped.add(9, x);
+    ASSERT_EQ(staged.groups().at(9).counts, looped.groups().at(9).counts);
   }
-  ASSERT_EQ(repeated.size(), 1u);
+  ASSERT_EQ(staged.size(), 1u);
   ASSERT_EQ(looped.size(), 1u);
-  const KeyedSamples::Group& a = repeated.groups().at(9);
+  const KeyedSamples::Group& a = staged.groups().at(9);
   const KeyedSamples::Group& b = looped.groups().at(9);
   EXPECT_EQ(a.counts, b.counts);
   expect_same_bits(a.summary, b.summary, "slot runs");
