@@ -141,18 +141,16 @@ inline fleet::DemandModel::Config named_mix(const Flags& flags, std::string_view
 ///   --aggregate=0|1       analytic idle-cell aggregation (hot cells only)
 ///   --shards=K            arbiter epoch shards (1 = serial; output is
 ///                         byte-identical for every K)
-///   --supercell-km=F      aggregation supercell edge, converted to a factor
-///                         of the cell size (--supercell-factor=K sets it
-///                         directly)
+///   --supercell-factor=K  aggregation supercell edge, in base cells
 ///   --fleet-cell-km=F     base cell size for the fleet grid
 ///   --fleet-mix=NAME      named traffic mix for the neighbour terminals:
 ///                         default | streaming | realtime | mixed |
 ///                         web-heavy | bulk-heavy | idle (fleet::named_mix;
 ///                         "default" is byte-identical to the pre-mix
 ///                         behaviour)
-inline fleet::Fleet::Config parse_fleet(const Flags& flags) {
+inline fleet::Fleet::Config parse_fleet(const Flags& flags, int default_size = 0) {
   fleet::Fleet::Config fc;
-  fc.size = static_cast<int>(flags.get_int("fleet", 0));
+  fc.size = static_cast<int>(flags.get_int("fleet", default_size));
   fc.demand = named_mix(flags, "fleet-mix", flags.get("fleet-mix", "default"));
   const bool continental = flags.get_bool("continental", false);
   if (continental) fc.placement = fleet::Placement::continental_europe();
@@ -160,11 +158,6 @@ inline fleet::Fleet::Config parse_fleet(const Flags& flags) {
   fc.aggregate_idle = flags.get_bool("aggregate", continental);
   fc.supercell_factor =
       static_cast<int>(flags.get_int("supercell-factor", fc.supercell_factor));
-  const double supercell_km = flags.get_double("supercell-km", 0.0);
-  if (supercell_km > 0.0) {
-    fc.supercell_factor = std::max(
-        1, static_cast<int>(supercell_km / std::max(1.0, fc.placement.cell_km) + 0.5));
-  }
   fc.shards = std::max(0, static_cast<int>(flags.get_int("shards", 1)));
   return fc;
 }
@@ -343,8 +336,10 @@ class Run {
         auto scn = scenario::Scenario::load(scenario_path);
         if (scenario_offset != Duration::zero()) scn.shift(scenario_offset);
         args.scenario = std::make_shared<const scenario::Scenario>(std::move(scn));
+        // The file name only: stdout must not depend on the checkout's path.
+        const std::string file = scenario_path.substr(scenario_path.find_last_of('/') + 1);
         std::printf("scenario: %s (%zu events) from %s\n", args.scenario->name.c_str(),
-                    args.scenario->events.size(), scenario_path.c_str());
+                    args.scenario->events.size(), file.c_str());
       } catch (const scenario::ScenarioError& e) {
         std::fprintf(stderr, "error: --scenario=%s: %s\n", scenario_path.c_str(), e.what());
         std::exit(2);

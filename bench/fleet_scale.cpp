@@ -7,12 +7,12 @@
 // terminal sees. The merged --metrics export is byte-identical for any
 // --jobs value (CI diffs --jobs=1 against --jobs=8).
 //
-// Extra flags: --terminals=N (default 10000, incl. the foreground),
-// --duration=DUR (default 1h), --cell-km=F, --demand-scale=F, plus the
-// continental-scale knobs from bench_common.hpp: --continental=0|1 (European
-// placement preset + aggregation), --aggregate=0|1 (analytic idle cells),
-// --shards=K (parallel arbiter epochs, byte-identical for any K) and
-// --supercell-km=F / --supercell-factor=K (aggregation grid).
+// Extra flags: --duration=DUR (default 1h) and --demand-scale=F, plus the
+// fleet knobs from bench_common.hpp: --fleet=N (default 10000 here, incl.
+// the foreground; scaled by --scale), --fleet-cell-km=F, --continental=0|1
+// (European placement preset + aggregation), --aggregate=0|1 (analytic idle
+// cells), --shards=K (parallel arbiter epochs, byte-identical for any K) and
+// --supercell-factor=K (aggregation grid).
 #include <cstdio>
 
 #include "bench_common.hpp"
@@ -23,16 +23,14 @@ int main(int argc, char** argv) {
   bench::Run run{argc, argv};
   const auto& args = run.args();
   const Flags& flags = run.flags();
-  const int terminals = static_cast<int>(flags.get_int("terminals", 10000));
   const Duration duration = flags.get_duration("duration", Duration::hours(1));
   const double demand_scale = flags.get_double("demand-scale", 1.0);
 
   fleet::FleetCampaign::Config config;
   config.seed = args.seed;
   config.duration = duration;
-  config.fleet = bench::parse_fleet(flags);
-  config.fleet.size = std::max(1, static_cast<int>(terminals * args.scale));
-  config.fleet.placement.cell_km = flags.get_double("cell-km", config.fleet.placement.cell_km);
+  config.fleet = bench::parse_fleet(flags, 10000);
+  config.fleet.size = std::max(1, static_cast<int>(config.fleet.size * args.scale));
   config.fleet.demand.scale_down = demand_scale;
   config.fleet.demand.scale_up = demand_scale;
   run.start("Fleet scale", "multi-terminal contention: placement, demand, per-cell PF");

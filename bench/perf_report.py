@@ -42,7 +42,7 @@ MACROS = [
     ("MACRO_Fig5ThroughputWall", "fig5_throughput",
      ["--scale=0.1", "--seeds=2", "--jobs=2"]),
     ("MACRO_FleetMillionWall", "fleet_scale",
-     ["--terminals=1000000", "--continental=1", "--shards=8", "--duration=3600s"]),
+     ["--fleet=1000000", "--continental=1", "--shards=8", "--duration=3600s"]),
 ]
 # Runs of each micro benchmark; its row is their median, so one noisy run
 # neither trips the gate nor loosens a refreshed baseline.

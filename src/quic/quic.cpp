@@ -16,52 +16,38 @@ constexpr std::uint32_t kHandshakeBytes = 1200;  ///< padded Initial
 
 // ===================================================================== Stack
 
-QuicStack::QuicStack(sim::Host& host) : host_{&host} {}
-
-QuicStack::~QuicStack() {
-  for (const std::uint16_t port : bound_ports_) host_->unbind(sim::Protocol::kUdp, port);
-}
+QuicStack::QuicStack(sim::Host& host)
+    : host_{&host},
+      table_{&host, sim::Protocol::kUdp,
+             [this](std::uint16_t port, const sim::Packet& pkt) { dispatch(port, pkt); }} {}
 
 QuicConnection& QuicStack::connect(sim::Ipv4Addr remote_addr, std::uint16_t remote_port,
                                    QuicConfig config) {
   const std::uint16_t local_port = host_->ephemeral_port();
-  if (bound_ports_.insert(local_port).second) {
-    host_->bind(sim::Protocol::kUdp, local_port,
-                [this, local_port](const sim::Packet& pkt) { dispatch(local_port, pkt); });
-  }
-  auto conn = std::unique_ptr<QuicConnection>(
-      new QuicConnection(*this, remote_addr, remote_port, local_port, config, /*is_client=*/true));
-  QuicConnection& ref = *conn;
-  connections_[ConnKey{local_port, remote_addr, remote_port}] = std::move(conn);
-  ref.start_connect();
-  return ref;
+  table_.bind(local_port);
+  QuicConnection& conn =
+      table_.add(*this, remote_addr, remote_port, local_port, config, /*is_client=*/true);
+  conn.start_connect();
+  return conn;
 }
 
 void QuicStack::listen(std::uint16_t port, std::function<void(QuicConnection&)> on_accept,
                        QuicConfig config) {
-  listeners_[port] = Listener{config, std::move(on_accept)};
-  if (bound_ports_.insert(port).second) {
-    host_->bind(sim::Protocol::kUdp, port,
-                [this, port](const sim::Packet& pkt) { dispatch(port, pkt); });
-  }
+  table_.listen(port, {config, std::move(on_accept)});
 }
 
 void QuicStack::dispatch(std::uint16_t local_port, const sim::Packet& pkt) {
   if (!pkt.payload) return;
-  const ConnKey key{local_port, pkt.src, pkt.src_port};
-  const auto it = connections_.find(key);
-  if (it != connections_.end()) {
-    it->second->on_datagram(pkt);
+  if (QuicConnection* conn = table_.find({local_port, pkt.src, pkt.src_port})) {
+    conn->on_datagram(pkt);
     return;
   }
-  const auto lit = listeners_.find(local_port);
-  if (lit == listeners_.end()) return;
-  auto conn = std::unique_ptr<QuicConnection>(new QuicConnection(
-      *this, pkt.src, pkt.src_port, local_port, lit->second.config, /*is_client=*/false));
-  QuicConnection& ref = *conn;
-  connections_[key] = std::move(conn);
-  if (lit->second.on_accept) lit->second.on_accept(ref);
-  ref.on_datagram(pkt);
+  const auto* listener = table_.listener(local_port);
+  if (listener == nullptr) return;
+  QuicConnection& conn = table_.add(*this, pkt.src, pkt.src_port, local_port, listener->config,
+                                    /*is_client=*/false);
+  if (listener->on_accept) listener->on_accept(conn);
+  conn.on_datagram(pkt);
 }
 
 // ================================================================ Connection
@@ -143,33 +129,44 @@ void QuicConnection::append_chunk(Payload& p, const MsgChunk& c) {
 void QuicConnection::send_handshake_packet() {
   sim::PayloadRef pref = sim::PacketPool::local().make<Payload>();
   Payload* payload = pref.as_mutable<Payload>();
-  payload->pn = next_pn_++;
   payload->handshake = true;
-  payload->ack_eliciting = true;
   if (any_received_) payload->ack = build_ack();
+  emit(std::move(pref), kHandshakeBytes, /*tracked=*/true);
+}
 
-  SentPacket sp;
-  sp.sent_at = stack_->sim().now();
-  sp.sent_bytes = kHandshakeBytes;
-  sp.in_flight = true;
-  sp.ack_eliciting = true;
-  sp.handshake = true;
-  bytes_in_flight_ += sp.sent_bytes;
-  sent_[payload->pn] = sp;
+void QuicConnection::emit(sim::PayloadRef pref, std::uint32_t wire_bytes, bool tracked) {
+  Payload* payload = pref.as_mutable<Payload>();
+  payload->pn = next_pn_++;
+  payload->ack_eliciting = tracked;
   stats_.packets_sent++;
   stats_.largest_pn_sent = payload->pn;
-  if (hooks.on_packet_sent) hooks.on_packet_sent(payload->pn, sp.sent_at, sp.sent_bytes);
+  if (tracked) {
+    SentPacket sp;
+    sp.sent_at = stack_->sim().now();
+    sp.sent_bytes = wire_bytes;
+    sp.in_flight = true;
+    sp.ack_eliciting = payload->ack_eliciting;
+    sp.handshake = payload->handshake;
+    sp.stream_offset = payload->stream_offset;
+    sp.stream_len = payload->stream_len;
+    sp.chunks = payload->chunks;
+    sp.extra = payload->extra;  // shares the pooled chain, no copy
+    sp.max_data = payload->max_data;
+    bytes_in_flight_ += wire_bytes;
+    sent_.emplace_hint(sent_.end(), payload->pn, std::move(sp));
+    if (hooks.on_packet_sent) hooks.on_packet_sent(payload->pn, stack_->sim().now(), wire_bytes);
+  }
 
   sim::Packet pkt;
   pkt.dst = remote_addr_;
   pkt.src_port = local_port_;
   pkt.dst_port = remote_port_;
   pkt.proto = sim::Protocol::kUdp;
-  pkt.size_bytes = kHandshakeBytes;
+  pkt.size_bytes = wire_bytes;
   pkt.flow_id = flow_id_;
   pkt.payload = std::move(pref);
   stack_->transmit(std::move(pkt));
-  arm_loss_timer();
+  if (tracked) arm_loss_timer();
 }
 
 // ------------------------------------------------------------- application
@@ -242,18 +239,14 @@ void QuicConnection::maybe_send() {
         return;
       }
     }
-    send_one_packet(/*force_probe=*/false);
+    send_one_packet();
   }
 }
 
-void QuicConnection::send_one_packet(bool force_probe) {
+void QuicConnection::send_one_packet() {
   sim::PayloadRef pref = sim::PacketPool::local().make<Payload>();
   Payload* payload = pref.as_mutable<Payload>();
-  payload->pn = next_pn_++;
-
   std::uint32_t budget = config_.max_payload;
-  SentPacket sp;
-  sp.sent_at = stack_->sim().now();
 
   // 1. Retransmit lost stream ranges first.
   if (!stream_rtx_.empty()) {
@@ -297,12 +290,8 @@ void QuicConnection::send_one_packet(bool force_probe) {
     stream_next_offset_ += len;
     flow_bytes_sent_ += len;
     budget -= len;
-  } else if (!force_probe) {
-    next_pn_--;  // nothing to send after all; roll the pn back (never sent)
-    return;
   }
 
-  payload->ack_eliciting = true;
   if (any_received_) {
     payload->ack = build_ack();
     unacked_eliciting_ = 0;
@@ -314,39 +303,16 @@ void QuicConnection::send_one_packet(bool force_probe) {
   }
 
   const std::uint32_t used = config_.max_payload - budget;
-  sp.sent_bytes = std::max<std::uint32_t>(used, 20) + config_.overhead;
-  sp.in_flight = true;
-  sp.ack_eliciting = true;
-  sp.stream_offset = payload->stream_offset;
-  sp.stream_len = payload->stream_len;
-  sp.chunks = payload->chunks;
-  sp.extra = payload->extra;  // shares the pooled chain, no copy
-  sp.max_data = payload->max_data;
-  bytes_in_flight_ += sp.sent_bytes;
-  sent_[payload->pn] = sp;
-  stats_.packets_sent++;
-  stats_.largest_pn_sent = payload->pn;
-  if (hooks.on_packet_sent) hooks.on_packet_sent(payload->pn, sp.sent_at, sp.sent_bytes);
-
+  const std::uint32_t wire_bytes = std::max<std::uint32_t>(used, 20) + config_.overhead;
   if (config_.pacing && rtt_.srtt > Duration::zero()) {
     // Release at cwnd/srtt rate with a 1.25 burst factor.
     const double rate_Bps =
         1.25 * static_cast<double>(cc_->cwnd_bytes()) / rtt_.srtt.to_seconds();
-    const Duration gap = Duration::from_seconds(sp.sent_bytes / rate_Bps);
+    const Duration gap = Duration::from_seconds(wire_bytes / rate_Bps);
     const TimePoint now = stack_->sim().now();
     next_send_time_ = std::max(next_send_time_, now) + gap;
   }
-
-  sim::Packet pkt;
-  pkt.dst = remote_addr_;
-  pkt.src_port = local_port_;
-  pkt.dst_port = remote_port_;
-  pkt.proto = sim::Protocol::kUdp;
-  pkt.size_bytes = sp.sent_bytes;
-  pkt.flow_id = flow_id_;
-  pkt.payload = std::move(pref);
-  stack_->transmit(std::move(pkt));
-  arm_loss_timer();
+  emit(std::move(pref), wire_bytes, /*tracked=*/true);
 }
 
 QuicConnection::AckFrame QuicConnection::build_ack() const {
@@ -364,24 +330,11 @@ QuicConnection::AckFrame QuicConnection::build_ack() const {
 void QuicConnection::send_ack_only() {
   if (!any_received_) return;
   sim::PayloadRef pref = sim::PacketPool::local().make<Payload>();
-  Payload* payload = pref.as_mutable<Payload>();
-  payload->pn = next_pn_++;
-  payload->ack = build_ack();
-  payload->ack_eliciting = false;
+  pref.as_mutable<Payload>()->ack = build_ack();
   unacked_eliciting_ = 0;
   ack_timer_.cancel();
-  stats_.packets_sent++;
-  stats_.largest_pn_sent = payload->pn;
   // Ack-only packets are not congestion-controlled and not tracked for loss.
-  sim::Packet pkt;
-  pkt.dst = remote_addr_;
-  pkt.src_port = local_port_;
-  pkt.dst_port = remote_port_;
-  pkt.proto = sim::Protocol::kUdp;
-  pkt.size_bytes = 30 + config_.overhead;
-  pkt.flow_id = flow_id_;
-  pkt.payload = std::move(pref);
-  stack_->transmit(std::move(pkt));
+  emit(std::move(pref), 30 + config_.overhead, /*tracked=*/false);
 }
 
 void QuicConnection::queue_ack_if_needed() {
@@ -507,27 +460,16 @@ void QuicConnection::maybe_send_max_data() {
     }
     local_max_data_ = std::max(local_max_data_, flow_bytes_received_ + flow_window_size_);
     // The MAX_DATA frame rides in the next packet; if we are a pure receiver
-    // an ack-only-ish control packet carries it.
+    // an ack-only-ish control packet carries it. That packet is untracked:
+    // if it is lost, nothing re-sends the update.
     if (bytes_in_flight_ == 0 && msg_queue_.empty() && stream_rtx_.empty() &&
         stream_next_offset_ >= stream_length_) {
       sim::PayloadRef pref = sim::PacketPool::local().make<Payload>();
       Payload* payload = pref.as_mutable<Payload>();
-      payload->pn = next_pn_++;
       payload->max_data = local_max_data_;
       last_max_data_sent_ = local_max_data_;
-      payload->ack_eliciting = false;
       if (any_received_) payload->ack = build_ack();
-      stats_.packets_sent++;
-      stats_.largest_pn_sent = payload->pn;
-      sim::Packet pkt;
-      pkt.dst = remote_addr_;
-      pkt.src_port = local_port_;
-      pkt.dst_port = remote_port_;
-      pkt.proto = sim::Protocol::kUdp;
-      pkt.size_bytes = 34 + config_.overhead;
-      pkt.flow_id = flow_id_;
-      pkt.payload = std::move(pref);
-      stack_->transmit(std::move(pkt));
+      emit(std::move(pref), 34 + config_.overhead, /*tracked=*/false);
     }
   }
 }
@@ -709,8 +651,9 @@ void QuicConnection::arm_loss_timer() {
 
   if (stack_->sim().fast_forward()) {
     // O(1) equivalent of the reference scans below. Two invariants make it
-    // exact: every `sent_` entry is ack-eliciting (ack-only and MAX_DATA
-    // control packets are never tracked), and `sent_at` is monotone in pn
+    // exact: every `sent_` entry is ack-eliciting (`emit` tracks exactly
+    // the ack-eliciting packets; ack-only and MAX_DATA control packets are
+    // not), and `sent_at` is monotone in pn
     // (retransmissions always get new, larger pns). So the earliest
     // time-threshold candidate is the FIRST entry iff its pn is below the
     // largest acked, and the PTO base is the LAST entry's send time.
@@ -776,7 +719,7 @@ void QuicConnection::on_loss_timer() {
     if (sp.handshake && !established_ && is_client_) {
       send_handshake_packet();
     } else if (established_) {
-      send_one_packet(/*force_probe=*/true);
+      send_one_packet();
     }
   }
   arm_loss_timer();

@@ -24,9 +24,9 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <set>
 #include <vector>
 
+#include "sim/conn_table.hpp"
 #include "sim/host.hpp"
 #include "sim/packet_pool.hpp"
 #include "tcp/congestion.hpp"
@@ -151,6 +151,8 @@ class QuicConnection {
 
  private:
   friend class QuicStack;
+  template <typename, typename>
+  friend class sim::ConnTable;
 
   // What one QUIC packet carried (the "encrypted" payload — opaque to the
   // network, reconstructed by the peer endpoint).
@@ -246,8 +248,16 @@ class QuicConnection {
   void deliver_stream(std::uint64_t offset, std::uint32_t len);
   void deliver_chunks(const Payload& payload);
   void maybe_send();
-  void send_one_packet(bool force_probe);
+  /// Fills one packet, in priority order, with lost stream ranges, message
+  /// chunks or new stream data. With nothing queued (a PTO probe) it leaves
+  /// as a bare ack-eliciting packet.
+  void send_one_packet();
   void send_handshake_packet();
+  /// The one exit of every packet: numbers the filled payload, counts it
+  /// and transmits it as `wire_bytes`. A tracked packet is ack-eliciting; it
+  /// is also recorded in `sent_`, charged to bytes in flight, reported to
+  /// `hooks.on_packet_sent` and covered by the loss timer.
+  void emit(sim::PayloadRef pref, std::uint32_t wire_bytes, bool tracked);
   void queue_ack_if_needed();
   void send_ack_only();
   void arm_loss_timer();
@@ -339,7 +349,6 @@ class QuicConnection {
 class QuicStack {
  public:
   explicit QuicStack(sim::Host& host);
-  ~QuicStack();
 
   QuicStack(const QuicStack&) = delete;
   QuicStack& operator=(const QuicStack&) = delete;
@@ -351,29 +360,16 @@ class QuicStack {
 
   [[nodiscard]] sim::Host& host() { return *host_; }
   [[nodiscard]] sim::Simulator& sim() { return host_->sim(); }
-  [[nodiscard]] std::size_t connection_count() const { return connections_.size(); }
+  [[nodiscard]] std::size_t connection_count() const { return table_.size(); }
 
  private:
   friend class QuicConnection;
-
-  struct ConnKey {
-    std::uint16_t local_port;
-    sim::Ipv4Addr remote_addr;
-    std::uint16_t remote_port;
-    auto operator<=>(const ConnKey&) const = default;
-  };
-  struct Listener {
-    QuicConfig config;
-    std::function<void(QuicConnection&)> on_accept;
-  };
 
   void dispatch(std::uint16_t local_port, const sim::Packet& pkt);
   void transmit(sim::Packet pkt) { host_->send(std::move(pkt)); }
 
   sim::Host* host_;
-  std::map<std::uint16_t, Listener> listeners_;
-  std::map<ConnKey, std::unique_ptr<QuicConnection>> connections_;
-  std::set<std::uint16_t> bound_ports_;
+  sim::ConnTable<QuicConnection, QuicConfig> table_;
 };
 
 }  // namespace slp::quic

@@ -53,11 +53,7 @@ void Host::deliver_icmp(const Packet& pkt) {
   assert(pkt.icmp.has_value());
   switch (pkt.icmp->type) {
     case IcmpType::kEchoRequest: {
-      Packet reply;
-      reply.dst = pkt.src;
-      reply.proto = Protocol::kIcmp;
-      reply.size_bytes = pkt.size_bytes;
-      reply.icmp = IcmpHeader{IcmpType::kEchoReply, pkt.icmp->id, pkt.icmp->seq, nullptr};
+      Packet reply = make_echo_reply(pkt);
       // The reply continues the request's provenance journey (and flow), so
       // the tag at the pinger covers the full round trip.
       reply.flow_id = pkt.flow_id;

@@ -120,12 +120,8 @@ void Nat::handle_packet(Packet&& pkt, Interface& in) {
       pkt.proto == Protocol::kIcmp && pkt.icmp && pkt.icmp->type == IcmpType::kEchoRequest;
   const bool to_us = pkt.dst == inside().addr() || pkt.dst == outside().addr();
   if (echo_request && to_us) {
-    Packet reply;
+    Packet reply = make_echo_reply(pkt);
     reply.src = pkt.dst;
-    reply.dst = pkt.src;
-    reply.proto = Protocol::kIcmp;
-    reply.size_bytes = pkt.size_bytes;
-    reply.icmp = IcmpHeader{IcmpType::kEchoReply, pkt.icmp->id, pkt.icmp->seq, nullptr};
     refresh_checksum(reply);
     reply.uid = sim().next_packet_uid();
     (&in == &inside() ? inside() : outside()).send(std::move(reply));

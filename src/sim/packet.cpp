@@ -44,6 +44,15 @@ std::uint16_t transport_checksum(const Packet& pkt) {
 
 void refresh_checksum(Packet& pkt) { pkt.checksum = transport_checksum(pkt); }
 
+Packet make_echo_reply(const Packet& request) {
+  Packet reply;
+  reply.dst = request.src;
+  reply.proto = Protocol::kIcmp;
+  reply.size_bytes = request.size_bytes;
+  reply.icmp = IcmpHeader{IcmpType::kEchoReply, request.icmp->id, request.icmp->seq, nullptr};
+  return reply;
+}
+
 namespace {
 
 Packet make_icmp_error(IcmpType type, Ipv4Addr reporter, const Packet& offender) {

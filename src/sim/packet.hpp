@@ -111,6 +111,10 @@ struct Packet {
 /// Stamps a fresh checksum on the packet (call after any header rewrite).
 void refresh_checksum(Packet& pkt);
 
+/// Builds the ICMP echo reply to `request`: back to its source, same size,
+/// id and seq. The source address and checksum are left to the replier.
+[[nodiscard]] Packet make_echo_reply(const Packet& request);
+
 /// Builds an ICMP time-exceeded error addressed to `offender.src`, quoting
 /// the offender as seen at the reporting hop.
 [[nodiscard]] Packet make_time_exceeded(Ipv4Addr reporter, const Packet& offender);

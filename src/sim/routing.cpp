@@ -41,12 +41,8 @@ void Router::handle_packet(Packet&& pkt, Interface& in) {
   // Locally addressed traffic: answer pings, silently absorb the rest.
   if (owns_address(pkt.dst)) {
     if (pkt.proto == Protocol::kIcmp && pkt.icmp && pkt.icmp->type == IcmpType::kEchoRequest) {
-      Packet reply;
+      Packet reply = make_echo_reply(pkt);
       reply.src = pkt.dst;
-      reply.dst = pkt.src;
-      reply.proto = Protocol::kIcmp;
-      reply.size_bytes = pkt.size_bytes;
-      reply.icmp = IcmpHeader{IcmpType::kEchoReply, pkt.icmp->id, pkt.icmp->seq, nullptr};
       refresh_checksum(reply);
       send_local(std::move(reply));
     }

@@ -25,16 +25,14 @@ std::string_view to_string(TcpState s) {
 
 // ===================================================================== Stack
 
-TcpStack::TcpStack(sim::Host& host) : sim_{&host.sim()}, host_{&host} {}
+TcpStack::TcpStack(sim::Host& host)
+    : sim_{&host.sim()},
+      host_{&host},
+      table_{&host, sim::Protocol::kTcp,
+             [this](std::uint16_t port, const sim::Packet& pkt) { dispatch(port, pkt); }} {}
 
 TcpStack::TcpStack(sim::Simulator& sim, std::function<void(sim::Packet)> transmit)
-    : sim_{&sim}, transmit_fn_{std::move(transmit)} {}
-
-TcpStack::~TcpStack() {
-  if (host_ != nullptr) {
-    for (const std::uint16_t port : bound_ports_) host_->unbind(sim::Protocol::kTcp, port);
-  }
-}
+    : sim_{&sim}, transmit_fn_{std::move(transmit)}, table_{nullptr, sim::Protocol::kTcp, {}} {}
 
 void TcpStack::transmit(sim::Packet pkt) {
   if (host_ != nullptr) {
@@ -56,84 +54,55 @@ std::uint16_t TcpStack::alloc_port() {
 TcpConnection& TcpStack::connect(sim::Ipv4Addr remote_addr, std::uint16_t remote_port,
                                  TcpConfig config) {
   const std::uint16_t local_port = alloc_port();
-  if (host_ != nullptr && bound_ports_.insert(local_port).second) {
-    host_->bind(sim::Protocol::kTcp, local_port,
-                [this, local_port](const sim::Packet& pkt) { dispatch(local_port, pkt); });
-  }
-  auto conn = std::unique_ptr<TcpConnection>(
-      new TcpConnection(*this, remote_addr, remote_port, local_port, config));
-  TcpConnection& ref = *conn;
-  connections_[ConnKey{local_port, remote_addr, remote_port}] = std::move(conn);
-  ref.start_connect();
-  return ref;
+  table_.bind(local_port);
+  TcpConnection& conn = table_.add(*this, remote_addr, remote_port, local_port, config);
+  conn.start_connect();
+  return conn;
 }
 
 TcpConnection& TcpStack::connect_spoofed(sim::Ipv4Addr local_addr, std::uint16_t local_port,
                                          sim::Ipv4Addr remote_addr, std::uint16_t remote_port,
                                          TcpConfig config) {
-  auto conn = std::unique_ptr<TcpConnection>(
-      new TcpConnection(*this, remote_addr, remote_port, local_port, config, local_addr));
-  TcpConnection& ref = *conn;
-  connections_[ConnKey{local_port, remote_addr, remote_port}] = std::move(conn);
-  ref.start_connect();
-  return ref;
+  TcpConnection& conn = accept_spoofed(local_addr, local_port, remote_addr, remote_port, config);
+  conn.start_connect();
+  return conn;
 }
 
 TcpConnection& TcpStack::accept_spoofed(sim::Ipv4Addr local_addr, std::uint16_t local_port,
                                         sim::Ipv4Addr remote_addr, std::uint16_t remote_port,
                                         TcpConfig config) {
-  auto conn = std::unique_ptr<TcpConnection>(
-      new TcpConnection(*this, remote_addr, remote_port, local_port, config, local_addr));
-  TcpConnection& ref = *conn;
-  connections_[ConnKey{local_port, remote_addr, remote_port}] = std::move(conn);
-  return ref;
+  return table_.add(*this, remote_addr, remote_port, local_port, config, local_addr);
 }
 
 bool TcpStack::deliver(const sim::Packet& pkt) {
   if (!pkt.tcp) return false;
-  const ConnKey key{pkt.dst_port, pkt.src, pkt.src_port};
-  const auto it = connections_.find(key);
-  if (it == connections_.end()) return false;
-  it->second->on_packet(pkt);
+  TcpConnection* conn = table_.find({pkt.dst_port, pkt.src, pkt.src_port});
+  if (conn == nullptr) return false;
+  conn->on_packet(pkt);
   return true;
 }
 
 void TcpStack::listen(std::uint16_t port, std::function<void(TcpConnection&)> on_accept,
                       TcpConfig config) {
-  listeners_[port] = Listener{config, std::move(on_accept)};
-  if (host_ != nullptr && bound_ports_.insert(port).second) {
-    host_->bind(sim::Protocol::kTcp, port,
-                [this, port](const sim::Packet& pkt) { dispatch(port, pkt); });
-  }
+  table_.listen(port, {config, std::move(on_accept)});
 }
 
 void TcpStack::dispatch(std::uint16_t local_port, const sim::Packet& pkt) {
   if (!pkt.tcp) return;
-  const ConnKey key{local_port, pkt.src, pkt.src_port};
-  const auto it = connections_.find(key);
-  if (it != connections_.end()) {
-    it->second->on_packet(pkt);
+  if (TcpConnection* conn = table_.find({local_port, pkt.src, pkt.src_port})) {
+    conn->on_packet(pkt);
     return;
   }
   // New connection? Only a SYN to a listening port creates state.
-  const auto lit = listeners_.find(local_port);
-  if (lit == listeners_.end() || !pkt.tcp->syn || pkt.tcp->ack_flag) return;
-  auto conn = std::unique_ptr<TcpConnection>(
-      new TcpConnection(*this, pkt.src, pkt.src_port, local_port, lit->second.config));
-  TcpConnection& ref = *conn;
-  connections_[key] = std::move(conn);
-  if (lit->second.on_accept) lit->second.on_accept(ref);
-  ref.on_packet(pkt);
+  const auto* listener = table_.listener(local_port);
+  if (listener == nullptr || !pkt.tcp->syn || pkt.tcp->ack_flag) return;
+  TcpConnection& conn = table_.add(*this, pkt.src, pkt.src_port, local_port, listener->config);
+  if (listener->on_accept) listener->on_accept(conn);
+  conn.on_packet(pkt);
 }
 
 void TcpStack::gc() {
-  for (auto it = connections_.begin(); it != connections_.end();) {
-    if (it->second->state() == TcpState::kDone) {
-      it = connections_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  table_.erase_if([](const TcpConnection& conn) { return conn.state() == TcpState::kDone; });
 }
 
 // ================================================================ Connection
@@ -223,7 +192,7 @@ void TcpConnection::consume(std::uint64_t bytes) {
   }
 }
 
-void TcpConnection::send_control(bool syn, bool ack, bool fin, std::uint64_t seq, bool rst) {
+sim::Packet TcpConnection::make_segment(std::uint64_t seq, bool ack) {
   sim::Packet pkt;
   pkt.src = local_addr_;  // 0 in host mode: the host stamps its own address
   pkt.dst = remote_addr_;
@@ -231,14 +200,21 @@ void TcpConnection::send_control(bool syn, bool ack, bool fin, std::uint64_t seq
   pkt.dst_port = remote_port_;
   pkt.proto = sim::Protocol::kTcp;
   pkt.flow_id = flow_id_;
-  sim::TcpHeader hdr;
+  pkt.size_bytes = config_.header_bytes;
+  sim::TcpHeader& hdr = pkt.tcp.emplace();
   hdr.seq = seq;
-  hdr.syn = syn;
-  hdr.fin = fin;
-  hdr.rst = rst;
   hdr.ack_flag = ack;
   hdr.ack = ack ? rcv_nxt_ : 0;
   hdr.window = static_cast<std::uint32_t>(std::min<std::uint64_t>(advertise_window(), ~0u));
+  return pkt;
+}
+
+void TcpConnection::send_control(bool syn, bool ack, bool fin, std::uint64_t seq, bool rst) {
+  sim::Packet pkt = make_segment(seq, ack);
+  sim::TcpHeader& hdr = *pkt.tcp;
+  hdr.syn = syn;
+  hdr.fin = fin;
+  hdr.rst = rst;
   if (syn) hdr.mss_option = static_cast<std::uint16_t>(config_.mss);
   if (ack) {
     // Most-recent (highest) ranges first, like real SACK generation: the
@@ -249,29 +225,16 @@ void TcpConnection::send_control(bool syn, bool ack, bool fin, std::uint64_t seq
     for (auto it = ooo_.rbegin(); it != ooo_.rend() && hdr.sack.size() < 16; ++it) {
       hdr.sack.emplace_back(it->start, it->end);
     }
+    if (!hdr.sack.empty()) pkt.size_bytes += 12;
   }
-  pkt.size_bytes = config_.header_bytes + (hdr.sack.empty() ? 0 : 12);
-  pkt.tcp = std::move(hdr);
   stats_.segments_sent++;
   stack_->transmit(std::move(pkt));
 }
 
 void TcpConnection::send_segment(std::uint64_t seq, std::uint64_t len, bool retransmission) {
-  sim::Packet pkt;
-  pkt.src = local_addr_;
-  pkt.dst = remote_addr_;
-  pkt.src_port = local_port_;
-  pkt.dst_port = remote_port_;
-  pkt.proto = sim::Protocol::kTcp;
-  pkt.flow_id = flow_id_;
-  sim::TcpHeader hdr;
-  hdr.seq = seq;
-  hdr.ack_flag = state_ != TcpState::kSynSent;
-  hdr.ack = hdr.ack_flag ? rcv_nxt_ : 0;
-  hdr.window = static_cast<std::uint32_t>(std::min<std::uint64_t>(advertise_window(), ~0u));
-  hdr.payload_bytes = static_cast<std::uint32_t>(len);
-  pkt.size_bytes = static_cast<std::uint32_t>(len) + config_.header_bytes;
-  pkt.tcp = std::move(hdr);
+  sim::Packet pkt = make_segment(seq, /*ack=*/state_ != TcpState::kSynSent);
+  pkt.tcp->payload_bytes = static_cast<std::uint32_t>(len);
+  pkt.size_bytes += static_cast<std::uint32_t>(len);
 
   auto& seg = in_flight_[seq];
   if (seg.lost && !seg.sacked) lost_unsacked_--;  // this send clears the mark

@@ -19,9 +19,8 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <set>
-#include <unordered_map>
 
+#include "sim/conn_table.hpp"
 #include "sim/host.hpp"
 #include "tcp/congestion.hpp"
 #include "util/interval_set.hpp"
@@ -128,6 +127,8 @@ class TcpConnection {
 
  private:
   friend class TcpStack;
+  template <typename, typename>
+  friend class sim::ConnTable;
 
   TcpConnection(TcpStack& stack, sim::Ipv4Addr remote_addr, std::uint16_t remote_port,
                 std::uint16_t local_port, TcpConfig config,
@@ -158,6 +159,10 @@ class TcpConnection {
   void send_ack_now();
   void schedule_ack();
   void send_control(bool syn, bool ack, bool fin, std::uint64_t seq, bool rst = false);
+  /// Builds a header-only segment to the peer: addresses, ports, flow id,
+  /// `seq`, the ack of `rcv_nxt_` when `ack`, and the advertised window.
+  /// Every segment this end sends starts here.
+  [[nodiscard]] sim::Packet make_segment(std::uint64_t seq, bool ack);
   void arm_rto();
   void on_rto_expired();
   void update_rtt(Duration sample);
@@ -256,7 +261,6 @@ class TcpStack {
   explicit TcpStack(sim::Host& host);
   /// Raw mode. `transmit` receives fully-formed segments (src already set).
   TcpStack(sim::Simulator& sim, std::function<void(sim::Packet)> transmit);
-  ~TcpStack();
 
   TcpStack(const TcpStack&) = delete;
   TcpStack& operator=(const TcpStack&) = delete;
@@ -294,27 +298,10 @@ class TcpStack {
   /// Destroys connections in kDone state.
   void gc();
 
-  [[nodiscard]] std::size_t connection_count() const { return connections_.size(); }
+  [[nodiscard]] std::size_t connection_count() const { return table_.size(); }
 
  private:
   friend class TcpConnection;
-
-  struct ConnKey {
-    std::uint16_t local_port;
-    sim::Ipv4Addr remote_addr;
-    std::uint16_t remote_port;
-    bool operator==(const ConnKey&) const = default;
-  };
-  struct ConnKeyHash {
-    std::size_t operator()(const ConnKey& k) const noexcept {
-      return (std::size_t{k.remote_addr} << 32) | (std::size_t{k.local_port} << 16) |
-             k.remote_port;
-    }
-  };
-  struct Listener {
-    TcpConfig config;
-    std::function<void(TcpConnection&)> on_accept;
-  };
 
   void dispatch(std::uint16_t local_port, const sim::Packet& pkt);
   void transmit(sim::Packet pkt);
@@ -324,11 +311,7 @@ class TcpStack {
   sim::Host* host_ = nullptr;                       ///< null in raw mode
   std::function<void(sim::Packet)> transmit_fn_;    ///< set in raw mode
   std::uint16_t next_raw_port_ = 49152;
-  std::map<std::uint16_t, Listener> listeners_;
-  /// Looked up for every segment. Only gc() and the destructor iterate it,
-  /// and their order only decides which timer slots are freed first.
-  std::unordered_map<ConnKey, std::unique_ptr<TcpConnection>, ConnKeyHash> connections_;
-  std::set<std::uint16_t> bound_ports_;
+  sim::ConnTable<TcpConnection, TcpConfig> table_;  ///< binds nothing in raw mode
 };
 
 }  // namespace slp::tcp

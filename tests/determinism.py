@@ -89,11 +89,11 @@ TABLE = [
     # --shards sits in every axis. The flat grid's many hot cells take the
     # sharded tick; continental aggregation leaves one hot cell, which steps
     # serially for any --shards but folds the same supercell runs.
-    Row("fleet", "fleet_scale", ["--terminals=1000", "--duration=10m", "--seeds=2"],
+    Row("fleet", "fleet_scale", ["--fleet=1000", "--duration=10m", "--seeds=2"],
         axes={**JOBS, "sharded": ["--jobs=8", "--shards=4"]},
         files=METRICS, counters=["fleet.reallocations"], strip=r"^(metrics|trace) |job"),
     Row("continental_fleet", "fleet_scale",
-        ["--terminals=100000", "--continental=1", "--duration=10m", "--seeds=2"],
+        ["--fleet=100000", "--continental=1", "--duration=10m", "--seeds=2"],
         axes={"serial": ["--jobs=1", "--shards=4"], "parallel": ["--jobs=8", "--shards=4"],
               "unsharded": ["--jobs=8", "--shards=1"]},
         files=METRICS_TRACE, counters=["fleet.promotions", "fleet.supercells"],

@@ -2,6 +2,12 @@
 // identical seeds give bit-identical campaigns; different seeds differ.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <functional>
+#include <memory>
+#include <string_view>
+
+#include "fleet/demand.hpp"
 #include "measure/campaign.hpp"
 #include "measure/testbed.hpp"
 #include "obs/recorder.hpp"
@@ -148,6 +154,161 @@ TEST(Determinism, TestbedTopologyIsStable) {
   for (std::size_t i = 0; i < a.anchors().size(); ++i) {
     EXPECT_EQ(a.anchor(i).name, b.anchor(i).name);
     EXPECT_EQ(a.anchor(i).host->addr(), b.anchor(i).host->addr());
+  }
+}
+
+// ------------------------------------------------ golden transport digests
+
+/// Order-sensitive digest of a run's results: sample bit patterns, counts and
+/// the rendered metrics and breakdown exports.
+struct Digest {
+  std::uint64_t h = 0;
+  void add(std::uint64_t x) { h = fleet::mix64(h, x); }
+  void add(double x) { add(std::bit_cast<std::uint64_t>(x)); }
+  void add(std::string_view text) {
+    add(std::uint64_t{text.size()});
+    for (const char c : text) add(std::uint64_t{static_cast<unsigned char>(c)});
+  }
+  void add(const stats::Samples& s) {
+    add(std::uint64_t{s.size()});
+    for (const double x : s.values()) add(x);
+  }
+  void add(const LossAnalyzer::Report& r) {
+    add(r.packets_received);
+    add(r.packets_lost);
+    add(r.loss_events);
+    add(r.loss_ratio);
+    for (const auto& [len, n] : r.burst_lengths.buckets()) {
+      add(len);
+      add(n);
+    }
+    add(r.event_durations_ms);
+    add(r.outage_events);
+  }
+  void add(const obs::Snapshot& snap) {
+    add(obs::metrics_json(snap));
+    add(obs::breakdown_json(snap));
+  }
+};
+
+/// Metrics and provenance on: the digests cover the exports too.
+template <typename Config>
+Config observed(Config config) {
+  config.obs.metrics = true;
+  config.obs.provenance = true;
+  return config;
+}
+
+std::uint64_t h3_digest(bool download) {
+  H3Campaign::Config config;
+  config.transfers = 2;
+  config.download = download;
+  // Above half the 10 MB initial window, so the receiver sends MAX_DATA.
+  config.bytes = (download ? 12ull : 3ull) * 1000 * 1000;
+  config.gap = Duration::seconds(5);
+  const auto r = H3Campaign::run(observed(config));
+  Digest d;
+  d.add(r.rtt_ms);
+  d.add(r.goodput_mbps);
+  d.add(r.loss);
+  d.add(std::uint64_t(r.transfers_completed));
+  d.add(r.obs);
+  return d.h;
+}
+
+std::uint64_t message_digest(bool upload) {
+  // Maintenance blips stall the path long enough for probe timeouts (PTO).
+  static const auto blips = std::make_shared<const scenario::Scenario>(scenario::Scenario::parse(
+      "scenario blips\nmaintenance start=1s end=90s period=3s blip=1200ms\n"));
+  MessageCampaign::Config config;
+  config.scenario = blips;
+  config.sessions = 2;
+  config.upload = upload;
+  config.session_duration = Duration::seconds(20);
+  config.gap = Duration::seconds(5);
+  const auto r = MessageCampaign::run(observed(config));
+  Digest d;
+  d.add(r.rtt_ms);
+  d.add(r.latency_ms);
+  d.add(r.loss);
+  d.add(std::uint64_t(r.messages_sent));
+  d.add(r.obs);
+  return d.h;
+}
+
+std::uint64_t speedtest_digest(AccessKind access, bool pep) {
+  SpeedtestCampaign::Config config;
+  config.access = access;
+  config.tests = 2;
+  config.test_duration = Duration::seconds(4);
+  config.gap = Duration::seconds(20);
+  config.satcom_pep = pep;
+  const auto r = SpeedtestCampaign::run(observed(config));
+  Digest d;
+  d.add(r.mbps);
+  d.add(r.obs);
+  return d.h;
+}
+
+std::uint64_t web_digest() {
+  WebCampaign::Config config;
+  config.visits = 4;
+  config.dns = true;
+  const auto r = WebCampaign::run(observed(config));
+  Digest d;
+  d.add(r.onload_s);
+  d.add(r.speedindex_s);
+  d.add(r.setup_ms);
+  d.add(r.mean_connections);
+  d.add(std::uint64_t(r.visits_completed));
+  d.add(std::uint64_t(r.visits_timed_out));
+  d.add(r.obs);
+  return d.h;
+}
+
+std::uint64_t ping_digest() {
+  PingCampaign::Config config;
+  config.duration = Duration::hours(2);
+  config.cadence = Duration::minutes(5);
+  config.epochs = false;
+  const auto r = PingCampaign::run(observed(config));
+  Digest d;
+  for (const auto& anchor : r.anchors) d.add(anchor.rtt_ms);
+  d.add(r.pings_sent);
+  d.add(r.pings_lost);
+  d.add(r.obs);
+  return d.h;
+}
+
+TEST(Determinism, TransportRunsMatchGoldenDigests) {
+  // Pinned digests of short runs over every transport path: QUIC streams
+  // and messages in both directions (probe timeouts included), TCP over
+  // Starlink and over SatCom with the PEP (raw-mode TCP, spoofed connects)
+  // and without, web page loads with DNS, and ICMP echo. The determinism
+  // harness diffs axes of one build, so a change that moved bits the same
+  // way on every axis would pass it; these would not.
+  struct Row {
+    const char* name;
+    std::function<std::uint64_t()> run;
+    std::uint64_t digest;
+  };
+  const Row rows[] = {
+      {"h3-download", [] { return h3_digest(true); }, 0xe5629476cfd51a4aull},
+      {"h3-upload", [] { return h3_digest(false); }, 0x87802139d8259a66ull},
+      {"messages-upload", [] { return message_digest(true); }, 0x95310c2cdf076ff8ull},
+      {"messages-download", [] { return message_digest(false); }, 0x376b11315afd7560ull},
+      {"speedtest-starlink", [] { return speedtest_digest(AccessKind::kStarlink, true); },
+       0xe366a3438e5ed032ull},
+      {"speedtest-satcom-pep", [] { return speedtest_digest(AccessKind::kSatCom, true); },
+       0x5330902c28615eccull},
+      {"speedtest-satcom-nopep", [] { return speedtest_digest(AccessKind::kSatCom, false); },
+       0x7e5150ee9685dc08ull},
+      {"web-dns", web_digest, 0x533dccaaa45d5997ull},
+      {"ping", ping_digest, 0x361dabc6890f285full},
+  };
+  for (const Row& row : rows) {
+    const std::uint64_t digest = row.run();
+    EXPECT_EQ(digest, row.digest) << row.name << ": 0x" << std::hex << digest;
   }
 }
 
