@@ -15,6 +15,7 @@
 #include "fleet/placement.hpp"
 #include "leo/access.hpp"
 #include "leo/constellation.hpp"
+#include "leo/handover.hpp"
 #include "leo/places.hpp"
 #include "mobility/obstruction.hpp"
 #include "mobility/routes.hpp"
@@ -205,18 +206,24 @@ void BM_ConstellationVisibilityReuse(benchmark::State& state) {
 }
 BENCHMARK(BM_ConstellationVisibilityReuse);
 
-void BM_ConstellationBestVisible(benchmark::State& state) {
-  leo::Constellation shell{leo::Constellation::Config{}};
+void BM_HandoverComputePath(benchmark::State& state) {
+  // One 15 s slot of the default scheduler (Louvain-la-Neuve, the European
+  // gateways): visibility, gateway gates and the draw. Each round queries
+  // the next slot, so every path_at recomputes; buffers are warm.
+  const leo::Constellation shell{leo::Constellation::Config{}};
+  leo::HandoverScheduler::Config config;
+  config.terminal = leo::places::kLouvainLaNeuve;
+  config.gateways = leo::default_european_gateways();
+  leo::HandoverScheduler scheduler{shell, config, Rng{1}};
   std::int64_t t = 0;
+  (void)scheduler.path_at(TimePoint::epoch());
   for (auto _ : state) {
     t += 15;
-    const auto best = shell.best_visible(leo::places::kLouvainLaNeuve,
-                                         TimePoint::epoch() + Duration::seconds(t), 25.0);
-    benchmark::DoNotOptimize(best.has_value());
+    benchmark::DoNotOptimize(scheduler.path_at(TimePoint::epoch() + Duration::seconds(t)).sat);
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_ConstellationBestVisible);
+BENCHMARK(BM_HandoverComputePath);
 
 void BM_FleetAttachDetach(benchmark::State& state) {
   // Membership churn on one cell: attach/detach keep the id-ordered member

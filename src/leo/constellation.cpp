@@ -53,6 +53,26 @@ Constellation::Constellation(Config config) : config_{config} {
           slot_angle + phase_angle;
     }
   }
+
+  // Cone pre-test tables. Each is an evenly spaced angle sequence, filled by
+  // angle addition from one sincos of its step (see kConeGuard).
+  const auto spaced = [](double start, double step, int n) {
+    std::vector<CosSin> table;
+    table.reserve(static_cast<std::size_t>(n));
+    const CosSin d{std::cos(step), std::sin(step)};
+    CosSin r{std::cos(start), std::sin(start)};
+    for (int k = 0; k < n; ++k) {
+      table.push_back(r);
+      r = CosSin{r.c * d.c - r.s * d.s, r.s * d.c + r.c * d.s};
+    }
+    return table;
+  };
+  const int planes = config_.num_planes;
+  const int slots = config_.sats_per_plane;
+  plane_node0_cs_ = spaced(deg_to_rad(config_.raan0_deg), 2.0 * std::numbers::pi / planes, planes);
+  plane_phase_cs_ = spaced(0.0, 2.0 * std::numbers::pi * config_.phase_factor / (planes * slots),
+                           planes);
+  slot_offset_cs_ = spaced(0.0, 2.0 * std::numbers::pi / slots, slots);
 }
 
 Duration Constellation::orbital_period() const {
@@ -92,17 +112,29 @@ void Constellation::for_each_visible(const GeoPoint& ground, TimePoint t,
 
   const Vec3 g = to_ecef(ground);
   const double r_g = g.norm();
+  const ElevationMask mask{min_elevation_deg};
+
+  // position_ecef's expressions, with the plane's exact RAAN sincos hoisted.
+  const auto eval = [&](int plane, int slot, double cr, double sr) {
+    const double theta =
+        theta0_rad_[static_cast<std::size_t>(plane) * sats_per_plane + slot] + motion;
+    const double xp = semi_major_m_ * std::cos(theta);
+    const double yp = semi_major_m_ * std::sin(theta);
+    const Vec3 in_plane{xp, yp * cos_incl_, yp * sin_incl_};
+    const Vec3 pos{in_plane.x * cr - in_plane.y * sr,
+                   in_plane.x * sr + in_plane.y * cr, in_plane.z};
+    const SkyLook look = sky_look(g, pos);
+    if (mask.admits(look)) f(SatIndex{plane, slot}, look, pos);
+  };
 
   // Visibility cone. A satellite at orbit radius a is above elevation e from
   // a ground point at radius r only within central angle
   // λmax = acos((r/a)·cos e) − e of that point (spherical Earth, exact). The
-  // margins keep every bound below conservative against FP rounding, so
-  // culling can never change a result: surviving slots are evaluated with
-  // exactly the expressions of the per-satellite reference.
+  // margin keeps the bound conservative against the rounding of the
+  // elevation itself.
   constexpr double kMarginRad = 1e-4;
   bool cull = false;
   double cos_lam_max = -1.0;
-  Vec3 u{};
   if (r_g > 0.0 && r_g < semi_major_m_) {
     const double e_rad = deg_to_rad(min_elevation_deg);
     const double arg = (r_g / semi_major_m_) * std::cos(e_rad);
@@ -111,64 +143,57 @@ void Constellation::for_each_visible(const GeoPoint& ground, TimePoint t,
       if (lam_max > 0.0 && lam_max < std::numbers::pi / 2.0) {
         cull = true;
         cos_lam_max = std::cos(lam_max);
-        u = g * (1.0 / r_g);
       }
     }
   }
-  const double slot_step = 2.0 * std::numbers::pi / sats_per_plane;
+  if (!cull) {
+    for (int plane = 0; plane < planes; ++plane) {
+      const double raan = plane_node0_rad_[static_cast<std::size_t>(plane)] + drift;
+      const double cr = std::cos(raan);
+      const double sr = std::sin(raan);
+      for (int slot = 0; slot < sats_per_plane; ++slot) eval(plane, slot, cr, sr);
+    }
+    return;
+  }
 
+  // Cone pre-test. A satellite's direction is cos θ·P + sin θ·Q, with P, Q
+  // the plane's in-plane axes at RAAN Ω, so u·s = (u·P)·cos θ + (u·Q)·sin θ.
+  // Rotating u back by the node drift gives u·P and u·Q against the t=0
+  // axes; writing θ = φ + α (φ the plane's slot-0 anomaly, α the slot's
+  // offset) makes u·s = A·cos α + B·sin α with A, B per plane and cos α,
+  // sin α from a table. kConeGuard absorbs the rounding this skips, so
+  // every satellite in view passes, and in (plane, slot) order.
+  const double pass = cos_lam_max - kConeGuard;
+  const Vec3 u = g * (1.0 / r_g);
+  const double cd = std::cos(drift);
+  const double sd = std::sin(drift);
+  const Vec3 w{u.x * cd + u.y * sd, u.y * cd - u.x * sd, u.z};
+  const double cm = std::cos(motion);
+  const double sm = std::sin(motion);
   for (int plane = 0; plane < planes; ++plane) {
-    const double raan = plane_node0_rad_[static_cast<std::size_t>(plane)] + drift;
-    const double cr = std::cos(raan);
-    const double sr = std::sin(raan);
-    const double* theta0 =
-        &theta0_rad_[static_cast<std::size_t>(plane) * sats_per_plane];
-    const auto eval = [&](int slot) {
-      const double theta = theta0[slot] + motion;
-      const double xp = semi_major_m_ * std::cos(theta);
-      const double yp = semi_major_m_ * std::sin(theta);
-      const Vec3 in_plane{xp, yp * cos_incl_, yp * sin_incl_};
-      const Vec3 pos{in_plane.x * cr - in_plane.y * sr,
-                     in_plane.x * sr + in_plane.y * cr, in_plane.z};
-      const double el = elevation_deg(g, pos);
-      if (el >= min_elevation_deg) f(SatIndex{plane, slot}, el, slant_range_m(g, pos));
-    };
-    const auto eval_run = [&eval](int begin, int end) {
-      for (int slot = begin; slot < end; ++slot) eval(slot);
-    };
-    if (!cull) {
-      eval_run(0, sats_per_plane);
-      continue;
-    }
-
-    // A satellite's direction is cos θ·P + sin θ·Q (P, Q: the plane's
-    // in-plane axes), so u·s = R·cos(θ − φ) with R = |(u·P, u·Q)| and
-    // φ = atan2(u·Q, u·P). R ≤ cos λmax proves the whole plane invisible;
-    // otherwise only slots with |θ − φ| ≤ acos(cos λmax / R) can be. Slots
-    // are evenly spaced from θ0[0], so that window maps to a slot range
-    // without touching a single culled satellite.
-    const double up = u.x * cr + u.y * sr;
-    const double uq = (u.y * cr - u.x * sr) * cos_incl_ + u.z * sin_incl_;
-    const double r_plane = std::sqrt(up * up + uq * uq);
-    if (r_plane <= cos_lam_max) continue;
-    const double half = std::acos(cos_lam_max / r_plane) + kMarginRad;
-    const double rel =
-        std::remainder(std::atan2(uq, up) - (theta0[0] + motion), 2.0 * std::numbers::pi);
-    const int lo = static_cast<int>(std::ceil((rel - half) / slot_step));
-    const int count = static_cast<int>(std::floor((rel + half) / slot_step)) - lo + 1;
-    if (count >= sats_per_plane) {
-      eval_run(0, sats_per_plane);
-      continue;
-    }
-    if (count <= 0) continue;
-    // A window that wraps past the last slot is two ascending runs, keeping
-    // the callback order (plane, slot).
-    const int first = ((lo % sats_per_plane) + sats_per_plane) % sats_per_plane;
-    if (first + count <= sats_per_plane) {
-      eval_run(first, first + count);
-    } else {
-      eval_run(0, first + count - sats_per_plane);
-      eval_run(first, sats_per_plane);
+    const CosSin node = plane_node0_cs_[static_cast<std::size_t>(plane)];
+    const double up = w.x * node.c + w.y * node.s;
+    const double uq = (w.y * node.c - w.x * node.s) * cos_incl_ + w.z * sin_incl_;
+    // max over θ of u·s is |(u·P, u·Q)|: the whole plane is outside the cone.
+    if (pass > 0.0 && up * up + uq * uq <= pass * pass) continue;
+    const CosSin phase = plane_phase_cs_[static_cast<std::size_t>(plane)];
+    const double c_phi = phase.c * cm - phase.s * sm;
+    const double s_phi = phase.s * cm + phase.c * sm;
+    const double a = up * c_phi + uq * s_phi;
+    const double b = uq * c_phi - up * s_phi;
+    double cr = 0.0;
+    double sr = 0.0;
+    bool have_raan = false;
+    for (int slot = 0; slot < sats_per_plane; ++slot) {
+      const CosSin offset = slot_offset_cs_[static_cast<std::size_t>(slot)];
+      if (a * offset.c + b * offset.s <= pass) continue;
+      if (!have_raan) {
+        const double raan = plane_node0_rad_[static_cast<std::size_t>(plane)] + drift;
+        cr = std::cos(raan);
+        sr = std::sin(raan);
+        have_raan = true;
+      }
+      eval(plane, slot, cr, sr);
     }
   }
 }
@@ -185,11 +210,10 @@ std::vector<Constellation::VisibleSat> Constellation::visible_from(const GeoPoin
 void Constellation::visible_from(const GeoPoint& ground, TimePoint t,
                                  double min_elevation_deg, int active_planes,
                                  std::vector<VisibleSat>& out) const {
-  const obs::SectionTimer wall{obs::Section::kEphemeris};
   out.clear();
   for_each_visible(ground, t, min_elevation_deg, active_planes,
-                   [&out](SatIndex sat, double el, double slant) {
-                     out.push_back(VisibleSat{sat, el, slant});
+                   [&out](SatIndex sat, const SkyLook& look, const Vec3& pos) {
+                     out.push_back(VisibleSat{sat, look.elevation_deg(), look.range_m, pos});
                    });
 }
 
@@ -198,21 +222,8 @@ int Constellation::count_visible(const GeoPoint& ground, TimePoint t,
   const obs::SectionTimer wall{obs::Section::kEphemeris};
   int count = 0;
   for_each_visible(ground, t, min_elevation_deg, active_planes,
-                   [&count](SatIndex, double, double) { ++count; });
+                   [&count](SatIndex, const SkyLook&, const Vec3&) { ++count; });
   return count;
-}
-
-std::optional<Constellation::VisibleSat> Constellation::best_visible(const GeoPoint& ground,
-                                                                     TimePoint t,
-                                                                     double min_elevation_deg,
-                                                                     int active_planes) const {
-  const obs::SectionTimer wall{obs::Section::kEphemeris};
-  std::optional<VisibleSat> best;
-  for_each_visible(ground, t, min_elevation_deg, active_planes,
-                   [&best](SatIndex sat, double el, double slant) {
-                     if (!best || el > best->elevation_deg) best = VisibleSat{sat, el, slant};
-                   });
-  return best;
 }
 
 std::vector<Gateway> default_european_gateways() {

@@ -7,7 +7,7 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
+#include <string>
 #include <vector>
 
 #include "leo/geodesy.hpp"
@@ -50,6 +50,7 @@ class Constellation {
     SatIndex sat;
     double elevation_deg = 0.0;
     double slant_range_m = 0.0;
+    Vec3 position;  ///< ECEF at the query time, bit-identical to position_ecef
   };
 
   /// All satellites above `min_elevation_deg` from `ground` at time t,
@@ -70,17 +71,30 @@ class Constellation {
   [[nodiscard]] int count_visible(const GeoPoint& ground, TimePoint t,
                                   double min_elevation_deg, int active_planes = 0) const;
 
-  /// The visible satellite with the highest elevation, if any.
-  [[nodiscard]] std::optional<VisibleSat> best_visible(const GeoPoint& ground, TimePoint t,
-                                                       double min_elevation_deg,
-                                                       int active_planes = 0) const;
-
  private:
-  /// Calls f(SatIndex, elevation_deg, ecef_position) for every satellite in
-  /// the first `planes` planes above `min_elevation_deg`, in (plane, slot)
-  /// order. Whole planes whose orbital band cannot clear the elevation mask
-  /// from `ground` are skipped, and in the rest only the window of slots
-  /// that can be in view is evaluated: culled satellites cost nothing.
+  /// Guard of the cone pre-test in for_each_visible, in units of u·s (the
+  /// cosine of the central angle between ground point and satellite). The
+  /// pre-test reads each satellite's direction off rotated tables instead of
+  /// the exact expressions, so it differs from the direction of the
+  /// position it stands for by the rounding that the exact path applies
+  /// and the tables skip: the anomaly sum theta0 + mean_motion·t, off by at
+  /// most ulp(mean_motion·t)/2, the node sum, at most ulp(drift·t)/2, a few
+  /// ulp of sin/cos and products (~1e-15), and the tables' angle addition,
+  /// about 4e-16 per step (3e-14 after Shell 1's 72 planes). At the largest
+  /// representable TimePoint (2^63 ns ≈ 9.22e9 s) Shell 1's anomaly reaches
+  /// ~1.0e7 rad (half-ulp 9.3e-10) and its node drift ~6.8e5 rad (half-ulp
+  /// 5.8e-11); any orbit above the surface stays below 2^24 and 2^20 rad,
+  /// so its ulps are no larger. The error stays below 1.0e-9 for every
+  /// TimePoint, and the guard exceeds it a thousandfold.
+  static constexpr double kConeGuard = 1e-6;
+
+  /// Calls f(SatIndex, SkyLook, ecef_position) for every satellite in the
+  /// first `planes` planes above `min_elevation_deg`, in (plane, slot)
+  /// order. When `ground` has a visibility cone (central angle λmax), a
+  /// trig-free pre-test on approximate geometry keeps only the satellites
+  /// with u·s > cos λmax − kConeGuard; those, and every satellite when
+  /// there is no cone, are evaluated with position_ecef's exact expressions
+  /// and gated by ElevationMask. Culled satellites cost a multiply-add.
   template <typename F>
   void for_each_visible(const GeoPoint& ground, TimePoint t, double min_elevation_deg,
                         int active_planes, F&& f) const;
@@ -103,6 +117,18 @@ class Constellation {
   double node_drift_rad_s_ = 0.0;        ///< d(RAAN)/dt: J2 regression − Earth rotation
   std::vector<double> plane_node0_rad_;  ///< RAAN of each plane at t=0
   std::vector<double> theta0_rad_;       ///< [plane*S+slot]: slot + Walker phase angle
+
+  // Cone pre-test tables, built in the constructor rather than lazily
+  // because fleet shards query one shared const Constellation from pool
+  // workers. Each query rotates them by one sincos of the node drift and
+  // one of the anomaly advance.
+  struct CosSin {
+    double c = 1.0;
+    double s = 0.0;
+  };
+  std::vector<CosSin> plane_node0_cs_;  ///< per plane: plane_node0_rad_
+  std::vector<CosSin> plane_phase_cs_;  ///< per plane: theta0 of slot 0 (Walker phase)
+  std::vector<CosSin> slot_offset_cs_;  ///< per slot: 2π·slot/S, the in-plane spacing
 };
 
 /// The paper's ground segment: gateways the Belgian beta service used, with

@@ -1,6 +1,7 @@
 #include "leo/geodesy.hpp"
 
 #include <algorithm>
+#include <limits>
 
 namespace slp::leo {
 
@@ -36,13 +37,32 @@ double elevation_deg(const GeoPoint& ground, const Vec3& sat_ecef) {
 }
 
 double elevation_deg(const Vec3& ground_ecef, const Vec3& sat_ecef) {
+  return sky_look(ground_ecef, sat_ecef).elevation_deg();
+}
+
+SkyLook sky_look(const Vec3& ground_ecef, const Vec3& sat_ecef) {
   const Vec3& g = ground_ecef;
   const Vec3 to_sat = sat_ecef - g;
   const double range = to_sat.norm();
-  if (range == 0.0) return 90.0;
+  if (range == 0.0) return SkyLook{};
   // sin(elevation) = (up-vector . to_sat) / |to_sat|, with up = g / |g|.
-  const double sin_el = g.dot(to_sat) / (g.norm() * range);
+  return SkyLook{range, g.dot(to_sat) / (g.norm() * range)};
+}
+
+double SkyLook::elevation_deg() const {
+  if (range_m == 0.0) return 90.0;
   return rad_to_deg(std::asin(std::clamp(sin_el, -1.0, 1.0)));
+}
+
+ElevationMask::ElevationMask(double min_deg)
+    : min_deg_{min_deg},
+      pass_above_{std::numeric_limits<double>::infinity()},
+      fail_below_{-std::numeric_limits<double>::infinity()} {
+  if (std::abs(min_deg) < 90.0) {
+    const double sin_min = std::sin(deg_to_rad(min_deg));
+    pass_above_ = sin_min + kSineBand;
+    fail_below_ = sin_min - kSineBand;
+  }
 }
 
 GeoPoint from_ecef(const Vec3& v) {

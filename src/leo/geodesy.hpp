@@ -61,6 +61,44 @@ struct GeoPoint {
 /// Same, with the ground point already converted (bit-identical result).
 [[nodiscard]] double elevation_deg(const Vec3& ground_ecef, const Vec3& sat_ecef);
 
+/// One ground-to-position look, as elevation_deg and slant_range_m compute
+/// it: callers that need both, or only an elevation gate, pay for one
+/// difference vector and no asin until they ask for the angle.
+struct SkyLook {
+  double range_m = 0.0;  ///< bit-identical to slant_range_m
+  double sin_el = 1.0;   ///< elevation's sine, unclamped; 1 at range 0
+  /// Bit-identical to elevation_deg of the same two points.
+  [[nodiscard]] double elevation_deg() const;
+};
+
+[[nodiscard]] SkyLook sky_look(const Vec3& ground_ecef, const Vec3& sat_ecef);
+
+/// Decides `elevation_deg(ground, sat) >= min_deg` exactly, on the sine.
+/// A look whose sine lies more than kSineBand above or below sin(min_deg)
+/// is decided without an asin; only looks inside the band compute the
+/// angle. The band dwarfs the rounding of sin, asin and the degree
+/// conversions (a few ulp, ~1e-16), and asin's slope is at least 1, so a
+/// sine outside it puts the angle at least 1e-9 rad on the same side of the
+/// mask as the comparison of angles would. Masks at or beyond ±90° (where
+/// the sine stops increasing) and NaN always take the exact comparison.
+class ElevationMask {
+ public:
+  static constexpr double kSineBand = 1e-9;
+
+  explicit ElevationMask(double min_deg);
+
+  [[nodiscard]] bool admits(const SkyLook& look) const {
+    if (look.sin_el > pass_above_) return true;
+    if (look.sin_el < fail_below_) return false;
+    return look.elevation_deg() >= min_deg_;
+  }
+
+ private:
+  double min_deg_;
+  double pass_above_;
+  double fail_below_;
+};
+
 /// Inverse of to_ecef (spherical Earth): geographic coordinates of an ECEF
 /// position. Longitude lands in [-180, 180].
 [[nodiscard]] GeoPoint from_ecef(const Vec3& v);

@@ -4,10 +4,15 @@
 #include <limits>
 #include <string>
 
+#include "obs/profile.hpp"
+
 namespace slp::leo {
 
 HandoverScheduler::HandoverScheduler(const Constellation& constellation, Config config, Rng rng)
-    : constellation_{&constellation}, config_{std::move(config)}, rng_{rng} {
+    : constellation_{&constellation},
+      config_{std::move(config)},
+      rng_{rng},
+      gateway_mask_{config_.gateway_min_elevation_deg} {
   assert(!config_.gateways.empty());
   gateway_ecef_.reserve(config_.gateways.size());
   for (const Gateway& gw : config_.gateways) gateway_ecef_.push_back(to_ecef(gw.location));
@@ -100,6 +105,7 @@ const HandoverScheduler::Path& HandoverScheduler::path_at(TimePoint t) {
 }
 
 HandoverScheduler::Path HandoverScheduler::compute_path(TimePoint slot_start) {
+  const obs::SectionTimer wall{obs::Section::kEphemeris};
   const int active_planes =
       config_.active_planes_fn ? config_.active_planes_fn(slot_start) : 0;
   constellation_->visible_from(config_.terminal, slot_start,
@@ -115,16 +121,15 @@ HandoverScheduler::Path HandoverScheduler::compute_path(TimePoint slot_start) {
   usable_buf_.clear();
   for (const auto& cand : candidates_buf_) {
     if (!satellite_healthy(cand.sat)) continue;
-    const Vec3 sat_pos = constellation_->position_ecef(cand.sat, slot_start);
-    if (filter_ && !filter_(cand, azimuth_deg(config_.terminal, sat_pos))) continue;
+    if (filter_ && !filter_(cand, azimuth_deg(config_.terminal, cand.position))) continue;
     int best_gw = -1;
     double best_slant = std::numeric_limits<double>::max();
     for (std::size_t g = 0; g < config_.gateways.size(); ++g) {
       if (failed_gateways_.contains(static_cast<int>(g))) continue;
-      if (elevation_deg(gateway_ecef_[g], sat_pos) < config_.gateway_min_elevation_deg) continue;
-      const double slant = slant_range_m(gateway_ecef_[g], sat_pos);
-      if (slant < best_slant) {
-        best_slant = slant;
+      const SkyLook look = sky_look(gateway_ecef_[g], cand.position);
+      if (!gateway_mask_.admits(look)) continue;
+      if (look.range_m < best_slant) {
+        best_slant = look.range_m;
         best_gw = static_cast<int>(g);
       }
     }
@@ -140,9 +145,7 @@ HandoverScheduler::Path HandoverScheduler::compute_path(TimePoint slot_start) {
   path.gateway = gw;
   path.terminal_slant_m = sat.slant_range_m;
   path.terminal_elevation_deg = sat.elevation_deg;
-  path.gateway_slant_m =
-      slant_range_m(gateway_ecef_[static_cast<std::size_t>(gw)],
-                    constellation_->position_ecef(sat.sat, slot_start));
+  path.gateway_slant_m = slant_range_m(gateway_ecef_[static_cast<std::size_t>(gw)], sat.position);
   return path;
 }
 

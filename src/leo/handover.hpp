@@ -105,6 +105,7 @@ class HandoverScheduler {
   Config config_;
   Rng rng_;
   std::vector<Vec3> gateway_ecef_;  ///< precomputed config_.gateways locations
+  ElevationMask gateway_mask_;      ///< config_.gateway_min_elevation_deg
   // Scratch buffers reused across slots so the 15 s tick stops allocating.
   std::vector<Constellation::VisibleSat> candidates_buf_;
   std::vector<std::pair<Constellation::VisibleSat, int>> usable_buf_;  ///< sat, gateway idx

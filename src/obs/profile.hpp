@@ -19,7 +19,7 @@ namespace slp::obs {
 /// queries, the fleet arbiter, link delivery, congestion control) whose share
 /// of the loop answers "where does the wall time go" without a real profiler.
 enum class Section : int {
-  kEphemeris = 0,  ///< leo::Constellation visibility / best-sat queries
+  kEphemeris = 0,  ///< handover slot selection and visibility counts (src/leo)
   kArbiter,        ///< fleet::CellArbiter + Fleet epoch re-evaluation
   kLink,           ///< sim::Link delivery + transmission machinery
   kCc,             ///< TCP/QUIC ack processing and congestion control

@@ -312,5 +312,23 @@ TEST(Determinism, TransportRunsMatchGoldenDigests) {
   }
 }
 
+TEST(Determinism, FleetPingCampaignMatchesGoldenDigest) {
+  // A 50-terminal fleet under six hours of ping rounds: every populated
+  // neighbour cell is hot and runs its own handover scheduler from its own
+  // centre, so the digest pins each cell's 15 s sky, not only the
+  // foreground's. It covers the EU timeline's samples and the metrics export
+  // (fleet handovers, hot cells, reallocations).
+  PingCampaign::Config config;
+  config.duration = Duration::hours(6);
+  config.fleet.size = 50;
+  config.obs.metrics = true;
+  const auto r = PingCampaign::run(config);
+  ASSERT_GT(r.obs.gauges.at("fleet.hot_cells"), 1.0);
+  Digest d;
+  for (std::size_t i = 0; i < r.eu_timeline.bins(); ++i) d.add(r.eu_timeline.bin(i));
+  d.add(obs::metrics_json(r.obs));
+  EXPECT_EQ(d.h, 0xec40c64c9465973aull) << "0x" << std::hex << d.h;
+}
+
 }  // namespace
 }  // namespace slp::measure

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "leo/access.hpp"
@@ -72,6 +76,51 @@ TEST(Geodesy, FiberDelayExceedsRfForSameEndpoints) {
   EXPECT_GT(fiber, rf * 2.0);  // 1.7 stretch * 1.5 glass factor = 2.55x
 }
 
+TEST(Geodesy, ElevationMaskDecidesLikeTheAngleComparison) {
+  // admits(look) must equal look.elevation_deg() >= mask for every sine,
+  // above all for those that round to the mask's own sine: probe the
+  // nextafter neighbours of sin(mask) and of both band edges.
+  for (const double mask : {-30.0, 0.0, 20.0, 25.0, 40.0, 89.0, 89.9999}) {
+    const ElevationMask gate{mask};
+    const double s0 = std::sin(deg_to_rad(mask));
+    for (const double centre :
+         {s0, s0 + ElevationMask::kSineBand, s0 - ElevationMask::kSineBand}) {
+      double lo = centre;
+      double hi = centre;
+      for (int k = 0; k < 64; ++k) {
+        for (const double s : {lo, hi}) {
+          const SkyLook look{700'000.0, s};
+          EXPECT_EQ(gate.admits(look), look.elevation_deg() >= mask)
+              << "mask " << mask << " sine " << s;
+        }
+        lo = std::nextafter(lo, -2.0);
+        hi = std::nextafter(hi, 2.0);
+      }
+    }
+  }
+  // Zenith: a position on the ground point itself (range 0) is at 90°.
+  const Vec3 g = to_ecef(places::kLouvainLaNeuve);
+  const SkyLook zenith = sky_look(g, g);
+  EXPECT_EQ(zenith.range_m, 0.0);
+  for (const double mask : {25.0, 89.9999, 90.0, 90.5}) {
+    EXPECT_EQ(ElevationMask{mask}.admits(zenith), elevation_deg(g, g) >= mask) << mask;
+  }
+  // Horizon: positions along the local east direction at growing range,
+  // whose sines straddle 0 by rounding, against a 0° mask.
+  const Vec3 east{-std::sin(deg_to_rad(places::kLouvainLaNeuve.lon_deg)),
+                  std::cos(deg_to_rad(places::kLouvainLaNeuve.lon_deg)), 0.0};
+  const ElevationMask horizon{0.0};
+  for (double d = 1.0; d < 3e6; d *= 1.7) {
+    const Vec3 sat = g + east * d;
+    EXPECT_EQ(horizon.admits(sky_look(g, sat)), elevation_deg(g, sat) >= 0.0) << d;
+  }
+  // Masks beyond ±90° and NaN fall back to the angle comparison.
+  const SkyLook look = sky_look(g, g + Vec3{1.0, 2.0, 3.0});
+  for (const double mask : {-90.0, -120.0, 90.0, std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_EQ(ElevationMask{mask}.admits(look), look.elevation_deg() >= mask) << mask;
+  }
+}
+
 // ------------------------------------------------------------ Constellation
 
 class Shell1Test : public ::testing::Test {
@@ -131,14 +180,6 @@ TEST_F(Shell1Test, BelgiumAlwaysSeesSatellites) {
   }
 }
 
-TEST_F(Shell1Test, BestVisibleHasMaxElevation) {
-  const TimePoint t = TimePoint::epoch() + 77_s;
-  const auto all = shell_.visible_from(places::kLouvainLaNeuve, t, 25.0);
-  const auto best = shell_.best_visible(places::kLouvainLaNeuve, t, 25.0);
-  ASSERT_TRUE(best.has_value());
-  for (const auto& v : all) EXPECT_LE(v.elevation_deg, best->elevation_deg + 1e-12);
-}
-
 TEST_F(Shell1Test, ActivePlanesRestrictsVisibility) {
   const TimePoint t = TimePoint::epoch();
   const auto all = shell_.visible_from(places::kLouvainLaNeuve, t, 25.0, 0);
@@ -148,17 +189,20 @@ TEST_F(Shell1Test, ActivePlanesRestrictsVisibility) {
 }
 
 TEST_F(Shell1Test, VisibilityFastPathMatchesPerSatelliteReference) {
-  // The fast path culls whole planes and, within a plane, every slot outside
-  // the window that can be in view; both must be *exactly* equivalent
-  // (EXPECT_EQ, not NEAR) to the naive per-satellite loop over
+  // The fast path's cone pre-test skips every satellite that cannot be in
+  // view, and its elevation gate decides on sines; both must be *exactly*
+  // equivalent (EXPECT_EQ, not NEAR) to the naive per-satellite loop over
   // position_ecef + elevation_deg, or determinism breaks between code paths.
   // The table spans the poles, the equator, both 53-degree latitudes, the
-  // southern hemisphere and the antimeridian, masks from the horizon to
-  // near zenith, a full and a partial shell, and seeded times up to day 200.
+  // southern hemisphere, the antimeridian and an observer at 10 km, masks
+  // from the horizon to near zenith, a full and a partial shell, and seeded
+  // times up to day 200 plus some up to 200 years, where the anomaly's
+  // rounding (ulp of mean_motion·t) is largest.
   const GeoPoint places_table[] = {
       places::kLouvainLaNeuve, {90.0, 0.0, 0.0},     {-90.0, 45.0, 0.0},
       {0.0, 0.0, 0.0},         {53.0, 120.0, 0.0},   {-53.0, -60.0, 0.0},
       {-33.9, 18.4, 0.0},      {12.0, 180.0, 0.0},   {-41.3, -179.99, 0.0},
+      {46.5, 7.9, 10'000.0},
   };
   Rng rng{20221025};
   std::vector<TimePoint> times{TimePoint::epoch()};
@@ -166,6 +210,11 @@ TEST_F(Shell1Test, VisibilityFastPathMatchesPerSatelliteReference) {
     const double seconds = rng.uniform(0.0, 200.0 * 86400.0);
     times.push_back(TimePoint::epoch() + Duration::from_seconds(seconds));
   }
+  while (times.size() < 60) {
+    const double seconds = rng.uniform(0.0, 200.0 * 365.0 * 86400.0);
+    times.push_back(TimePoint::epoch() + Duration::from_seconds(seconds));
+  }
+  times.push_back(TimePoint::from_ns(std::numeric_limits<std::int64_t>::max()));
   for (const GeoPoint& ground : places_table) {
     const Vec3 g = to_ecef(ground);
     for (const double mask : {0.0, 25.0, 40.0, 89.0}) {
@@ -178,7 +227,7 @@ TEST_F(Shell1Test, VisibilityFastPathMatchesPerSatelliteReference) {
               const SatIndex sat{plane, slot};
               const Vec3 pos = shell_.position_ecef(sat, t);
               const double el = elevation_deg(g, pos);
-              if (el >= mask) reference.push_back({sat, el, slant_range_m(g, pos)});
+              if (el >= mask) reference.push_back({sat, el, slant_range_m(g, pos), pos});
             }
           }
           SCOPED_TRACE(::testing::Message()
@@ -191,21 +240,12 @@ TEST_F(Shell1Test, VisibilityFastPathMatchesPerSatelliteReference) {
             EXPECT_EQ(fast[i].sat.slot, reference[i].sat.slot);
             EXPECT_EQ(fast[i].elevation_deg, reference[i].elevation_deg);
             EXPECT_EQ(fast[i].slant_range_m, reference[i].slant_range_m);
+            EXPECT_EQ(fast[i].position.x, reference[i].position.x);
+            EXPECT_EQ(fast[i].position.y, reference[i].position.y);
+            EXPECT_EQ(fast[i].position.z, reference[i].position.z);
           }
           EXPECT_EQ(shell_.count_visible(ground, t, mask, active_planes),
                     static_cast<int>(reference.size()));
-          // best_visible: the first-wins maximum over the reference order.
-          const Constellation::VisibleSat* expect = nullptr;
-          for (const auto& v : reference) {
-            if (expect == nullptr || v.elevation_deg > expect->elevation_deg) expect = &v;
-          }
-          const auto best = shell_.best_visible(ground, t, mask, active_planes);
-          ASSERT_EQ(best.has_value(), expect != nullptr);
-          if (expect != nullptr) {
-            EXPECT_EQ(best->sat, expect->sat);
-            EXPECT_EQ(best->elevation_deg, expect->elevation_deg);
-            EXPECT_EQ(best->slant_range_m, expect->slant_range_m);
-          }
         }
       }
     }
@@ -227,29 +267,6 @@ TEST_F(Shell1Test, BufferOverloadMatchesReturningOverload) {
     }
     EXPECT_EQ(shell_.count_visible(places::kLouvainLaNeuve, t, 25.0),
               static_cast<int>(returned.size()));
-  }
-}
-
-TEST_F(Shell1Test, BestVisibleMatchesScanOfVisibleFrom) {
-  // best_visible must pick the same satellite a first-wins max scan over
-  // visible_from picks (ties broken by scan order), without materializing.
-  for (int minute : {0, 7, 19, 53, 111}) {
-    const TimePoint t = TimePoint::epoch() + Duration::minutes(minute);
-    const auto all = shell_.visible_from(places::kLouvainLaNeuve, t, 25.0);
-    const auto best = shell_.best_visible(places::kLouvainLaNeuve, t, 25.0);
-    if (all.empty()) {
-      EXPECT_FALSE(best.has_value());
-      continue;
-    }
-    ASSERT_TRUE(best.has_value());
-    const auto* expect = &all[0];
-    for (const auto& v : all) {
-      if (v.elevation_deg > expect->elevation_deg) expect = &v;
-    }
-    EXPECT_EQ(best->sat.plane, expect->sat.plane);
-    EXPECT_EQ(best->sat.slot, expect->sat.slot);
-    EXPECT_EQ(best->elevation_deg, expect->elevation_deg);
-    EXPECT_EQ(best->slant_range_m, expect->slant_range_m);
   }
 }
 
@@ -373,6 +390,65 @@ TEST_F(HandoverTest, PropagationDelayInPlausibleRange) {
     // Bent pipe UT->sat->GW: between ~3.7ms (2x550km) and ~9ms (2x~1300km).
     EXPECT_GE(ms, 3.6);
     EXPECT_LE(ms, 9.5);
+  }
+}
+
+TEST_F(HandoverTest, PathsMatchGoldenDigests) {
+  // Pinned digests of the serving path at every probed slot: satellite,
+  // gateway and the bit patterns of both slant ranges and the terminal
+  // elevation. The observers are Louvain-la-Neuve and the centres of the
+  // 24 km fleet cells r602b31 (40°N) and r695b24 (60°N); the shell runs the
+  // paper's epochs (56 planes before day 53, 72 after). The slots spread
+  // over the 146-day campaign plus a few near t = 200 years, where the
+  // anomaly's rounding is largest. The visibility reference test compares
+  // two code paths of one build; these catch a change that moves both.
+  const TimePoint feb11 = TimePoint::epoch() + Duration::days(53);
+  std::vector<TimePoint> times;
+  Rng rng{20221025};
+  while (times.size() < 400) {
+    times.push_back(TimePoint::epoch() + Duration::from_seconds(rng.uniform(0.0, 146.0 * 86400.0)));
+  }
+  const TimePoint far = TimePoint::epoch() + Duration::days(200 * 365);
+  for (int i = 0; i < 24; ++i) times.push_back(far + Duration::minutes(37 * i));
+
+  struct Row {
+    GeoPoint terminal;
+    std::uint64_t digest;
+  };
+  const Row rows[] = {
+      {places::kLouvainLaNeuve, 0xdf4c54dfae76d57eull},
+      {{40.035971223021591, 8.8801879404855129, 0.0}, 0xacf213cf1336b338ull},
+      {{60.107913669064743, 10.613718411552346, 0.0}, 0x9b763ae52919261cull},
+  };
+  for (const Row& row : rows) {
+    HandoverScheduler::Config cfg;
+    cfg.terminal = row.terminal;
+    cfg.gateways = default_european_gateways();
+    cfg.active_planes_fn = [feb11](TimePoint t) { return t < feb11 ? 56 : 72; };
+    HandoverScheduler scheduler{shell_, cfg, Rng{99}};
+    std::string bytes;
+    const auto put = [&bytes](auto x) {
+      char raw[sizeof x];
+      std::memcpy(raw, &x, sizeof x);
+      bytes.append(raw, sizeof x);
+    };
+    std::size_t connected = 0;
+    for (const TimePoint t : times) {
+      const HandoverScheduler::Path& p = scheduler.path_at(t);
+      connected += p.connected ? 1 : 0;
+      put(p.connected);
+      put(p.sat.plane);
+      put(p.sat.slot);
+      put(p.gateway);
+      put(p.terminal_slant_m);
+      put(p.terminal_elevation_deg);
+      put(p.gateway_slant_m);
+    }
+    const std::uint64_t digest = fnv1a64(bytes);
+    EXPECT_EQ(digest, row.digest) << "lat " << row.terminal.lat_deg << ": 0x" << std::hex
+                                  << digest;
+    // Some slots at 60°N reach no gateway, so the unconnected path is pinned too.
+    EXPECT_GT(connected, times.size() / 2);
   }
 }
 
