@@ -24,7 +24,9 @@
 // repeated key keeps its first value). start() is called once every flag has
 // been read and before anything is simulated. If any flag was never read
 // (`--help` included), did not parse as what it was read as
-// (`--scale=abc`, `--seeds=2.5`, `--upload=maybe`, `--duration=5x`), or was
+// (`--scale=abc`, `--seeds=2.5`, `--upload=maybe`, `--duration=5x`), lay
+// outside its range (`--seeds=0`, `--jobs=-1`, `--fleet=4294967306`,
+// `--scale=0`; kMaxCount and kMaxWorkers below), or was
 // rejected by the main (an unknown `--grid` access, `--log-level`,
 // `--fleet-mix` or `--app` name), or a positional argument was never read
 // (only starlink_cli reads one, its command), start() prints one
@@ -65,6 +67,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -115,6 +118,12 @@ inline std::vector<std::string> boxplot_row(const std::string& name,
           paper_median};
 }
 
+/// Bounds of the integer flags (Flags::get_int_in): a count (--seeds,
+/// --fleet, --tests, ...) is any positive int; a pool width (--jobs,
+/// --shards; 0 = every hardware thread) stops at kMaxWorkers threads.
+inline constexpr int kMaxCount = std::numeric_limits<int>::max();
+inline constexpr int kMaxWorkers = 1024;
+
 /// fleet::named_mix(name) for the value of --key; an unknown name rejects
 /// --key (listing the known ones) and yields the stock mix.
 inline fleet::DemandModel::Config named_mix(const Flags& flags, std::string_view key,
@@ -150,15 +159,14 @@ inline fleet::DemandModel::Config named_mix(const Flags& flags, std::string_view
 ///                         behaviour)
 inline fleet::Fleet::Config parse_fleet(const Flags& flags, int default_size = 0) {
   fleet::Fleet::Config fc;
-  fc.size = static_cast<int>(flags.get_int("fleet", default_size));
+  fc.size = flags.get_int_in("fleet", default_size, 0, kMaxCount);
   fc.demand = named_mix(flags, "fleet-mix", flags.get("fleet-mix", "default"));
   const bool continental = flags.get_bool("continental", false);
   if (continental) fc.placement = fleet::Placement::continental_europe();
   fc.placement.cell_km = flags.get_double("fleet-cell-km", fc.placement.cell_km);
   fc.aggregate_idle = flags.get_bool("aggregate", continental);
-  fc.supercell_factor =
-      static_cast<int>(flags.get_int("supercell-factor", fc.supercell_factor));
-  fc.shards = std::max(0, static_cast<int>(flags.get_int("shards", 1)));
+  fc.supercell_factor = flags.get_int_in("supercell-factor", fc.supercell_factor, 1, kMaxCount);
+  fc.shards = flags.get_int_in("shards", 1, 0, kMaxWorkers);
   return fc;
 }
 
@@ -180,8 +188,9 @@ struct CommonArgs {
   /// several times slower; see EXPERIMENTS.md "Performance baseline").
   bool fast_forward = true;
 
+  /// base * scale rounded down, at least 1 and at most kMaxCount.
   [[nodiscard]] int scaled(int base) const {
-    return std::max(1, static_cast<int>(base * scale));
+    return static_cast<int>(std::clamp(base * scale, 1.0, static_cast<double>(kMaxCount)));
   }
 
   [[nodiscard]] runner::SweepConfig sweep() const { return {seeds, jobs}; }
@@ -317,8 +326,9 @@ class Run {
     CommonArgs args;
     args.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
     args.scale = flags.get_double("scale", 1.0);
-    args.seeds = std::max(1, static_cast<int>(flags.get_int("seeds", 1)));
-    args.jobs = std::max(0, static_cast<int>(flags.get_int("jobs", 1)));
+    if (!(args.scale > 0.0)) flags.reject("scale", "want a positive number");
+    args.seeds = flags.get_int_in("seeds", 1, 1, kMaxCount);
+    args.jobs = flags.get_int_in("jobs", 1, 0, kMaxWorkers);
     args.metrics = flags.get("metrics", "");
     args.trace = flags.get("trace", "");
     args.breakdown = flags.get("breakdown", "");

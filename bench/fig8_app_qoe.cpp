@@ -295,7 +295,7 @@ int main(int argc, char** argv) {
   bench::Run run{argc, argv};
   const Flags& flags = run.flags();
   const std::string app = flags.get("app", "all");
-  const int sessions = static_cast<int>(flags.get_int("sessions", run.args().scaled(2)));
+  const int sessions = flags.get_int_in("sessions", run.args().scaled(2), 1, bench::kMaxCount);
   const Duration duration = flags.get_duration("duration", Duration::zero());
   const Duration storm_blip = flags.get_duration("storm-blip", Duration::seconds(2));
   const fleet::Fleet::Config fleet = bench::parse_fleet(flags);

@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
   config.seed = args.seed;
   config.duration = duration;
   config.fleet = bench::parse_fleet(flags, 10000);
-  config.fleet.size = std::max(1, static_cast<int>(config.fleet.size * args.scale));
+  config.fleet.size = args.scaled(config.fleet.size);
   config.fleet.demand.scale_down = demand_scale;
   config.fleet.demand.scale_up = demand_scale;
   run.start("Fleet scale", "multi-terminal contention: placement, demand, per-cell PF");

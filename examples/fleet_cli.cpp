@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
   bench::Run run{argc, argv};
   const Flags& flags = run.flags();
   const bench::CommonArgs& args = run.args();
-  const int tests = std::max<int>(1, static_cast<int>(flags.get_int("tests", 3)));
+  const int tests = flags.get_int_in("tests", 3, 1, bench::kMaxCount);
   const bool download = flags.get_bool("download", true);
   const auto grid_labels = flags.get_list("grid", {"leo", "geo", "wired"});
   const auto size_list = flags.get_double_list("sizes", {1, 1000, 5000});

@@ -45,9 +45,9 @@ int main(int argc, char** argv) {
   const Flags& flags = run.flags();
   bench::CommonArgs& args = run.args();
   // This tool's own defaults: 4 replications per grid cell, on every core.
-  args.seeds = std::max<int>(1, static_cast<int>(flags.get_int("seeds", 4)));
-  args.jobs = std::max<int>(0, static_cast<int>(flags.get_int("jobs", 0)));
-  const int tests = std::max<int>(1, static_cast<int>(flags.get_int("tests", 4)));
+  args.seeds = flags.get_int_in("seeds", 4, 1, bench::kMaxCount);
+  args.jobs = flags.get_int_in("jobs", 0, 0, bench::kMaxWorkers);
+  const int tests = flags.get_int_in("tests", 4, 1, bench::kMaxCount);
   const bool download = flags.get_bool("download", true);
   const auto grid_labels = flags.get_list("grid", {"leo", "geo", "wired"});
   const auto loads = flags.get_double_list("loads", {1, 4, 8});
@@ -89,7 +89,7 @@ int main(int argc, char** argv) {
   stats::TextTable table{{"access", "connections", "tests", "p25", "median", "p75", "p95"}};
   for (std::size_t g = 0; g < grid; ++g) {
     measure::SpeedtestCampaign::Result merged = std::move(cells[g * seeds]);
-    for (std::size_t s = 1; s < seeds; ++s) merge(merged, cells[g * seeds + s]);
+    for (std::size_t s = 1; s < seeds; ++s) stats::merge(merged, cells[g * seeds + s]);
     run.fold(merged.obs);
     using stats::TextTable;
     table.add_row({grid_cells[g / loads.size()].name,

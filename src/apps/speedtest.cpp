@@ -15,13 +15,10 @@ SpeedtestServer::SpeedtestServer(tcp::TcpStack& stack, std::uint16_t download_po
   // Test servers are tuned: big receive buffers from the start.
   server_tcp.initial_rcv_buffer = 1 * 1024 * 1024;
   server_tcp.max_rcv_buffer = 16 * 1024 * 1024;
-  stack.listen(download_port, [this](tcp::TcpConnection& c) {
-    c.on_data = [this, &c](std::uint64_t) {
+  stack.listen(download_port, [](tcp::TcpConnection& c) {
+    c.on_data = [&c](std::uint64_t) {
       // Any request byte triggers the flood, once.
-      if (c.stats().bytes_acked == 0 && c.bytes_unsent() == 0) {
-        c.send(kFloodBytes);
-        bytes_served_ += kFloodBytes;
-      }
+      if (c.stats().bytes_acked == 0 && c.bytes_unsent() == 0) c.send(kFloodBytes);
     };
   }, server_tcp);
   stack.listen(upload_port, [this](tcp::TcpConnection& c) {

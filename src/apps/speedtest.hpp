@@ -22,11 +22,9 @@ class SpeedtestServer {
   SpeedtestServer(tcp::TcpStack& stack, std::uint16_t download_port = 8080,
                   std::uint16_t upload_port = 8081);
 
-  [[nodiscard]] std::uint64_t bytes_served() const { return bytes_served_; }
   [[nodiscard]] std::uint64_t bytes_absorbed() const { return bytes_absorbed_; }
 
  private:
-  std::uint64_t bytes_served_ = 0;
   std::uint64_t bytes_absorbed_ = 0;
 };
 

@@ -1,7 +1,5 @@
 #include "fleet/campaign.hpp"
 
-#include <algorithm>
-
 namespace slp::fleet {
 
 namespace {
@@ -51,26 +49,6 @@ FleetCampaign::Result FleetCampaign::run(const Config& config) {
   }
   r.obs = cell.sim.take_obs();
   return r;
-}
-
-void merge(FleetCampaign::Result& into, const FleetCampaign::Result& from) {
-  into.cell_util_down.merge(from.cell_util_down);
-  into.cell_util_up.merge(from.cell_util_up);
-  into.terminal_down_mbps.merge(from.terminal_down_mbps);
-  into.foreground_down_mbps.merge(from.foreground_down_mbps);
-  into.foreground_up_mbps.merge(from.foreground_up_mbps);
-  // Fleet shape is config-driven and identical across cells; keep the max so
-  // a merge with a disabled-fleet cell stays sensible.
-  into.terminals = std::max(into.terminals, from.terminals);
-  into.cells = std::max(into.cells, from.cells);
-  into.supercells = std::max(into.supercells, from.supercells);
-  into.aggregated_terminals = std::max(into.aggregated_terminals, from.aggregated_terminals);
-  into.epochs += from.epochs;
-  into.attaches += from.attaches;
-  into.detaches += from.detaches;
-  into.handovers += from.handovers;
-  into.reallocations += from.reallocations;
-  obs::merge(into.obs, from.obs);
 }
 
 }  // namespace slp::fleet

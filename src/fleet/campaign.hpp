@@ -16,6 +16,7 @@
 #include "fleet/run_env.hpp"
 #include "scenario/injector.hpp"
 #include "sim/network.hpp"
+#include "stats/fold.hpp"
 #include "stats/groupby.hpp"
 #include "stats/quantiles.hpp"
 
@@ -68,12 +69,21 @@ struct FleetCampaign {
     std::uint64_t handovers = 0;
     std::uint64_t reallocations = 0;
     obs::Snapshot obs;
+
+    // Shape counts follow the config, not the seed: max keeps a disabled-fleet cell harmless.
+    using fields = stats::Fields<&Result::cell_util_down, &Result::cell_util_up,
+                                 &Result::terminal_down_mbps, &Result::foreground_down_mbps,
+                                 &Result::foreground_up_mbps, stats::keep_max<&Result::terminals>,
+                                 stats::keep_max<&Result::cells>,
+                                 stats::keep_max<&Result::supercells>,
+                                 stats::keep_max<&Result::aggregated_terminals>, &Result::epochs,
+                                 &Result::attaches, &Result::detaches, &Result::handovers,
+                                 &Result::reallocations, &Result::obs>;
   };
 
   static Result run(const Config& config);
 };
 
-/// Cell-order fold for runner::run_merged (ADL).
-void merge(FleetCampaign::Result& into, const FleetCampaign::Result& from);
+using stats::merge;  // runner::run_merged's fold (stats/fold.hpp)
 
 }  // namespace slp::fleet

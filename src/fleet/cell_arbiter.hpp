@@ -30,6 +30,7 @@
 
 #include "fleet/placement.hpp"
 #include "phy/load_process.hpp"
+#include "stats/fold.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
 
@@ -129,6 +130,9 @@ class CellArbiter {
     /// epoch counts, though it keeps the cached allocation (recomputes()).
     std::uint64_t reallocations = 0;
     std::uint64_t epoch = 0;           ///< allocation generation counter
+
+    using fields = stats::Fields<&Stats::attaches, &Stats::detaches, &Stats::handovers,
+                                 &Stats::reallocations, &Stats::epoch>;
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
   [[nodiscard]] const Config& config() const { return config_; }

@@ -243,12 +243,7 @@ void Fleet::demote_cell(CellId id) {
   if (it == cells_.end() || it->id != id || it->pinned) return;
   // The cell's counters move to the retired accumulator so totals() stays
   // monotonic across promote/demote cycles.
-  const CellArbiter::Stats& s = it->arbiter->stats();
-  retired_.attaches += s.attaches;
-  retired_.detaches += s.detaches;
-  retired_.handovers += s.handovers;
-  retired_.reallocations += s.reallocations;
-  retired_.epoch += s.epoch;
+  stats::merge(retired_, it->arbiter->stats());
   if (!it->terminals.empty()) {
     fold_into_aggregate(hier_.super_of(id), static_cast<std::uint32_t>(it->terminals.size()), 1);
   }
@@ -364,14 +359,7 @@ double Fleet::analytic_util(int direction, const Aggregate& a,
 
 CellArbiter::Stats Fleet::totals() const {
   CellArbiter::Stats t = retired_;
-  for (const Cell& c : cells_) {
-    const CellArbiter::Stats& s = c.arbiter->stats();
-    t.attaches += s.attaches;
-    t.detaches += s.detaches;
-    t.handovers += s.handovers;
-    t.reallocations += s.reallocations;
-    t.epoch += s.epoch;
-  }
+  for (const Cell& c : cells_) stats::merge(t, c.arbiter->stats());
   return t;
 }
 

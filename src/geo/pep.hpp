@@ -75,18 +75,6 @@ class Pep : public sim::Node {
     std::uint64_t forwarded_non_tcp = 0;
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
-  [[nodiscard]] std::size_t active_flows() const { return flows_.size(); }
-
-  /// Visits every split flow (testing/diagnostics).
-  void visit_flows(const std::function<void(const tcp::TcpConnection& client_leg,
-                                            const tcp::TcpConnection& server_leg)>& fn) const {
-    for (const auto& [key, flow] : flows_) {
-      (void)key;
-      if (flow.client_leg != nullptr && flow.server_leg != nullptr) {
-        fn(*flow.client_leg, *flow.server_leg);
-      }
-    }
-  }
 
  private:
   struct Flow {

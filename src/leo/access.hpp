@@ -208,7 +208,6 @@ class StarlinkAccess {
   /// scenario hard-outage gates so a tunnel window composes with (does not
   /// cancel) an overlapping PoP outage.
   void set_mobility_outage(bool active);
-  [[nodiscard]] bool in_mobility_outage() const { return !mobility_gate_up_.is_open(); }
 
   [[nodiscard]] const Constellation& constellation() const { return *constellation_; }
 

@@ -1,7 +1,5 @@
 #include "measure/campaign.hpp"
 
-#include <algorithm>
-#include <cassert>
 #include <functional>
 #include <list>
 #include <memory>
@@ -425,80 +423,6 @@ RoadTripCampaign::Result RoadTripCampaign::run(const Config& config) {
   result.tunnels = ms.tunnels;
   result.obs = bed.sim().take_obs();
   return result;
-}
-
-// ============================================================ sweep support
-
-void merge(PingCampaign::Result& into, const PingCampaign::Result& from) {
-  assert(into.anchors.size() == from.anchors.size());
-  for (std::size_t i = 0; i < into.anchors.size(); ++i) {
-    into.anchors[i].rtt_ms.merge(from.anchors[i].rtt_ms);
-  }
-  into.eu_timeline.merge(from.eu_timeline);
-  if (into.eu_components.size() < from.eu_components.size()) {
-    into.eu_components.resize(from.eu_components.size(),
-                              stats::TimeBinner{Duration::hours(6)});
-  }
-  for (std::size_t c = 0; c < from.eu_components.size(); ++c) {
-    into.eu_components[c].merge(from.eu_components[c]);
-  }
-  for (std::size_t h = 0; h < into.eu_by_hour.size(); ++h) {
-    into.eu_by_hour[h].insert(into.eu_by_hour[h].end(), from.eu_by_hour[h].begin(),
-                              from.eu_by_hour[h].end());
-  }
-  into.pings_sent += from.pings_sent;
-  into.pings_lost += from.pings_lost;
-  obs::merge(into.obs, from.obs);
-}
-
-void merge(H3Campaign::Result& into, const H3Campaign::Result& from) {
-  into.rtt_ms.merge(from.rtt_ms);
-  into.goodput_mbps.merge(from.goodput_mbps);
-  into.loss = LossAnalyzer::combine({into.loss, from.loss});
-  into.transfers_completed += from.transfers_completed;
-  obs::merge(into.obs, from.obs);
-}
-
-void merge(MessageCampaign::Result& into, const MessageCampaign::Result& from) {
-  into.rtt_ms.merge(from.rtt_ms);
-  into.latency_ms.merge(from.latency_ms);
-  into.loss = LossAnalyzer::combine({into.loss, from.loss});
-  into.messages_sent += from.messages_sent;
-  obs::merge(into.obs, from.obs);
-}
-
-void merge(SpeedtestCampaign::Result& into, const SpeedtestCampaign::Result& from) {
-  into.mbps.merge(from.mbps);
-  obs::merge(into.obs, from.obs);
-}
-
-void merge(RoadTripCampaign::Result& into, const RoadTripCampaign::Result& from) {
-  into.rtt_by_speed.merge(from.rtt_by_speed);
-  into.loss_by_speed.merge(from.loss_by_speed);
-  into.outage_s.merge(from.outage_s);
-  for (std::size_t c = 0; c < into.comp_ns.size(); ++c) into.comp_ns[c] += from.comp_ns[c];
-  into.probes_sent += from.probes_sent;
-  into.probes_lost += from.probes_lost;
-  into.reroutes += from.reroutes;
-  into.cell_migrations += from.cell_migrations;
-  into.tunnels += from.tunnels;
-  into.route_km = std::max(into.route_km, from.route_km);
-  obs::merge(into.obs, from.obs);
-}
-
-void merge(WebCampaign::Result& into, const WebCampaign::Result& from) {
-  into.onload_s.merge(from.onload_s);
-  into.speedindex_s.merge(from.speedindex_s);
-  into.setup_ms.merge(from.setup_ms);
-  const int total = into.visits_completed + from.visits_completed;
-  if (total > 0) {
-    into.mean_connections = (into.mean_connections * into.visits_completed +
-                             from.mean_connections * from.visits_completed) /
-                            total;
-  }
-  into.visits_completed = total;
-  into.visits_timed_out += from.visits_timed_out;
-  obs::merge(into.obs, from.obs);
 }
 
 // =============================================================== middleboxes

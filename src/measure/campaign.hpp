@@ -37,6 +37,7 @@
 #include "mbox/tracebox.hpp"
 #include "mbox/traceroute.hpp"
 #include "mbox/wehe.hpp"
+#include "stats/fold.hpp"
 #include "stats/quantiles.hpp"
 #include "stats/timeseries.hpp"
 
@@ -68,6 +69,10 @@ struct PingCampaign {
     bool european = false;
     bool local = false;
     stats::Samples rtt_ms;
+
+    using fields = stats::Fields<stats::keep_first<&AnchorResult::name>,
+                                 stats::keep_first<&AnchorResult::european>,
+                                 stats::keep_first<&AnchorResult::local>, &AnchorResult::rtt_ms>;
   };
 
   struct Result {
@@ -81,6 +86,11 @@ struct PingCampaign {
     std::uint64_t pings_sent = 0;
     std::uint64_t pings_lost = 0;
     obs::Snapshot obs;  ///< metrics/trace/series of this cell (or merged)
+
+    using fields = stats::Fields<&Result::anchors, &Result::eu_timeline,
+                                 stats::grow<&Result::eu_components>,
+                                 stats::append<&Result::eu_by_hour>, &Result::pings_sent,
+                                 &Result::pings_lost, &Result::obs>;
   };
 
   static Result run(const Config& config);
@@ -109,6 +119,9 @@ struct H3Campaign {
     LossAnalyzer::Report loss;        ///< Table 2 / Fig. 4a / §3.2 durations
     int transfers_completed = 0;
     obs::Snapshot obs;
+
+    using fields = stats::Fields<&Result::rtt_ms, &Result::goodput_mbps, &Result::loss,
+                                 &Result::transfers_completed, &Result::obs>;
   };
 
   static Result run(const Config& config);
@@ -135,6 +148,9 @@ struct MessageCampaign {
     LossAnalyzer::Report loss;    ///< Table 2 / Fig. 4b
     int messages_sent = 0;
     obs::Snapshot obs;
+
+    using fields = stats::Fields<&Result::rtt_ms, &Result::latency_ms, &Result::loss,
+                                 &Result::messages_sent, &Result::obs>;
   };
 
   static Result run(const Config& config);
@@ -159,6 +175,8 @@ struct SpeedtestCampaign {
   struct Result {
     stats::Samples mbps;  ///< one sample per test (Fig. 5)
     obs::Snapshot obs;
+
+    using fields = stats::Fields<&Result::mbps, &Result::obs>;
   };
 
   static Result run(const Config& config);
@@ -191,6 +209,11 @@ struct WebCampaign {
     int visits_completed = 0;
     int visits_timed_out = 0;
     obs::Snapshot obs;
+
+    using fields =
+        stats::Fields<&Result::onload_s, &Result::speedindex_s, &Result::setup_ms,
+                      stats::weighted<&Result::mean_connections, &Result::visits_completed>,
+                      &Result::visits_completed, &Result::visits_timed_out, &Result::obs>;
   };
 
   static Result run(const Config& config);
@@ -231,27 +254,22 @@ struct RoadTripCampaign {
     std::uint64_t reroutes = 0;         ///< mobility.* counter mirrors
     std::uint64_t cell_migrations = 0;
     std::uint64_t tunnels = 0;
-    double route_km = 0.0;  ///< same route in every cell; merge keeps max
+    double route_km = 0.0;  ///< same route in every cell; the fold keeps the max
     obs::Snapshot obs;
+
+    using fields = stats::Fields<&Result::rtt_by_speed, &Result::loss_by_speed, &Result::outage_s,
+                                 &Result::comp_ns, &Result::probes_sent, &Result::probes_lost,
+                                 &Result::reroutes, &Result::cell_migrations, &Result::tunnels,
+                                 stats::keep_max<&Result::route_km>, &Result::obs>;
   };
 
   static Result run(const Config& config);
 };
 
 // ============================================================ sweep support
-//
-// Per-cell result folds for runner::run_merged (runner/sweep.hpp): each
-// merge() appends `from`'s distributions to `into` and sums its counters.
-// Folds are applied in cell-id order by the sweep, which keeps multi-seed
-// campaigns bit-identical across --jobs settings. Requires both results to
-// come from the same campaign shape (e.g. the same anchor set for pings).
-
-void merge(PingCampaign::Result& into, const PingCampaign::Result& from);
-void merge(H3Campaign::Result& into, const H3Campaign::Result& from);
-void merge(MessageCampaign::Result& into, const MessageCampaign::Result& from);
-void merge(SpeedtestCampaign::Result& into, const SpeedtestCampaign::Result& from);
-void merge(WebCampaign::Result& into, const WebCampaign::Result& from);
-void merge(RoadTripCampaign::Result& into, const RoadTripCampaign::Result& from);
+// Sweeps fold cells in cell-id order through stats::merge over each Result's
+// `fields` (stats/fold.hpp); the cells share one shape (one anchor set).
+using stats::merge;
 
 // =============================================================== middleboxes
 

@@ -48,21 +48,17 @@ LossAnalyzer::Report LossAnalyzer::analyze() const {
   return report;
 }
 
-LossAnalyzer::Report LossAnalyzer::combine(const std::vector<Report>& reports) {
-  Report out;
-  for (const Report& r : reports) {
-    out.packets_received += r.packets_received;
-    out.packets_lost += r.packets_lost;
-    out.loss_events += r.loss_events;
-    out.outage_events += r.outage_events;
-    for (const auto& [len, count] : r.burst_lengths.buckets()) {
-      out.burst_lengths.add(len, count);
-    }
-    out.event_durations_ms.merge(r.event_durations_ms);
+void merge(LossAnalyzer::Report& into, const LossAnalyzer::Report& from) {
+  into.packets_received += from.packets_received;
+  into.packets_lost += from.packets_lost;
+  into.loss_events += from.loss_events;
+  into.outage_events += from.outage_events;
+  for (const auto& [len, count] : from.burst_lengths.buckets()) {
+    into.burst_lengths.add(len, count);
   }
-  const std::uint64_t total = out.packets_received + out.packets_lost;
-  out.loss_ratio = total == 0 ? 0.0 : static_cast<double>(out.packets_lost) / total;
-  return out;
+  into.event_durations_ms.merge(from.event_durations_ms);
+  const std::uint64_t total = into.packets_received + into.packets_lost;
+  into.loss_ratio = total == 0 ? 0.0 : static_cast<double>(into.packets_lost) / total;
 }
 
 }  // namespace slp::measure

@@ -42,9 +42,6 @@ class LossAnalyzer {
   /// each with its own packet-number space).
   [[nodiscard]] Report analyze() const;
 
-  /// Combines reports (e.g. across campaign transfers).
-  static Report combine(const std::vector<Report>& reports);
-
  private:
   struct Arrival {
     std::uint64_t pn;
@@ -54,5 +51,10 @@ class LossAnalyzer {
 
   static void analyze_trace(const std::vector<Arrival>& trace, Report& report);
 };
+
+/// Folds `from` into `into` (e.g. across campaign transfers or sweep cells):
+/// counts and burst lengths add, event durations append, and the loss ratio
+/// is recomputed from the summed counts.
+void merge(LossAnalyzer::Report& into, const LossAnalyzer::Report& from);
 
 }  // namespace slp::measure

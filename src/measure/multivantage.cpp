@@ -129,21 +129,4 @@ MultiVantageCampaign::Result MultiVantageCampaign::run(const Config& config) {
   return result;
 }
 
-void merge(MultiVantageCampaign::Result& into, const MultiVantageCampaign::Result& from) {
-  if (into.vantages.empty()) {
-    into.vantages = from.vantages;
-  } else {
-    for (std::size_t i = 0; i < into.vantages.size() && i < from.vantages.size(); ++i) {
-      into.vantages[i].rtt_ms.merge(from.vantages[i].rtt_ms);
-      into.vantages[i].down_mbps.merge(from.vantages[i].down_mbps);
-      into.vantages[i].probes_sent += from.vantages[i].probes_sent;
-      into.vantages[i].probes_lost += from.vantages[i].probes_lost;
-    }
-  }
-  into.hot_cells = std::max(into.hot_cells, from.hot_cells);
-  into.supercells = std::max(into.supercells, from.supercells);
-  into.aggregated_terminals = std::max(into.aggregated_terminals, from.aggregated_terminals);
-  obs::merge(into.obs, from.obs);
-}
-
 }  // namespace slp::measure

@@ -29,6 +29,7 @@
 #include "fleet/campaign.hpp"
 #include "leo/access.hpp"
 #include "obs/recorder.hpp"
+#include "stats/fold.hpp"
 #include "stats/quantiles.hpp"
 
 namespace slp::measure {
@@ -63,20 +64,28 @@ struct MultiVantageCampaign {
     stats::Samples down_mbps;  ///< elastic-share capacity, one per round
     std::uint64_t probes_sent = 0;
     std::uint64_t probes_lost = 0;  ///< rounds with no serving satellite
+
+    using fields = stats::Fields<stats::keep_first<&VantageResult::name>,
+                                 stats::keep_first<&VantageResult::european>,
+                                 stats::keep_first<&VantageResult::local>, &VantageResult::rtt_ms,
+                                 &VantageResult::down_mbps, &VantageResult::probes_sent,
+                                 &VantageResult::probes_lost>;
   };
 
+  /// Folded per vantage across cells: every cell runs the same anchor set.
   struct Result {
     std::vector<VantageResult> vantages;  ///< anchor order, stable across seeds
     std::uint64_t hot_cells = 0;
     std::uint64_t supercells = 0;
     std::uint64_t aggregated_terminals = 0;
     obs::Snapshot obs;
+
+    using fields = stats::Fields<&Result::vantages, stats::keep_max<&Result::hot_cells>,
+                                 stats::keep_max<&Result::supercells>,
+                                 stats::keep_max<&Result::aggregated_terminals>, &Result::obs>;
   };
 
   static Result run(const Config& config);
 };
-
-/// Per-vantage fold for runner::run_merged (requires the same anchor set).
-void merge(MultiVantageCampaign::Result& into, const MultiVantageCampaign::Result& from);
 
 }  // namespace slp::measure

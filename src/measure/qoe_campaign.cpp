@@ -144,48 +144,4 @@ GameCampaign::Result GameCampaign::run(const Config& config) {
   return result;
 }
 
-// ============================================================ sweep support
-
-void merge(AbrCampaign::Result& into, const AbrCampaign::Result& from) {
-  into.startup_s.merge(from.startup_s);
-  into.rebuffer_ratio.merge(from.rebuffer_ratio);
-  into.mean_rung_mbps.merge(from.mean_rung_mbps);
-  into.segment_mbps.merge(from.segment_mbps);
-  into.rebuffer_by_phase.merge(from.rebuffer_by_phase);
-  into.rebuffer_events += from.rebuffer_events;
-  into.quality_switches += from.quality_switches;
-  into.segments += from.segments;
-  into.sessions_completed += from.sessions_completed;
-  obs::merge(into.obs, from.obs);
-}
-
-void merge(VcCampaign::Result& into, const VcCampaign::Result& from) {
-  into.mos.merge(from.mos);
-  into.window_loss_pct.merge(from.window_loss_pct);
-  into.transit_ms.merge(from.transit_ms);
-  into.mos_by_phase.merge(from.mos_by_phase);
-  into.frames_sent += from.frames_sent;
-  into.frames_missed += from.frames_missed;
-  into.datagrams_lost += from.datagrams_lost;
-  into.calls_completed += from.calls_completed;
-  obs::merge(into.obs, from.obs);
-}
-
-void merge(GameCampaign::Result& into, const GameCampaign::Result& from) {
-  into.rtt_ms.merge(from.rtt_ms);
-  into.spikes_by_phase.merge(from.spikes_by_phase);
-  into.spike_stall_ms.merge(from.spike_stall_ms);
-  into.stall_ms.merge(from.stall_ms);
-  into.ticks_high_stall += from.ticks_high_stall;
-  into.ticks_low_stall += from.ticks_low_stall;
-  into.spikes_high_stall += from.spikes_high_stall;
-  into.spikes_low_stall += from.spikes_low_stall;
-  into.ticks_sent += from.ticks_sent;
-  into.ticks_lost += from.ticks_lost;
-  into.spikes += from.spikes;
-  into.spikes_with_stall += from.spikes_with_stall;
-  into.matches_completed += from.matches_completed;
-  obs::merge(into.obs, from.obs);
-}
-
 }  // namespace slp::measure

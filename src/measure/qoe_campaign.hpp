@@ -12,8 +12,9 @@
 // the 15-second Starlink handover grid. The paper family observes rebuffer
 // events, MOS dips, and lag spikes clustering at the slot boundary (phases
 // 14/0); these exports make that clustering a first-class, mergeable
-// statistic. The usual sweep contract holds: merge() folds cells in id
-// order, so any --jobs produces byte-identical results.
+// statistic. The usual sweep contract holds: runner::run_merged folds cells
+// in id order through each Result's `fields` (stats/fold.hpp), so any --jobs
+// produces byte-identical results.
 #pragma once
 
 #include <cstdint>
@@ -24,6 +25,7 @@
 #include "qoe/abr.hpp"
 #include "qoe/game.hpp"
 #include "qoe/vc.hpp"
+#include "stats/fold.hpp"
 #include "stats/groupby.hpp"
 #include "stats/quantiles.hpp"
 
@@ -60,6 +62,12 @@ struct AbrCampaign {
     std::uint64_t segments = 0;
     int sessions_completed = 0;
     obs::Snapshot obs;
+
+    using fields = stats::Fields<&Result::startup_s, &Result::rebuffer_ratio,
+                                 &Result::mean_rung_mbps, &Result::segment_mbps,
+                                 &Result::rebuffer_by_phase, &Result::rebuffer_events,
+                                 &Result::quality_switches, &Result::segments,
+                                 &Result::sessions_completed, &Result::obs>;
   };
 
   static Result run(const Config& config);
@@ -89,6 +97,11 @@ struct VcCampaign {
     std::uint64_t datagrams_lost = 0;
     int calls_completed = 0;
     obs::Snapshot obs;
+
+    using fields = stats::Fields<&Result::mos, &Result::window_loss_pct, &Result::transit_ms,
+                                 &Result::mos_by_phase, &Result::frames_sent,
+                                 &Result::frames_missed, &Result::datagrams_lost,
+                                 &Result::calls_completed, &Result::obs>;
   };
 
   static Result run(const Config& config);
@@ -140,15 +153,16 @@ struct GameCampaign {
     std::uint64_t spikes_with_stall = 0;
     int matches_completed = 0;
     obs::Snapshot obs;
+
+    using fields = stats::Fields<&Result::rtt_ms, &Result::spikes_by_phase, &Result::spike_stall_ms,
+                                 &Result::ticks_high_stall, &Result::ticks_low_stall,
+                                 &Result::spikes_high_stall, &Result::spikes_low_stall,
+                                 &Result::stall_ms, &Result::ticks_sent, &Result::ticks_lost,
+                                 &Result::spikes, &Result::spikes_with_stall,
+                                 &Result::matches_completed, &Result::obs>;
   };
 
   static Result run(const Config& config);
 };
-
-// ============================================================ sweep support
-
-void merge(AbrCampaign::Result& into, const AbrCampaign::Result& from);
-void merge(VcCampaign::Result& into, const VcCampaign::Result& from);
-void merge(GameCampaign::Result& into, const GameCampaign::Result& from);
 
 }  // namespace slp::measure

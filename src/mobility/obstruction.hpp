@@ -29,7 +29,6 @@ class ObstructionMask {
   ObstructionMask() = default;  // open sky
   explicit ObstructionMask(std::vector<Sector> sectors);
 
-  [[nodiscard]] static ObstructionMask open_sky() { return ObstructionMask{}; }
   /// Full gate: every azimuth blocked to the zenith.
   [[nodiscard]] static ObstructionMask tunnel();
   /// Single-sector convenience (tree lines, urban canyons).

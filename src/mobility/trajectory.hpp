@@ -46,9 +46,6 @@ class Trajectory {
   /// waypoint for negative times and to the final reached waypoint after the
   /// route completes.
   [[nodiscard]] State state_at(Duration elapsed) const;
-  [[nodiscard]] leo::GeoPoint position_at(Duration elapsed) const {
-    return state_at(elapsed).position;
-  }
 
   [[nodiscard]] double total_distance_m() const { return total_distance_m_; }
   [[nodiscard]] Duration total_duration() const { return total_duration_; }

@@ -90,15 +90,8 @@ void merge(Snapshot& into, const Snapshot& from) {
   for (const auto& [name, v] : from.gauges) into.gauges[name] = v;
   for (const auto& [name, cell] : from.histograms) {
     auto [it, inserted] = into.histograms.emplace(name, cell);
-    if (!inserted) {
-      auto& dst = it->second;
-      assert(dst.edges == cell.edges && "histogram edges must match to merge");
-      for (std::size_t i = 0; i < dst.counts.size() && i < cell.counts.size(); ++i) {
-        dst.counts[i] += cell.counts[i];
-      }
-      dst.total += cell.total;
-      dst.sum += cell.sum;
-    }
+    assert((inserted || it->second.edges == cell.edges) && "histogram edges must match to merge");
+    if (!inserted) stats::merge(it->second, cell);
   }
   const auto offset = static_cast<std::uint32_t>(into.cells);
   for (const auto& s : from.series) {

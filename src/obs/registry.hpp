@@ -19,6 +19,8 @@
 #include <string_view>
 #include <vector>
 
+#include "stats/fold.hpp"
+
 namespace slp::obs {
 
 class Registry;
@@ -59,6 +61,9 @@ struct HistogramCell {
   double sum = 0.0;
 
   void observe(double x);
+
+  using fields = stats::Fields<stats::keep_first<&HistogramCell::edges>, &HistogramCell::counts,
+                               &HistogramCell::total, &HistogramCell::sum>;
 };
 
 /// Bound histogram handle.

@@ -32,15 +32,12 @@ class GilbertElliott final : public sim::LossModel {
 
   [[nodiscard]] bool should_drop(TimePoint now, const sim::Packet& pkt) override;
 
-  [[nodiscard]] bool in_bad_state() const { return bad_; }
-
   /// Scales the mean Good sojourn (scenario rain fade: scale < 1 means Bad
   /// states arrive proportionally more often). Deterministic: the remaining
   /// time of an in-progress Good sojourn is rescaled in place — memoryless-
   /// consistent for the exponential — and future Good draws use the scaled
   /// mean. Bad sojourns and loss probabilities are untouched.
   void set_good_scale(TimePoint now, double scale);
-  [[nodiscard]] double good_scale() const { return good_scale_; }
 
   struct Stats {
     std::uint64_t evaluated = 0;

@@ -17,8 +17,8 @@
 // Campaign is any type with a `Config` (holding a `std::uint64_t seed`), a
 // default-constructible `Result`, and `static Result run(const Config&)` —
 // i.e. every measure:: campaign and fleet::FleetCampaign. run_merged()
-// additionally needs the campaign's `merge(Result&, const Result&)` findable
-// by ADL; those folds are built on stats::Samples::merge and friends.
+// additionally needs the Result to list its fields (stats/fold.hpp), which
+// it folds through stats::merge, the one fold every campaign shares.
 #pragma once
 
 #include <cstdint>
@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "runner/pool.hpp"
+#include "stats/fold.hpp"
 
 namespace slp::runner {
 
@@ -80,15 +81,15 @@ template <typename Campaign>
   });
 }
 
-/// Convenience: run_cells on a transient pool, folded left in cell order via
-/// ADL `merge(Result&, const Result&)`.
+/// Convenience: run_cells on a transient pool, folded left in cell order
+/// through stats::merge.
 template <typename Campaign>
 [[nodiscard]] typename Campaign::Result run_merged(
     const SweepConfig& sweep, const typename Campaign::Config& config) {
   Pool pool{sweep.jobs};
   auto cells = run_cells<Campaign>(pool, sweep.seeds, config);
   typename Campaign::Result merged = std::move(cells.front());
-  for (std::size_t i = 1; i < cells.size(); ++i) merge(merged, cells[i]);
+  for (std::size_t i = 1; i < cells.size(); ++i) stats::merge(merged, cells[i]);
   return merged;
 }
 

@@ -65,8 +65,7 @@ class KeyedSamples {
   };
   [[nodiscard]] Slot slot(std::uint64_t key) { return Slot{*this, key}; }
 
-  /// Key-ordered deterministic fold (found by ADL from runner::run_merged
-  /// through the campaign Results that embed KeyedSamples).
+  /// Key-ordered deterministic fold (stats::merge pools KeyedSamples with it).
   void merge(const KeyedSamples& other);
 
   [[nodiscard]] bool empty() const { return groups_.empty(); }

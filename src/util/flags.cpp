@@ -62,6 +62,13 @@ std::int64_t Flags::get_int(std::string_view key, std::int64_t def) const {
   return parsed;
 }
 
+int Flags::get_int_in(std::string_view key, int def, int lo, int hi) const {
+  const std::int64_t parsed = get_int(key, def);
+  if (parsed >= lo && parsed <= hi) return static_cast<int>(parsed);
+  bad_value(key, " is out of range (want " + std::to_string(lo) + ".." + std::to_string(hi) + ")");
+  return def;
+}
+
 double Flags::get_double(std::string_view key, double def) const {
   const std::string* value = find(key);
   if (value == nullptr) return def;

@@ -32,6 +32,9 @@ class Flags {
   [[nodiscard]] std::string get(std::string_view key, std::string_view def) const;
   /// A base-10 integer ("12", "-3"); anything else is a problem.
   [[nodiscard]] std::int64_t get_int(std::string_view key, std::int64_t def) const;
+  /// get_int() for a value that must also lie in [lo, hi] (an int, so a
+  /// count or a width); one outside is a problem and yields `def`.
+  [[nodiscard]] int get_int_in(std::string_view key, int def, int lo, int hi) const;
   /// A finite number ("0.25", "1e3"; parse_number, units.hpp).
   [[nodiscard]] double get_double(std::string_view key, double def) const;
   /// 1|true|yes or 0|false|no; a bare `--flag` is true.

@@ -55,7 +55,6 @@ class Duration {
   [[nodiscard]] constexpr std::int64_t ns() const { return ns_; }
   [[nodiscard]] constexpr double to_seconds() const { return static_cast<double>(ns_) * 1e-9; }
   [[nodiscard]] constexpr double to_millis() const { return static_cast<double>(ns_) * 1e-6; }
-  [[nodiscard]] constexpr double to_micros() const { return static_cast<double>(ns_) * 1e-3; }
 
   [[nodiscard]] constexpr bool is_zero() const { return ns_ == 0; }
   [[nodiscard]] constexpr bool is_negative() const { return ns_ < 0; }

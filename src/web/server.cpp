@@ -7,7 +7,6 @@ WebServer::WebServer(tcp::TcpStack& stack, Config config, Rng rng)
   for (int origin = 0; origin < config_.num_origins; ++origin) {
     const auto port = static_cast<std::uint16_t>(config_.base_port + origin);
     stack.listen(port, [this, origin](tcp::TcpConnection& conn) {
-      connections_accepted_++;
       auto state = std::make_shared<ConnState>();
       state->think_timer = std::make_unique<sim::Timer>(stack_->sim());
       auto& plans = pending_plans_[origin];
@@ -51,7 +50,6 @@ void WebServer::on_data(tcp::TcpConnection& conn, ConnState& state, std::uint64_
         state.buffered -= config_.request_bytes;
         const std::uint64_t body = state.plan.front();
         state.plan.pop_front();
-        responses_sent_++;
         const Duration think =
             Duration::from_seconds(rng_.lognormal(config_.think_mu, config_.think_sigma));
         const std::uint64_t total = body + config_.response_header_bytes;

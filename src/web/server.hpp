@@ -57,8 +57,6 @@ class WebServer {
   void clear_plans();
 
   [[nodiscard]] const Config& config() const { return config_; }
-  [[nodiscard]] std::uint64_t connections_accepted() const { return connections_accepted_; }
-  [[nodiscard]] std::uint64_t responses_sent() const { return responses_sent_; }
 
  private:
   enum class TlsState { kAwaitHello, kAwaitFinished, kEstablished };
@@ -76,8 +74,6 @@ class WebServer {
   Config config_;
   Rng rng_;
   std::map<int, std::deque<std::vector<std::uint64_t>>> pending_plans_;
-  std::uint64_t connections_accepted_ = 0;
-  std::uint64_t responses_sent_ = 0;
 };
 
 }  // namespace slp::web

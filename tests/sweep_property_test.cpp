@@ -1,9 +1,9 @@
 // sweep_property_test.cpp — algebraic properties of the sample folds the
 // parallel sweep relies on (stats::Samples::merge, stats::TimeBinner::merge,
-// the per-Result merges built from them): any partition of one sample
-// multiset, merged in any shard order, yields the same distribution
-// (quantiles, ECDF, moments); and distinct sweep cells really are distinct
-// experiments.
+// and stats::merge, the one fold over every Result's field list): any
+// partition of one sample multiset, merged in any shard order, yields the
+// same distribution (quantiles, ECDF, moments); the Result fold is
+// associative; and distinct sweep cells really are distinct experiments.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "measure/campaign.hpp"
+#include "result_digest.hpp"
 #include "runner/pool.hpp"
 #include "runner/sweep.hpp"
 #include "stats/ecdf.hpp"
@@ -137,6 +138,32 @@ TEST(MergeProperty, TimeBinnerMergePoolsPerBinSamples) {
     if (left.bin(b).empty()) continue;
     EXPECT_DOUBLE_EQ(left.bin(b).median(), whole.bin(b).median()) << "bin " << b;
   }
+}
+
+TEST(MergeProperty, ResultFoldIsAssociative) {
+  // Ping cells exercise the pool fold of nested anchors, timelines, counters
+  // and the metrics snapshot, keep_first on the anchors' names and append on
+  // the per-hour samples. Provenance stays off: the pooled
+  // moments of its breakdown (StreamingSummary::merge) are associative only
+  // up to rounding, which is why sweeps always fold left in cell order.
+  measure::PingCampaign::Config config;
+  config.duration = Duration::hours(1);
+  config.epochs = false;
+  config.obs.metrics = true;
+  Pool pool{3};
+  const auto cells = run_cells<measure::PingCampaign>(pool, 3, config);
+
+  // (a + b) + c
+  measure::PingCampaign::Result left = cells[0];
+  stats::merge(left, cells[1]);
+  stats::merge(left, cells[2]);
+  // a + (b + c)
+  measure::PingCampaign::Result bc = cells[1];
+  stats::merge(bc, cells[2]);
+  measure::PingCampaign::Result right = cells[0];
+  stats::merge(right, bc);
+
+  EXPECT_EQ(field_digests(left), field_digests(right));
 }
 
 // ================================================= distinct seeds distinct

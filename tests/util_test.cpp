@@ -402,6 +402,36 @@ TEST(Flags, StrictValuesStillParse) {
   EXPECT_TRUE(f.problems().empty());
 }
 
+TEST(Flags, OutOfRangeIntegersAreProblemsNotTruncations) {
+  // 4294967306 = 2^32 + 10: a plain int cast would read 10.
+  const char* argv[] = {"prog",        "--fleet=4294967306", "--seeds=0",
+                        "--jobs=-1",   "--tests=99999999999999999999",
+                        "--shards=1025"};
+  const Flags f = Flags::parse(6, argv);
+  EXPECT_EQ(f.get_int_in("fleet", 7, 0, 2147483647), 7);
+  EXPECT_EQ(f.get_int_in("seeds", 1, 1, 2147483647), 1);
+  EXPECT_EQ(f.get_int_in("jobs", 1, 0, 1024), 1);
+  EXPECT_EQ(f.get_int_in("tests", 3, 1, 2147483647), 3);
+  EXPECT_EQ(f.get_int_in("shards", 1, 0, 1024), 1);
+  EXPECT_EQ(f.problems(), (std::vector<std::string>{
+                              "--fleet=4294967306 is out of range (want 0..2147483647)",
+                              "--jobs=-1 is out of range (want 0..1024)",
+                              "--seeds=0 is out of range (want 1..2147483647)",
+                              "--shards=1025 is out of range (want 0..1024)",
+                              "--tests=99999999999999999999 is not an integer",
+                          }));
+}
+
+TEST(Flags, InRangeIntegersAndDefaultsPass) {
+  const char* argv[] = {"prog", "--jobs=0", "--seeds=2147483647", "--fleet=-0"};
+  const Flags f = Flags::parse(4, argv);
+  EXPECT_EQ(f.get_int_in("jobs", 1, 0, 1024), 0);
+  EXPECT_EQ(f.get_int_in("seeds", 1, 1, 2147483647), 2147483647);
+  EXPECT_EQ(f.get_int_in("fleet", 5, 0, 10), 0);
+  EXPECT_EQ(f.get_int_in("absent", 4, 1, 8), 4);
+  EXPECT_TRUE(f.problems().empty());
+}
+
 TEST(Flags, RejectedAndUnreadFlagsAreProblems) {
   const char* argv[] = {"prog", "--grid=leo,mars", "--help", "--typo=1"};
   const Flags f = Flags::parse(4, argv);
